@@ -2,8 +2,9 @@
 
 The finite-difference engine works on a *frozen* node set: the entropy
 callbacks produced by :func:`entropy_line` discretise the entropy once,
-on nodes covering every field the caller will touch, and then evaluate
-the whole step schedule on that fixed discrete measure. The discretised
+on nodes covering every field the caller will touch, sample each field
+there once, and evaluate a whole step schedule on that fixed discrete
+measure in one pass, as blocks of (steps x nodes) rows. The discretised
 entropy is genuinely convex and homogeneous on that measure, so right
 difference quotients are nonincreasing to floating point, Richardson
 extrapolation is safe, and the quotient trace doubles as a convexity
@@ -28,7 +29,6 @@ from .densities import (
     Combination,
     Field,
     GridDensity,
-    GridInfo,
     default_cone_spec,
     cone_check,
 )
@@ -74,72 +74,87 @@ SUITES = ("propriety", "euler", "homogeneity", "derivatives", "gateaux", "all")
 
 
 # ---------------------------------------------------------------------------
-# frozen-node entropy callbacks
+# frozen-node entropy lines
 # ---------------------------------------------------------------------------
+
+# elements (steps x nodes) per evaluated block: bounds the temporaries of
+# one pass, so a 4M-node 2-D line runs one step at a time
+_BLOCK_ELEMENTS = 2**15
+
+
+def _row_entropies(rule: str, w, fv, grad=None) -> list:
+    """Entropy of each row of sampled values: a float, or the domain error refusing the row."""
+    if rule == "supremum":
+        return [float(v) for v in np.max(fv, axis=1)]
+    mass = np.sum(w * fv, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if rule == "logarithmic":
+            values = np.sum(w * np.where(fv > 0, fv * np.log(np.maximum(fv, rules.LOG_CLAMP) / mass[:, None]), 0.0), axis=1)
+        elif rule == "hyvarinen":
+            g2 = grad**2 if grad.ndim == 2 else (grad**2).sum(axis=2)
+            values = np.sum(w * np.where(fv > 0, g2 / np.maximum(fv, rules.LOG_CLAMP), 0.0), axis=1)
+        else:
+            values = np.sum(w * fv**2, axis=1) / mass
+    negative = np.any(fv < 0, axis=1) & (rule != "quadratic")
+    massless = (mass <= 0) & (rule != "hyvarinen")
+    return [
+        rules.ZeroDensityError("field leaves the nonnegative cone on the node set") if neg
+        else rules.ZeroMassError("nonpositive mass on the node set") if empty
+        else float(value)
+        for value, neg, empty in zip(values, negative, massless)
+    ]
+
 
 def entropy_line(rule: str, *fields: Field, scheme: pairing.QuadratureScheme | None = None) -> Callable[[Field], float]:
     """Entropy callback discretised on one node set covering ``fields``.
 
     The returned callable evaluates the rule's entropy of any field by
-    restriction to the frozen nodes. Feasibility violations (negative
-    values for the positivity-constrained entropies, nonpositive mass for
-    the quadratic one) raise the usual domain errors, which the derivative
-    engine translates into step feasibility.
+    restriction to the frozen nodes, where each leaf field is sampled once
+    (values, and gradients for the Hyvarinen rule). Its attribute
+    ``along(q, p, ts)`` evaluates a whole step schedule as qs + t ps in
+    blocks of steps and returns, per step, a float or the domain error the
+    callable would raise (negative values for the positivity-constrained
+    entropies, nonpositive mass); ``sample`` and ``weights`` expose the
+    samples and the quadrature weights.
     """
     rule = rules.canonical_rule(rule)
     cover = fields[0] if len(fields) == 1 else Combination((1.0,) * len(fields), fields)
     if rule == "supremum":
-        grid = cover.grid
-        if grid is None:
+        if cover.grid is None:
             raise InvalidParameterError("supremum entropy lines need grid fields")
-        pts = grid.points()
+        pts, w = cover.grid.points(), None
+    else:
+        ns = pairing.nodes_for(cover, scheme)
+        pts, w = ns.points, ns.weights
+    ops = ("value", "gradient") if rule == "hyvarinen" else ("value",)
+    leaves: dict[int, tuple] = {}  # id -> (leaf, samples); holding the leaf keeps its id unique
 
-        def phi_sup(f: Field) -> float:
-            return float(np.max(np.asarray(f.value(pts), dtype=float)))
+    def sample(f: Field) -> list[np.ndarray]:
+        total = None  # summed in the order and arithmetic of Combination._accumulate
+        for c, leaf in f.terms():
+            if id(leaf) not in leaves:
+                leaves[id(leaf)] = (leaf, [np.asarray(getattr(leaf, op)(pts), dtype=float) for op in ops])
+            part = [c * a for a in leaves[id(leaf)][1]]
+            total = part if total is None else [s + x for s, x in zip(total, part)]
+        return total
 
-        return phi_sup
+    def along(q: Field, p: Field, ts: Sequence[float]) -> list:
+        qs, ps, ts = sample(q), sample(p), np.asarray(ts, dtype=float)
+        rows = max(1, _BLOCK_ELEMENTS // len(pts))
+        out: list = []
+        for i in range(0, ts.size, rows):
+            tb = ts[i : i + rows]
+            out += _row_entropies(rule, w, *(a + tb.reshape((-1,) + (1,) * a.ndim) * b for a, b in zip(qs, ps)))
+        return out
 
-    ns = pairing.nodes_for(cover, scheme)
-    w = ns.weights
-    pts = ns.points
+    def phi(f: Field) -> float:
+        (value,) = _row_entropies(rule, w, *(a[None] for a in sample(f)))
+        if isinstance(value, ConescoreError):
+            raise value
+        return value
 
-    if rule == "logarithmic":
-
-        def phi_log(f: Field) -> float:
-            fv = np.asarray(f.value(pts), dtype=float)
-            if np.any(fv < 0):
-                raise rules.ZeroDensityError("field leaves the nonnegative cone on the node set")
-            mass = float(np.sum(w * fv))
-            if mass <= 0:
-                raise rules.ZeroMassError("nonpositive mass on the node set")
-            with np.errstate(divide="ignore", invalid="ignore"):
-                terms = np.where(fv > 0, fv * np.log(np.maximum(fv, rules.LOG_CLAMP) / mass), 0.0)
-            return float(np.sum(w * terms))
-
-        return phi_log
-
-    if rule == "hyvarinen":
-
-        def phi_hyv(f: Field) -> float:
-            fv = np.asarray(f.value(pts), dtype=float)
-            if np.any(fv < 0):
-                raise rules.ZeroDensityError("field leaves the nonnegative cone on the node set")
-            g2 = np.asarray(f.gradient(pts), dtype=float)
-            g2 = g2**2 if f.dim == 1 else (g2**2).sum(axis=1)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                terms = np.where(fv > 0, g2 / np.maximum(fv, rules.LOG_CLAMP), 0.0)
-            return float(np.sum(w * terms))
-
-        return phi_hyv
-
-    def phi_quad(f: Field) -> float:
-        fv = np.asarray(f.value(pts), dtype=float)
-        mass = float(np.sum(w * fv))
-        if mass <= 0:
-            raise rules.ZeroMassError("nonpositive mass on the node set")
-        return float(np.sum(w * fv**2) / mass)
-
-    return phi_quad
+    phi.along, phi.sample, phi.weights = along, sample, w
+    return phi
 
 
 # ---------------------------------------------------------------------------
@@ -165,12 +180,8 @@ class DerivativeEstimate:
 
     def max_monotonicity_excess(self) -> float:
         """Largest break of the quotient ordering, 0.0 when none."""
-        worst = 0.0
-        qs = [q for _, q in self.trace]
-        for prev, nxt in zip(qs, qs[1:]):
-            excess = (nxt - prev) if self.side == "right" else (prev - nxt)
-            worst = max(worst, excess)
-        return worst
+        qs = [q if self.side == "right" else -q for _, q in self.trace]
+        return max([0.0, *(nxt - prev for prev, nxt in zip(qs, qs[1:]))])
 
 
 @dataclass(frozen=True)
@@ -201,6 +212,34 @@ def _richardson(trace: list[tuple[float, float]]) -> float:
     return (r * q_last - q_prev) / (r - 1.0)
 
 
+def _entropy_along(phi: Callable[[Field], float], q: Field, p: Field, ts: Sequence[float]) -> list:
+    """``phi`` at q + t p for each t (q itself at t = 0): a float, or the error refusing the step.
+
+    A line's ``along`` lives in its ``__dict__``, so ``functools.wraps`` copies
+    keep the one-pass path; any other callable is called once per step.
+    """
+    along = getattr(phi, "along", None)
+    return along(q, p, ts) if along else [_attempt(phi, q + t * p if t else q) for t in ts]
+
+
+def _attempt(phi: Callable[[Field], float], f: Field):
+    try:
+        return phi(f)
+    except ConescoreError as exc:
+        return exc
+
+
+def _checked(value, t: float) -> float:
+    """The entropy at step ``t`` (0 for the base point), or InfeasibleStepError naming the step."""
+    where = "the base point" if t == 0 else f"step t={t:g}"
+    if isinstance(value, ConescoreError):
+        why = f"entropy undefined at {where}" if t == 0 else f"{where} leaves the entropy's domain"
+        raise InfeasibleStepError(f"{why}: {value}", step=t) from value
+    if not np.isfinite(value):
+        raise InfeasibleStepError(f"entropy not finite at {where}", step=t)
+    return value
+
+
 def right_directional_derivative(
     phi: Callable[[Field], float],
     q: Field,
@@ -215,16 +254,9 @@ def right_directional_derivative(
     :class:`InfeasibleStepError` naming it.
     """
     steps = _validate_steps(steps)
-    phi_q = _phi_at_base(phi, q)
-    trace: list[tuple[float, float]] = []
-    for t in steps:
-        try:
-            val = phi(q + t * p)
-        except ConescoreError as exc:
-            raise InfeasibleStepError(f"step t={t:g} leaves the entropy's domain: {exc}", step=t) from exc
-        if not np.isfinite(val):
-            raise InfeasibleStepError(f"entropy not finite at step t={t:g}", step=t)
-        trace.append((t, (val - phi_q) / t))
+    base, *values = _entropy_along(phi, q, p, (0.0, *steps))
+    phi_q = _checked(base, 0.0)
+    trace = [(t, (_checked(v, t) - phi_q) / t) for t, v in zip(steps, values)]
     violations = sum(1 for (_, a), (_, b) in zip(trace, trace[1:]) if b > a + MONOTONE_SLACK)
     converged = len(trace) >= 2 and abs(trace[-1][1] - trace[-2][1]) < tol_fd
     return DerivativeEstimate(_richardson(trace), tuple(trace), "right", converged, violations)
@@ -244,31 +276,14 @@ def left_directional_derivative(
     :class:`OneSidedOnlyError` is raised.
     """
     steps = _validate_steps(steps)
-    phi_q = _phi_at_base(phi, q)
-    trace: list[tuple[float, float]] = []
-    for t in steps:
-        try:
-            val = phi(q + (-t) * p)
-        except ConescoreError:
-            continue
-        if not np.isfinite(val):
-            continue
-        trace.append((t, (phi_q - val) / t))
+    base, *values = _entropy_along(phi, q, p, (0.0, *(-t for t in steps)))
+    phi_q = _checked(base, 0.0)
+    trace = [(t, (phi_q - v) / t) for t, v in zip(steps, values) if not isinstance(v, ConescoreError) and np.isfinite(v)]
     if not trace:
         raise OneSidedOnlyError("the reversed direction leaves the cone at every scheduled step")
     violations = sum(1 for (_, a), (_, b) in zip(trace, trace[1:]) if b < a - MONOTONE_SLACK)
     converged = len(trace) >= 2 and abs(trace[-1][1] - trace[-2][1]) < tol_fd
     return DerivativeEstimate(_richardson(trace), tuple(trace), "left", converged, violations)
-
-
-def _phi_at_base(phi: Callable[[Field], float], q: Field) -> float:
-    try:
-        value = phi(q)
-    except ConescoreError as exc:
-        raise InfeasibleStepError(f"entropy undefined at the base point: {exc}", step=0.0) from exc
-    if not np.isfinite(value):
-        raise InfeasibleStepError("entropy not finite at the base point", step=0.0)
-    return value
 
 
 def two_sided_derivative(
@@ -520,8 +535,7 @@ def certify_directional_derivatives(
         raise InvalidParameterError("need at least two one-sided and two two-sided directions")
     prefix = case_prefix or f"{rule}/derivatives"
     qh = _normalized(q, scheme)
-    cover = [qh] + [d for d in one_sided] + [d for d in two_sided]
-    phi = entropy_line(rule, *cover, scheme=scheme)
+    phi = entropy_line(rule, qh, *one_sided, *two_sided, scheme=scheme)
 
     def right(base: Field, direction: Field) -> DerivativeEstimate:
         return right_directional_derivative(phi, base, direction, steps, tol_fd)
@@ -612,26 +626,20 @@ def gateaux_check(
         raise InvalidParameterError("need at least one direction")
     prefix = case_prefix or "quadratic/gateaux"
     steps = _validate_steps(steps)
-    cover = Combination((1.0,) * (len(directions) + 1), [q, *directions])
-    ns = pairing.nodes_for(cover, scheme)
-    w, pts = ns.weights, ns.points
-    qv = np.asarray(q.value(pts), dtype=float)
+    phi = entropy_line("quadratic", q, *directions, scheme=scheme)
+    w = phi.weights
+    (qv,) = phi.sample(q)
     mq = float(np.sum(w * qv))
     q2 = float(np.sum(w * qv**2))
     grad_values = 2.0 * qv / mq - q2 / mq**2
-
-    def phi(f: Field) -> float:
-        fv = np.asarray(f.value(pts), dtype=float)
-        mass = float(np.sum(w * fv))
-        if mass <= 0:
-            raise rules.ZeroMassError("nonpositive mass on the node set")
-        return float(np.sum(w * fv**2) / mass)
+    schedule = [s for t in steps for s in (t, -t)]
 
     def symmetric(p: Field) -> float:
-        trace = []
-        for t in steps:
-            val = (phi(q + t * p) - phi(q + (-t) * p)) / (2.0 * t)
-            trace.append((t, val))
+        values = phi.along(q, p, schedule)
+        for val in values:
+            if isinstance(val, ConescoreError):
+                raise val
+        trace = [(t, (a - b) / (2.0 * t)) for t, a, b in zip(steps, values[0::2], values[1::2])]
         (tp, qp), (tl, ql) = trace[-2], trace[-1]
         r2 = (tp / tl) ** 2
         return (r2 * ql - qp) / (r2 - 1.0)
@@ -644,7 +652,7 @@ def gateaux_check(
     for i, p in enumerate(directions):
         d = symmetric(p)
         derivs.append(d)
-        expected = float(np.sum(w * grad_values * np.asarray(p.value(pts), dtype=float)))
+        expected = float(np.sum(w * grad_values * phi.sample(p)[0]))
         resid = abs(d - expected)
         note = cone_note if i == 0 else None
         cases.append(CaseResult(f"{prefix}/gradient{i:03d}", resid, tol, resid <= tol, note=note))

@@ -452,9 +452,6 @@ class GridField(Field):
     def tail_mass_bound(self, radius: float) -> float:
         return 0.0
 
-    def with_values(self, values: np.ndarray) -> "GridField":
-        return GridField(self.lo, self.hi, values)
-
 
 class GridDensity(GridField):
     """Nonnegative grid field with at least one strictly positive value."""

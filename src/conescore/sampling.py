@@ -24,7 +24,6 @@ __all__ = [
     "sample_fd_pairs",
     "perturbed_mixture",
     "sample_grid_density",
-    "sample_grid_pairs",
     "sample_plateau_grid",
     "reweighted_mixture",
     "normalized_l1_distance",
@@ -103,11 +102,6 @@ def _grid_profile(rng: np.random.Generator, grid: GridInfo) -> np.ndarray:
 def sample_grid_density(rng: np.random.Generator, grid: GridInfo = DEFAULT_GRID) -> GridDensity:
     """Smooth positive profile on the grid: baseline plus Gaussian humps."""
     return GridDensity(grid.lo, grid.hi, _grid_profile(rng, grid))
-
-
-def sample_grid_pairs(n: int, seed: int = DEFAULT_SEED, grid: GridInfo = DEFAULT_GRID) -> list[tuple[GridDensity, GridDensity]]:
-    rng = np.random.default_rng(seed)
-    return [(sample_grid_density(rng, grid), sample_grid_density(rng, grid)) for _ in range(n)]
 
 
 def sample_plateau_grid(rng: np.random.Generator, grid: GridInfo = DEFAULT_GRID) -> GridDensity:

@@ -1,5 +1,8 @@
 """Convex-analysis certificates: derivatives, subgradients, suite reports."""
 
+import functools
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -16,11 +19,13 @@ from conescore.convexity import (
     run_suite,
     two_sided_derivative,
 )
-from conescore.densities import Combination, GaussianDensity, GridDensity, GridField
+from conescore.densities import Bump, Combination, GaussianDensity, GridDensity, GridField
 from conescore.errors import (
     InfeasibleStepError,
     InvalidParameterError,
     OneSidedOnlyError,
+    ZeroDensityError,
+    ZeroMassError,
 )
 
 SHANNON_PHI_N01 = -1.4189385332046727
@@ -55,6 +60,70 @@ def test_quadratic_line_on_uniform():
 def test_supremum_line_needs_grid():
     with pytest.raises(InvalidParameterError):
         entropy_line("supremum", GaussianDensity(0.0, 1.0))
+
+
+def seeded_line(rule, seed=5):
+    """A frozen line with base q and direction p, both single leaf fields."""
+    rng = np.random.default_rng(seed)
+    if rule == "supremum":
+        q, p = sampling.sample_plateau_grid(rng), sampling.sample_grid_density(rng)
+    else:
+        q = sampling.sample_mixture(rng)
+        p = sampling.reweighted_mixture(q, rng)
+    return entropy_line(rule, q, p), q, p
+
+
+def per_step_trace(phi, q, p, sign):
+    """Reference trace: one call of ``phi`` per scheduled step."""
+    base = phi(q)
+    return [(t, sign * (phi(q + (sign * t) * p) - base) / t) for t in convexity.FD_STEPS]
+
+
+def as_callables(line):
+    """The line itself, a functools.wraps copy, and a plain callable, with call counters."""
+    calls = Counter()
+
+    @functools.wraps(line)
+    def wrapped(f):
+        calls["wrapped"] += 1
+        return line(f)
+
+    def plain(f):
+        calls["plain"] += 1
+        return line(f)
+
+    return {"line": line, "wrapped": wrapped, "plain": plain}, calls
+
+
+@pytest.mark.parametrize("rule", ["logarithmic", "hyvarinen", "quadratic", "supremum"])
+def test_batched_traces_match_per_step_evaluation(rule):
+    line, q, p = seeded_line(rule)
+    right_ref = per_step_trace(line, q, p, 1.0)
+    left_ref = per_step_trace(line, q, p, -1.0)
+    callables, calls = as_callables(line)
+    for phi in callables.values():
+        right = right_directional_derivative(phi, q, p)
+        left = left_directional_derivative(phi, q, p)
+        assert len(right.trace) == len(left.trace) == len(convexity.FD_STEPS)
+        for est, ref in ((right, right_ref), (left, left_ref)):
+            assert [t for t, _ in est.trace] == [t for t, _ in ref]
+            assert [v for _, v in est.trace] == pytest.approx([v for _, v in ref], rel=1e-12, abs=0.0)
+            assert all(type(v) is float for _, v in est.trace)
+    # the wrapped line keeps the one-pass path; the lambda is called per step
+    assert calls["wrapped"] == 0
+    assert calls["plain"] == 2 * (len(convexity.FD_STEPS) + 1)
+
+
+def test_two_dimensional_line_batched_matches_per_step():
+    scheme = pairing.QuadratureScheme(panels=2, nodes=4)
+    q = GaussianDensity([0.0, 0.0], [1.0, 1.0])
+    p = GaussianDensity([0.3, -0.2], [1.2, 0.8])
+    for rule in ("logarithmic", "hyvarinen", "quadratic"):
+        line = entropy_line(rule, q, p, scheme=scheme)
+        batched = right_directional_derivative(line, q, p)
+        per_step = right_directional_derivative(lambda f: line(f), q, p)
+        assert batched.value == pytest.approx(per_step.value, rel=1e-12)
+        assert [v for _, v in batched.trace] == pytest.approx([v for _, v in per_step.trace], rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +174,39 @@ def test_infeasible_step_names_the_step():
     with pytest.raises(InfeasibleStepError) as err:
         right_directional_derivative(phi, q, hostile)
     assert err.value.step == pytest.approx(2.0**-3)
+
+
+@pytest.mark.parametrize("kind", ["line", "wrapped", "plain"])
+def test_infeasible_steps_on_every_path(kind):
+    q = uniform_grid()
+    # 1 - 40 t < 0 for t = 2^-3, 2^-4, 2^-5 only
+    phi = as_callables(entropy_line("logarithmic", q))[0][kind]
+    with pytest.raises(InfeasibleStepError) as err:
+        right_directional_derivative(phi, q, bump_field(amp=-40.0))
+    assert err.value.step == 2.0**-3
+    est = left_directional_derivative(phi, q, bump_field(amp=40.0))
+    assert [t for t, _ in est.trace] == list(convexity.FD_STEPS[3:])
+    vals = np.ones(401)
+    vals[:200] = 0.0
+    half = GridDensity(0.0, 1.0, vals)
+    phi = as_callables(entropy_line("logarithmic", half))[0][kind]
+    with pytest.raises(OneSidedOnlyError):
+        left_directional_derivative(phi, half, uniform_grid())
+
+
+@pytest.mark.parametrize(
+    "rule, scale, cause",
+    [("logarithmic", -1.0, ZeroDensityError), ("logarithmic", 0.0, ZeroMassError), ("quadratic", -1.0, ZeroMassError)],
+)
+def test_infeasible_base_point_is_step_zero(rule, scale, cause):
+    q = uniform_grid()
+    phi = entropy_line(rule, q)
+    with pytest.raises(cause):
+        phi(scale * q)
+    with pytest.raises(InfeasibleStepError) as err:
+        right_directional_derivative(phi, scale * q, q)
+    assert err.value.step == 0.0
+    assert isinstance(err.value.__cause__, cause)
 
 
 def test_left_derivative_skips_large_steps():
@@ -183,6 +285,34 @@ def test_gateaux_gradient_on_uniform():
     assert all(c.residual <= 1e-5 for c in gradient_cases)
     assert any("additivity" in c.case_id for c in report.cases)
     assert any("homogeneity" in c.case_id for c in report.cases)
+
+
+def test_gateaux_evaluates_each_leaf_once_per_node_set(monkeypatch):
+    # counts calls, not time: every step used to re-evaluate every leaf
+    calls = Counter()
+    seen = []  # holding the node arrays keeps their ids unique
+
+    def counting(original):
+        def value(self, x):
+            seen.append(x)
+            calls[id(self), id(x)] += 1
+            return original(self, x)
+
+        return value
+
+    monkeypatch.setattr(GaussianDensity, "value", counting(GaussianDensity.value))
+    monkeypatch.setattr(Bump, "value", counting(Bump.value))
+    rng = np.random.default_rng(8)
+    q = sampling.sample_mixture(rng)
+    directions = [
+        Bump(0.5, 0.8, 0.2),
+        Bump(-1.0, 0.6, 0.3) - Bump(1.0, 0.5, 0.2),
+        Bump(0.0, 1.0, -0.1),
+        sampling.sample_mixture(rng) * 0.2,
+    ]
+    report = gateaux_check(q, directions)
+    assert report.passed
+    assert calls and max(calls.values()) == 1
 
 
 def test_gateaux_requires_directions():
