@@ -19,7 +19,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from . import rules
+from . import pairing, rules
 from .densities import Field, GridDensity
 from .errors import DomainError, InvalidParameterError, ModeMeasureZeroError, NoWitnessError
 
@@ -235,9 +235,7 @@ def _dirac_candidates(q: Field, mode: rules.ModeSet) -> list[tuple[str, np.ndarr
     grid = mode.grid
     pts = grid.points()
     qv = np.asarray(q.value(pts), dtype=float)
-    trap = np.full(grid.n, grid.spacing)
-    trap[0] *= 0.5
-    trap[-1] *= 0.5
+    trap = pairing._grid_nodes(q).weights
     uniform = np.ones(grid.n)
     candidates = [
         ("uniform", uniform / float(np.sum(trap * uniform))),
@@ -291,9 +289,7 @@ def sup_dichotomy_demo(q: Field, n_probes: int = 20, seed: int = 42) -> SupDicho
             )
         )
     pts = grid.points()
-    trap = np.full(grid.n, grid.spacing)
-    trap[0] *= 0.5
-    trap[-1] *= 0.5
+    trap = pairing._grid_nodes(q).weights
     width = max(4 * grid.spacing, 0.02 * (grid.hi - grid.lo))
     for label, gvals in _dirac_candidates(q, mode):
         # probe centered where the candidate carries mass, supported strictly

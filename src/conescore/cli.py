@@ -18,6 +18,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -120,11 +121,14 @@ def _load_observations(path: str) -> np.ndarray:
         if not row or not row[0].strip():
             continue
         try:
-            values.append(float(row[0]))
+            value = float(row[0])
         except ValueError:
             if i == 0:
                 continue  # header line
             raise InvalidParameterError(f"non-numeric observation on line {i + 1}: {row[0]!r}")
+        if not math.isfinite(value):
+            raise InvalidParameterError(f"non-finite observation on line {i + 1}: {row[0]!r}")
+        values.append(value)
     if not values:
         raise InvalidParameterError("no observations found")
     return np.asarray(values, dtype=float)
@@ -164,28 +168,17 @@ def cmd_score(args) -> int:
     scheme = _scheme_from_args(args)
     _maybe_require_cone(q, cone, rule, args.strict_cone, scheme)
 
-    clamped = 0
-    if rule == "logarithmic":
-        mass = q.total_mass(scheme)
-        qx = np.asarray(q.value(obs), dtype=float)
-        scores: list = []
-        for v in qx:
-            if v > 0:
-                scores.append(float(np.log(v / mass)))
-            else:
-                clamped += 1
-                scores.append("-inf")
-    else:
-        scores = [float(s) for s in np.atleast_1d(rules.score_at(rule, q, obs, scheme))]
-
-    finite = [s for s in scores if isinstance(s, float)]
-    mean: float | str = "-inf" if clamped else (float(np.mean(finite)) if finite else "-inf")
+    # the logarithmic score of an observation where q vanishes is the "-inf" sentinel;
+    # the Hyvarinen score raises there, and the quadratic score is finite everywhere
+    values = np.atleast_1d(rules.score_at(rule, q, obs, scheme, strict=rule != "logarithmic"))
+    outside = values == -np.inf
+    clamped = int(np.count_nonzero(outside))
+    scores = ["-inf" if out else s for out, s in zip(outside.tolist(), values.tolist())]
+    mean: float | str = "-inf" if clamped else float(np.mean(values))
     payload = {
         "rule": rule,
         "forecast_digest": _digest(cfg),
-        "records": [
-            {"x": float(x), "score": s} for x, s in zip(obs, scores)
-        ],
+        "records": [{"x": x, "score": s} for x, s in zip(obs.tolist(), scores)],
         "summary": {"mean": mean, "count": len(scores), "clamped": clamped},
     }
     _emit(payload, args.out)

@@ -29,6 +29,7 @@ from .densities import (
     Combination,
     Field,
     GridDensity,
+    Sample,
     default_cone_spec,
     cone_check,
 )
@@ -87,14 +88,7 @@ def _row_entropies(rule: str, w, fv, grad=None) -> list:
     if rule == "supremum":
         return [float(v) for v in np.max(fv, axis=1)]
     mass = np.sum(w * fv, axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if rule == "logarithmic":
-            values = np.sum(w * np.where(fv > 0, fv * np.log(np.maximum(fv, rules.LOG_CLAMP) / mass[:, None]), 0.0), axis=1)
-        elif rule == "hyvarinen":
-            g2 = grad**2 if grad.ndim == 2 else (grad**2).sum(axis=2)
-            values = np.sum(w * np.where(fv > 0, g2 / np.maximum(fv, rules.LOG_CLAMP), 0.0), axis=1)
-        else:
-            values = np.sum(w * fv**2, axis=1) / mass
+    values = rules._entropy(rule, w, Sample(fv, grad), mass)
     negative = np.any(fv < 0, axis=1) & (rule != "quadratic")
     massless = (mass <= 0) & (rule != "hyvarinen")
     return [
@@ -126,14 +120,14 @@ def entropy_line(rule: str, *fields: Field, scheme: pairing.QuadratureScheme | N
     else:
         ns = pairing.nodes_for(cover, scheme)
         pts, w = ns.points, ns.weights
-    ops = ("value", "gradient") if rule == "hyvarinen" else ("value",)
+    order = 1 if rule == "hyvarinen" else 0
     leaves: dict[int, tuple] = {}  # id -> (leaf, samples); holding the leaf keeps its id unique
 
     def sample(f: Field) -> list[np.ndarray]:
-        total = None  # summed in the order and arithmetic of Combination._accumulate
+        total = None  # summed in the order and arithmetic of Combination.sample
         for c, leaf in f.terms():
             if id(leaf) not in leaves:
-                leaves[id(leaf)] = (leaf, [np.asarray(getattr(leaf, op)(pts), dtype=float) for op in ops])
+                leaves[id(leaf)] = (leaf, leaf.sample(pts, order)[: order + 1])
             part = [c * a for a in leaves[id(leaf)][1]]
             total = part if total is None else [s + x for s, x in zip(total, part)]
         return total
@@ -628,10 +622,9 @@ def gateaux_check(
     steps = _validate_steps(steps)
     phi = entropy_line("quadratic", q, *directions, scheme=scheme)
     w = phi.weights
-    (qv,) = phi.sample(q)
-    mq = float(np.sum(w * qv))
-    q2 = float(np.sum(w * qv**2))
-    grad_values = 2.0 * qv / mq - q2 / mq**2
+    qs = Sample(*phi.sample(q))
+    mq = float(np.sum(w * qs.value))
+    grad_values = rules._score("quadratic", qs, mq, rules._self_pairing("quadratic", w, qs))
     schedule = [s for t in steps for s in (t, -t)]
 
     def symmetric(p: Field) -> float:

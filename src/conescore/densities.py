@@ -15,7 +15,8 @@ the natural home of the entropy calculus, where entropies extend
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+import operator
+from dataclasses import dataclass
 from typing import Callable, ClassVar, NamedTuple, Sequence
 
 import numpy as np
@@ -31,6 +32,7 @@ from .errors import (
 
 __all__ = [
     "Field",
+    "Sample",
     "Combination",
     "GaussianDensity",
     "MixtureDensity",
@@ -95,7 +97,22 @@ def _as_points(x, dim: int) -> tuple[np.ndarray, bool]:
 
 
 def _squeeze(values: np.ndarray, scalar: bool):
-    return float(values[0]) if scalar else values
+    if not scalar:
+        return values
+    return float(values[0]) if values.ndim == 1 else values[0]
+
+
+def _column_sum(a: np.ndarray) -> np.ndarray:
+    """Row sums of an (n, 1) or (n, 2) array, added in the order of ``a.sum(axis=1)``."""
+    return a[:, 0] if a.shape[1] == 1 else a[:, 0] + a[:, 1]
+
+
+class Sample(NamedTuple):
+    """One pass of a field over points: values, plus the gradient and Laplacian when asked for."""
+
+    value: np.ndarray
+    gradient: np.ndarray | None = None
+    laplacian: np.ndarray | None = None
 
 
 class Field:
@@ -113,6 +130,11 @@ class Field:
 
     def laplacian(self, x):
         raise NotImplementedError
+
+    def sample(self, x, order: int = 0) -> Sample:
+        """Values at ``x``, with the gradient (order >= 1) and the Laplacian (order 2)."""
+        ops = (self.value, self.gradient, self.laplacian)[: order + 1]
+        return Sample(*(np.asarray(op(x), dtype=float) for op in ops))
 
     # -- quadrature metadata --------------------------------------------------
     @property
@@ -160,7 +182,20 @@ class Field:
         return cache[key]
 
 
-class Combination(Field):
+class _OnePass(Field):
+    """A field whose value, gradient and Laplacian come from its one-pass ``sample``."""
+
+    def value(self, x):
+        return self.sample(x).value
+
+    def gradient(self, x):
+        return self.sample(x, 1).gradient
+
+    def laplacian(self, x):
+        return self.sample(x, 2).laplacian
+
+
+class Combination(_OnePass):
     """Finite linear combination of fields (flattened, signed)."""
 
     def __init__(self, coeffs: Sequence[float], fields: Sequence[Field]):
@@ -196,21 +231,13 @@ class Combination(Field):
     def terms(self):
         return tuple(zip(self.coeffs, self.fields))
 
-    def _accumulate(self, op: str, x):
-        total = None
+    def sample(self, x, order: int = 0) -> Sample:
+        """Sum of c * (each term's one-pass sample), added in term order."""
+        total = None  # added in place: one running array per quantity
         for c, f in zip(self.coeffs, self.fields):
-            part = c * np.asarray(getattr(f, op)(x), dtype=float)
-            total = part if total is None else total + part
-        return total
-
-    def value(self, x):
-        return self._accumulate("value", x)
-
-    def gradient(self, x):
-        return self._accumulate("gradient", x)
-
-    def laplacian(self, x):
-        return self._accumulate("laplacian", x)
+            part = [c * a for a in f.sample(x, order)[: order + 1]]
+            total = part if total is None else list(map(operator.iadd, total, part))
+        return Sample(*total)
 
     def core_radius(self) -> float:
         return max(f.core_radius() for f in self.fields)
@@ -225,7 +252,7 @@ def _validate_positive(name: str, value: float):
 
 
 @dataclass(frozen=True, eq=False)
-class GaussianDensity(Field):
+class GaussianDensity(_OnePass):
     """Gaussian with diagonal covariance, scaled by a positive factor."""
 
     mean: np.ndarray
@@ -250,27 +277,20 @@ class GaussianDensity(Field):
         object.__setattr__(self, "var", var)
         object.__setattr__(self, "dim", mean.size)
 
-    def _values(self, pts: np.ndarray) -> np.ndarray:
-        z2 = (pts - self.mean) ** 2 / self.var
+    def sample(self, x, order: int = 0) -> Sample:
+        """One exp per point; the gradient and the Laplacian reuse it and the z-scores."""
+        pts, scalar = _as_points(x, self.dim)
+        d = pts - self.mean
         norm = np.prod(np.sqrt(2.0 * np.pi * self.var))
-        return (self.scale / norm) * np.exp(-0.5 * z2.sum(axis=1))
-
-    def value(self, x):
-        pts, scalar = _as_points(x, self.dim)
-        return _squeeze(self._values(pts), scalar)
-
-    def gradient(self, x):
-        pts, scalar = _as_points(x, self.dim)
-        g = self._values(pts)[:, None] * (-(pts - self.mean) / self.var)
-        if self.dim == 1:
-            g = g[:, 0]
-        return _squeeze(g, scalar) if self.dim == 1 else (g[0] if scalar else g)
-
-    def laplacian(self, x):
-        pts, scalar = _as_points(x, self.dim)
-        z = (pts - self.mean) / self.var
-        lap = self._values(pts) * ((z**2).sum(axis=1) - (1.0 / self.var).sum())
-        return _squeeze(lap, scalar)
+        value = (self.scale / norm) * np.exp(-0.5 * _column_sum(d**2 / self.var))
+        out = [value]
+        if order >= 1:
+            z = np.divide(d, self.var, out=d)
+            g = value[:, None] * -z
+            out.append(g[:, 0] if self.dim == 1 else g)
+        if order >= 2:
+            out.append(value * (_column_sum(np.square(z, out=z)) - (1.0 / self.var).sum()))
+        return Sample(*(_squeeze(a, scalar) for a in out))
 
     def core_radius(self) -> float:
         sigma = np.sqrt(self.var)
@@ -284,7 +304,7 @@ class GaussianDensity(Field):
 
 
 @dataclass(frozen=True, eq=False)
-class MixtureDensity(Field):
+class MixtureDensity(_OnePass):
     """Positive combination of Gaussians; weights need not sum to one."""
 
     components: tuple
@@ -309,22 +329,10 @@ class MixtureDensity(Field):
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "dim", comps[0].dim)
+        object.__setattr__(self, "_sum", Combination(tuple(self.scale * w for w in weights), comps))
 
-    def _combine(self, op: str, x):
-        total = None
-        for w, c in zip(self.weights, self.components):
-            part = (self.scale * w) * np.asarray(getattr(c, op)(x), dtype=float)
-            total = part if total is None else total + part
-        return total
-
-    def value(self, x):
-        return self._combine("value", x)
-
-    def gradient(self, x):
-        return self._combine("gradient", x)
-
-    def laplacian(self, x):
-        return self._combine("laplacian", x)
+    def sample(self, x, order: int = 0) -> Sample:
+        return self._sum.sample(x, order)
 
     def core_radius(self) -> float:
         return max(c.core_radius() for c in self.components)
@@ -371,9 +379,7 @@ class PowerLawDensity(Field):
         pts, scalar = _as_points(x, self.dim)
         r2 = (pts**2).sum(axis=1)
         g = self._values(pts)[:, None] * (-self.beta * pts / (1.0 + r2)[:, None])
-        if self.dim == 1:
-            return _squeeze(g[:, 0], scalar)
-        return g[0] if scalar else g
+        return _squeeze(g[:, 0] if self.dim == 1 else g, scalar)
 
     def laplacian(self, x):
         pts, scalar = _as_points(x, self.dim)
@@ -504,9 +510,7 @@ class Bump(Field):
             -4.0 * self.amplitude * (1.0 - u2)[:, None] * (pts - self.center) / self.halfwidth**2,
             0.0,
         )
-        if self.dim == 1:
-            return _squeeze(g[:, 0], scalar)
-        return g[0] if scalar else g
+        return _squeeze(g[:, 0] if self.dim == 1 else g, scalar)
 
     def laplacian(self, x):
         pts, scalar = _as_points(x, self.dim)
@@ -530,7 +534,8 @@ class Bump(Field):
         return float(np.max(np.abs(self.center)) + self.halfwidth)
 
     def tail_mass_bound(self, radius: float) -> float:
-        return 0.0 if radius >= self.core_radius() else abs(self.amplitude) * self.exact_mass() / max(abs(self.amplitude), 1.0)
+        # the bump keeps one sign, so its |field| mass is |exact mass|
+        return 0.0 if radius >= self.core_radius() else abs(self.exact_mass())
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,14 @@ the score is 0-homogeneous, and the divergence of the normalised pair is
     D(p, q) = entropy(p-hat) - expected_score(p-hat, q-hat),
 
 which is nonnegative exactly when the score is a subgradient of the
-entropy. Divergences evaluate both densities on one shared node set, so
-the logarithmic and quadratic cases reduce to discrete Jensen (or a
-discrete squared distance) and are nonnegative to floating point, while
-the Hyvarinen case leans on the integration-by-parts identity and the
-tail design of :mod:`conescore.pairing`.
+entropy. Each call builds one node set, samples each field there once,
+and evaluates one per-rule kernel on the samples: ``_entropy``,
+``_score`` and the pairing ``_pair`` are the only places a smooth rule's
+formulas are written, so the Euler identity and propriety are checked on
+one discrete measure. The logarithmic and quadratic divergences reduce to
+discrete Jensen (or a discrete squared distance) and are nonnegative to
+floating point, while the Hyvarinen case leans on the integration-by-parts
+identity and the tail design of :mod:`conescore.pairing`.
 
 The supremum rule lives on grid densities. Its mode set, plateau
 subgradient, and Dirac fallback follow the dichotomy between positive-
@@ -23,12 +26,11 @@ grid resolution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
 from . import pairing
-from .densities import Field, GridInfo
+from .densities import Field, GridInfo, Sample
 from .errors import (
     InvalidParameterError,
     ModeMeasureZeroError,
@@ -103,9 +105,73 @@ def _mass_on(values: np.ndarray, weights: np.ndarray, label: str) -> float:
     return mass
 
 
-def _grad_norm_sq(g, dim: int) -> np.ndarray:
-    g = np.asarray(g, dtype=float)
-    return g**2 if dim == 1 else (g**2).sum(axis=1)
+def _sampled(f: Field, ns: pairing.NodeSet, order: int, label: str) -> tuple[Sample, float]:
+    """One sample of ``f`` on the node set, and its mass there."""
+    s = f.sample(ns.points, order)
+    return s, _mass_on(s.value, ns.weights, label)
+
+
+# ---------------------------------------------------------------------------
+# the rule core: entropy, score and pairing on sampled arrays
+# ---------------------------------------------------------------------------
+
+# derivatives of q that each smooth rule's score reads
+_SCORE_ORDER = {"logarithmic": 0, "hyvarinen": 2, "quadratic": 0}
+
+
+def _norm_sq(s: Sample) -> np.ndarray:
+    """|gradient|^2 of a sample (or of rows of samples) in 1-D or 2-D."""
+    g = s.gradient
+    return g**2 if np.ndim(g) == np.ndim(s.value) else g[..., 0] ** 2 + g[..., 1] ** 2
+
+
+def _self_pairing(rule: str, w, s: Sample) -> float | None:
+    """q.q on the node set, which the quadratic score reads; None for the other rules."""
+    return float(np.sum(w * s.value**2)) if rule == "quadratic" else None
+
+
+def _entropy(rule: str, w, s: Sample, mass):
+    """Entropy of sampled q; rows of samples give one entropy per row.
+
+    ``mass`` has the shape of the result: a float, or one mass per row.
+    """
+    qv = s.value
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if rule == "logarithmic":
+            terms = np.where(qv > 0, qv * _score(rule, s, np.expand_dims(mass, -1)), 0.0)
+        elif rule == "hyvarinen":
+            terms = np.where(qv > 0, _norm_sq(s) / np.maximum(qv, LOG_CLAMP), 0.0)
+        else:
+            return np.sum(w * qv**2, axis=-1) / mass
+    return np.sum(w * terms, axis=-1)
+
+
+def _score(rule: str, s: Sample, mass, q2: float | None = None, floor: float = LOG_CLAMP):
+    """Score of q at its sampled points; ``mass`` (and ``q2`` = q.q) come from q's node set.
+
+    Inside logarithms and ratios q is floored at ``floor``; the Hyvarinen
+    score is +inf where q vanishes.
+    """
+    qv = s.value
+    if rule == "quadratic":
+        return 2.0 * qv / mass - q2 / mass**2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        qf = np.maximum(qv, floor)
+        if rule == "logarithmic":
+            return np.log(qf / mass)
+        return np.where(qv > 0, -2.0 * s.laplacian / qf + _norm_sq(s) / qf**2, np.inf)
+
+
+def _pair(rule: str, w, pv, scores, support: float) -> float:
+    """Raw pairing: the weighted sum of p S over the nodes.
+
+    A non-finite score raises where |p| exceeds ``support`` and counts as
+    zero elsewhere (the measure-zero convention 0 * inf = 0).
+    """
+    live = np.isfinite(scores)
+    if np.any(~live & (np.abs(pv) > support)):
+        raise ZeroDensityError(f"{rule} score blows up where p has support")
+    return float(np.sum(w * np.where(live & (pv != 0), pv * np.where(live, scores, 0.0), 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -127,59 +193,39 @@ def entropy(rule: str, q: Field, scheme: pairing.QuadratureScheme | None = None)
     if rule == "hyvarinen":
         _require_analytic(q, "hyvarinen entropy")
     ns = pairing.nodes_for(q, scheme)
-    qv = np.asarray(q.value(ns.points), dtype=float)
-    mass = _mass_on(qv, ns.weights, "q")
-    if rule == "logarithmic":
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(qv > 0, qv * np.log(np.maximum(qv, LOG_CLAMP) / mass), 0.0)
-        return float(np.sum(ns.weights * terms))
-    if rule == "hyvarinen":
-        g2 = _grad_norm_sq(q.gradient(ns.points), q.dim)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(qv > 0, g2 / np.maximum(qv, LOG_CLAMP), 0.0)
-        return float(np.sum(ns.weights * terms))
-    return float(np.sum(ns.weights * qv**2) / mass)
+    s, mass = _sampled(q, ns, 1 if rule == "hyvarinen" else 0, "q")
+    return float(_entropy(rule, ns.weights, s, mass))
 
 
 # ---------------------------------------------------------------------------
 # scores
 # ---------------------------------------------------------------------------
 
-def _log_score(q: Field, x, mass: float):
-    qx = np.asarray(q.value(x), dtype=float)
-    if np.any(qx <= 0):
-        raise ZeroDensityError("logarithmic score undefined where q vanishes")
-    return np.log(qx / mass)
-
-
-def _hyvarinen_score(q: Field, x):
-    qx = np.asarray(q.value(x), dtype=float)
-    if np.any(qx <= 0):
-        raise ZeroDensityError("hyvarinen score undefined where q vanishes")
-    g2 = _grad_norm_sq(q.gradient(x), q.dim)
-    lap = np.asarray(q.laplacian(x), dtype=float)
-    return -2.0 * lap / qx + g2 / qx**2
-
-
-def score_at(rule: str, q: Field, x, scheme: pairing.QuadratureScheme | None = None):
+def score_at(rule: str, q: Field, x, scheme: pairing.QuadratureScheme | None = None, strict: bool = True):
     """Score function of ``q`` evaluated at point(s) ``x``; 0-homogeneous.
 
-    The supremum rule returns the plateau subgradient value at ``x`` and
-    raises :class:`ModeMeasureZeroError` in the Dirac regime.
+    The logarithmic and Hyvarinen scores are undefined where q vanishes:
+    ``strict`` raises :class:`ZeroDensityError` there, otherwise those
+    points score -inf and +inf. The supremum rule returns the plateau
+    subgradient value at ``x`` and raises :class:`ModeMeasureZeroError`
+    in the Dirac regime.
     """
     rule = canonical_rule(rule)
-    if rule == "logarithmic":
-        return _log_score(q, x, q.total_mass(scheme))
+    if rule == "supremum":
+        return sup_subgradient(q).value(x)
     if rule == "hyvarinen":
         _require_analytic(q, "hyvarinen score")
-        return _hyvarinen_score(q, x)
-    if rule == "quadratic":
+    s = q.sample(x, _SCORE_ORDER[rule])
+    if strict and rule != "quadratic" and np.any(np.asarray(s.value) <= 0):
+        raise ZeroDensityError(f"{rule} score undefined where q vanishes")
+    mass = q2 = None
+    if rule == "logarithmic":
+        mass = q.total_mass(scheme)
+    elif rule == "quadratic":
         ns = pairing.nodes_for(q, scheme)
-        qv = np.asarray(q.value(ns.points), dtype=float)
-        mass = _mass_on(qv, ns.weights, "q")
-        q2 = float(np.sum(ns.weights * qv**2))
-        return 2.0 * np.asarray(q.value(x), dtype=float) / mass - q2 / mass**2
-    return sup_subgradient(q).value(x)
+        qs, mass = _sampled(q, ns, 0, "q")
+        q2 = _self_pairing(rule, ns.weights, qs)
+    return np.asarray(_score(rule, s, mass, q2, floor=0.0), dtype=float)[()]
 
 
 # ---------------------------------------------------------------------------
@@ -299,10 +345,14 @@ def mode_pairing(p: Field, mode: ModeSet) -> float:
     grid = _require_grid(p, "mode_pairing")
     if grid != mode.grid:
         raise InvalidParameterError("p and the mode set live on different grids")
-    vals = np.asarray(p.value(grid.points()), dtype=float)
+    return _plateau_pairing(np.asarray(p.value(grid.points()), dtype=float), mode)
+
+
+def _plateau_pairing(vals: np.ndarray, mode: ModeSet) -> float:
+    """mode_pairing on grid values already sampled."""
     cells = np.asarray(mode.cells, dtype=int)
     cell_means = 0.5 * (vals[cells] + vals[cells + 1])
-    return float(grid.spacing * np.sum(cell_means) / mode.measure)
+    return float(mode.grid.spacing * np.sum(cell_means) / mode.measure)
 
 
 # ---------------------------------------------------------------------------
@@ -313,22 +363,23 @@ def _shared_nodes(p: Field, q: Field, scheme) -> pairing.NodeSet:
     return pairing.nodes_for(p + q, scheme)
 
 
-def _sup_expected(p: Field, q: Field, diagnostics: dict | None) -> float:
-    """Normalised sup expectation: plateau pairing, or Dirac fallback."""
-    grid = _require_grid(q, "supremum expected score")
-    if _require_grid(p, "supremum expected score") != grid:
+def _sup_expected(p: Field, q: Field, diagnostics: dict | None, op: str) -> tuple[float, float]:
+    """max p-hat and the sup expectation p-hat . S(q-hat): plateau pairing, or Dirac fallback."""
+    grid = _require_grid(q, op)
+    if _require_grid(p, op) != grid:
         raise InvalidParameterError("p and q live on different grids")
-    pts = grid.points()
-    pv = np.asarray(p.value(pts), dtype=float)
     ns = pairing.nodes_for(p, None)
+    pv = np.asarray(p.value(ns.points), dtype=float)
     mp = _mass_on(pv, ns.weights, "p")
     mode = mode_set(q)
     if mode.measure > 0:
-        return mode_pairing(p, mode) / mp
-    if diagnostics is not None:
-        diagnostics["dirac"] = True
-        diagnostics["note"] = "measure-zero mode set: point evaluation p(x0), not P-integrable"
-    return float(np.interp(mode.argmax, pts, pv)) / mp
+        paired = _plateau_pairing(pv, mode)
+    else:
+        if diagnostics is not None:
+            diagnostics["dirac"] = True
+            diagnostics["note"] = "measure-zero mode set: point evaluation p(x0), not P-integrable"
+        paired = float(np.interp(mode.argmax, ns.points, pv))
+    return float(np.max(pv) / mp), paired / mp
 
 
 def expected_score(
@@ -340,40 +391,23 @@ def expected_score(
 ) -> float:
     """Expected score p-hat . S(q-hat), reported per unit mass of ``p``.
 
-    Both densities are evaluated on one shared node set. ``diagnostics``
+    Both densities are sampled once on one shared node set. ``diagnostics``
     (a dict, mutated in place) collects the log-clamp flag and the Dirac
     flag of the supremum rule.
     """
     rule = canonical_rule(rule)
     if rule == "supremum":
-        return _sup_expected(p, q, diagnostics)
+        return _sup_expected(p, q, diagnostics, "supremum expected score")[1]
     if rule == "hyvarinen":
         _require_analytic(q, "hyvarinen expected score")
     ns = _shared_nodes(p, q, scheme)
-    pv = np.asarray(p.value(ns.points), dtype=float)
-    qv = np.asarray(q.value(ns.points), dtype=float)
-    mp = _mass_on(pv, ns.weights, "p")
-    mq = _mass_on(qv, ns.weights, "q")
-    if rule == "logarithmic":
-        clamped = qv < LOG_CLAMP
-        if diagnostics is not None and bool(np.any(clamped & (np.abs(pv) > pairing.SUPPORT_THRESHOLD * mp))):
-            diagnostics["log_clamped"] = True
-        scores = np.log(np.maximum(qv, LOG_CLAMP) / mq)
-        terms = np.where(pv != 0, pv * scores, 0.0)
-        return float(np.sum(ns.weights * terms) / mp)
-    if rule == "hyvarinen":
-        g2 = _grad_norm_sq(q.gradient(ns.points), q.dim)
-        lap = np.asarray(q.laplacian(ns.points), dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            scores = np.where(qv > 0, -2.0 * lap / np.maximum(qv, LOG_CLAMP) + g2 / np.maximum(qv, LOG_CLAMP) ** 2, np.inf)
-        bad = ~np.isfinite(scores) & (np.abs(pv) > pairing.SUPPORT_THRESHOLD * mp)
-        if np.any(bad):
-            raise ZeroDensityError("hyvarinen score blows up where p has support")
-        terms = np.where(np.isfinite(scores) & (pv != 0), pv * np.where(np.isfinite(scores), scores, 0.0), 0.0)
-        return float(np.sum(ns.weights * terms) / mp)
-    q2 = float(np.sum(ns.weights * qv**2))
-    scores = 2.0 * qv / mq - q2 / mq**2
-    return float(np.sum(ns.weights * pv * scores) / mp)
+    w = ns.weights
+    ps, mp = _sampled(p, ns, 0, "p")
+    qs, mq = _sampled(q, ns, _SCORE_ORDER[rule], "q")
+    pv, support = ps.value, pairing.SUPPORT_THRESHOLD * mp
+    if rule == "logarithmic" and diagnostics is not None and bool(np.any((qs.value < LOG_CLAMP) & (np.abs(pv) > support))):
+        diagnostics["log_clamped"] = True
+    return _pair(rule, w, pv, _score(rule, qs, mq, _self_pairing(rule, w, qs)), support) / mp
 
 
 def divergence(
@@ -386,48 +420,31 @@ def divergence(
     """Divergence D(p, q) = entropy(p-hat) - p-hat . S(q-hat), on shared nodes.
 
     Nonnegative for all four rules; zero at p = q and, for the strict
-    rules, only at positively collinear pairs.
+    rules, only at positively collinear pairs. The logarithmic and
+    quadratic cases pair p-hat with the score difference S(p-hat) - S(q-hat)
+    and sum (p-hat - q-hat)^2, which are nonnegative to floating point.
     """
     rule = canonical_rule(rule)
     if rule == "supremum":
-        grid = _require_grid(q, "supremum divergence")
-        if _require_grid(p, "supremum divergence") != grid:
-            raise InvalidParameterError("p and q live on different grids")
-        pv = np.asarray(p.value(grid.points()), dtype=float)
-        ns = pairing.nodes_for(p, None)
-        mp = _mass_on(pv, ns.weights, "p")
-        return float(np.max(pv) / mp) - _sup_expected(p, q, diagnostics)
+        top, paired = _sup_expected(p, q, diagnostics, "supremum divergence")
+        return top - paired
     if rule == "hyvarinen":
         _require_analytic(p, "hyvarinen divergence")
         _require_analytic(q, "hyvarinen divergence")
     ns = _shared_nodes(p, q, scheme)
     w = ns.weights
-    pv = np.asarray(p.value(ns.points), dtype=float)
-    qv = np.asarray(q.value(ns.points), dtype=float)
-    mp = _mass_on(pv, w, "p")
-    mq = _mass_on(qv, w, "q")
-    ph = pv / mp
-    qh = qv / mq
-    if rule == "logarithmic":
-        clamped = qh < LOG_CLAMP
-        if diagnostics is not None and bool(np.any(clamped & (ph > pairing.SUPPORT_THRESHOLD))):
-            diagnostics["log_clamped"] = True
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(ph > 0, ph * (np.log(np.maximum(ph, LOG_CLAMP)) - np.log(np.maximum(qh, LOG_CLAMP))), 0.0)
-        return float(np.sum(w * terms))
+    ps, mp = _sampled(p, ns, 1 if rule == "hyvarinen" else 0, "p")
+    qs, mq = _sampled(q, ns, _SCORE_ORDER[rule], "q")
+    if rule == "hyvarinen":
+        cross = _pair(rule, w, ps.value, _score(rule, qs, mq), pairing.SUPPORT_THRESHOLD * mp)
+        return float(_entropy(rule, w, ps, mp)) / mp - cross / mp
+    ph, qh = ps.value / mp, qs.value / mq
     if rule == "quadratic":
         return float(np.sum(w * (ph - qh) ** 2))
-    gp2 = _grad_norm_sq(p.gradient(ns.points), p.dim)
-    gq2 = _grad_norm_sq(q.gradient(ns.points), q.dim)
-    laq = np.asarray(q.laplacian(ns.points), dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        phi_terms = np.where(pv > 0, gp2 / np.maximum(pv, LOG_CLAMP), 0.0)
-        score_q = np.where(qv > 0, -2.0 * laq / np.maximum(qv, LOG_CLAMP) + gq2 / np.maximum(qv, LOG_CLAMP) ** 2, np.inf)
-    bad = ~np.isfinite(score_q) & (ph > pairing.SUPPORT_THRESHOLD)
-    if np.any(bad):
-        raise ZeroDensityError("hyvarinen score blows up where p has support")
-    cross = np.where(np.isfinite(score_q) & (pv != 0), pv * np.where(np.isfinite(score_q), score_q, 0.0), 0.0)
-    return float(np.sum(w * phi_terms) / mp - np.sum(w * cross) / mp)
+    if diagnostics is not None and bool(np.any((qh < LOG_CLAMP) & (ph > pairing.SUPPORT_THRESHOLD))):
+        diagnostics["log_clamped"] = True
+    log_ratio = _score(rule, Sample(ph), 1.0) - _score(rule, Sample(qh), 1.0)
+    return _pair(rule, w, ph, log_ratio, pairing.SUPPORT_THRESHOLD)
 
 
 def hyvarinen_divergence_direct(
@@ -443,17 +460,13 @@ def hyvarinen_divergence_direct(
     _require_analytic(p, "fisher divergence")
     _require_analytic(q, "fisher divergence")
     ns = _shared_nodes(p, q, scheme)
-    pv = np.asarray(p.value(ns.points), dtype=float)
-    qv = np.asarray(q.value(ns.points), dtype=float)
-    mp = _mass_on(pv, ns.weights, "p")
-    gp = np.asarray(p.gradient(ns.points), dtype=float)
-    gq = np.asarray(q.gradient(ns.points), dtype=float)
-    live = (pv > 0) & (qv > 0)
+    ps, mp = _sampled(p, ns, 1, "p")
+    qs = q.sample(ns.points, 1)
+    live = (ps.value > 0) & (qs.value > 0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        sp = gp / np.maximum(pv, LOG_CLAMP)[..., None] if p.dim == 2 else gp / np.maximum(pv, LOG_CLAMP)
-        sq = gq / np.maximum(qv, LOG_CLAMP)[..., None] if q.dim == 2 else gq / np.maximum(qv, LOG_CLAMP)
-    diff2 = _grad_norm_sq(sp - sq, p.dim)
-    terms = np.where(live, pv * np.where(np.isfinite(diff2), diff2, 0.0), 0.0)
+        sp, sq = ((s.gradient.T / np.maximum(s.value, LOG_CLAMP)).T for s in (ps, qs))
+        diff2 = _norm_sq(Sample(ps.value, sp - sq))
+    terms = np.where(live, ps.value * np.where(np.isfinite(diff2), diff2, 0.0), 0.0)
     return float(np.sum(ns.weights * terms) / mp)
 
 
@@ -464,36 +477,24 @@ def hyvarinen_divergence_direct(
 def euler_residual(rule: str, q: Field, scheme: pairing.QuadratureScheme | None = None) -> float:
     """Relative Euler residual |q.S(q) - entropy(q)| / |entropy(q)|.
 
-    Pairs score and entropy on the same node set, so the residual measures
-    the homogeneous-function identity, not quadrature disagreement. For
-    the supremum rule the pairing is the cell-restricted one (plateau
-    regime) or the Dirac evaluation q(x0) (measure-zero regime); both
-    reproduce max q.
+    Score and entropy read one sample of q on one node set, so the
+    residual measures the homogeneous-function identity, not quadrature
+    disagreement. For the supremum rule the pairing is the cell-restricted
+    one (plateau regime) or the Dirac evaluation q(x0) (measure-zero
+    regime); both reproduce max q.
     """
     rule = canonical_rule(rule)
-    phi = entropy(rule, q, scheme)
     if rule == "supremum":
-        mode = mode_set(q)
-        paired = mode_pairing(q, mode) if mode.measure > 0 else float(
-            np.interp(mode.argmax, mode.grid.points(), np.asarray(q.value(mode.grid.points()), dtype=float))
-        )
-        return abs(paired - phi) / abs(phi)
+        mode = mode_set(q)  # its height is the entropy max q; the Dirac evaluation q(x0) is that height
+        paired = mode_pairing(q, mode) if mode.measure > 0 else mode.height
+        return abs(paired - mode.height) / abs(mode.height)
+    if rule == "hyvarinen":
+        _require_analytic(q, "hyvarinen entropy")
     ns = pairing.nodes_for(q, scheme)
-    qv = np.asarray(q.value(ns.points), dtype=float)
-    mass = _mass_on(qv, ns.weights, "q")
-    if rule == "logarithmic":
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sv = np.log(np.maximum(qv, LOG_CLAMP) / mass)
-        paired = float(np.sum(ns.weights * np.where(qv > 0, qv * sv, 0.0)))
-    elif rule == "hyvarinen":
-        g2 = _grad_norm_sq(q.gradient(ns.points), q.dim)
-        lap = np.asarray(q.laplacian(ns.points), dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sv = np.where(qv > 0, -2.0 * lap / np.maximum(qv, LOG_CLAMP) + g2 / np.maximum(qv, LOG_CLAMP) ** 2, 0.0)
-        paired = float(np.sum(ns.weights * qv * sv))
-    else:
-        q2 = float(np.sum(ns.weights * qv**2))
-        sv = 2.0 * qv / mass - q2 / mass**2
-        paired = float(np.sum(ns.weights * qv * sv))
+    w = ns.weights
+    s, mass = _sampled(q, ns, _SCORE_ORDER[rule], "q")
+    phi = float(_entropy(rule, w, s, mass))
+    scores = _score(rule, s, mass, _self_pairing(rule, w, s))
+    paired = _pair(rule, w, s.value, scores, pairing.SUPPORT_THRESHOLD * mass)
     denom = abs(phi) if abs(phi) > 0 else 1.0
     return abs(paired - phi) / denom

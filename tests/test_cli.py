@@ -90,6 +90,26 @@ def test_score_zero_density_sentinel(capsys, files):
     assert "-inf" in err
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+def test_score_rejects_non_finite_observations(capsys, files, n01, token):
+    obs = files("obs.csv", f"x\n0.5\n{token}\n1.0\n")
+    code, out, err = run(capsys, ["score", "--rule", "quad", "--forecast", n01, "--obs", obs])
+    assert code == 2
+    assert out == ""
+    assert "line 3" in err and repr(token) in err
+
+
+def test_score_log_matches_pointwise_logs(capsys, files, n01):
+    xs = [0.0, -1.5, 2.25, 30.0, 3.0]
+    obs = files("obs.csv", "".join(f"{x!r}\n" for x in xs))
+    code, out, _ = run(capsys, ["score", "--rule", "log", "--forecast", n01, "--obs", obs])
+    assert code == 0
+    payload = json.loads(out)
+    expected = [-0.5 * x * x - 0.5 * np.log(2.0 * np.pi) for x in xs]
+    assert [r["score"] for r in payload["records"]] == pytest.approx(expected, rel=1e-12)
+    assert payload["summary"]["clamped"] == 0
+
+
 def test_score_skips_header_row(capsys, files, n01):
     obs = files("obs.csv", "value\n0.0\n1.0\n")
     code, out, _ = run(capsys, ["score", "--rule", "log", "--forecast", n01, "--obs", obs])

@@ -293,14 +293,15 @@ def test_gateaux_evaluates_each_leaf_once_per_node_set(monkeypatch):
     seen = []  # holding the node arrays keeps their ids unique
 
     def counting(original):
-        def value(self, x):
+        def evaluate(self, x, *args):
             seen.append(x)
             calls[id(self), id(x)] += 1
-            return original(self, x)
+            return original(self, x, *args)
 
-        return value
+        return evaluate
 
-    monkeypatch.setattr(GaussianDensity, "value", counting(GaussianDensity.value))
+    # a Gaussian's value, gradient and Laplacian all go through its one-pass sample
+    monkeypatch.setattr(GaussianDensity, "sample", counting(GaussianDensity.sample))
     monkeypatch.setattr(Bump, "value", counting(Bump.value))
     rng = np.random.default_rng(8)
     q = sampling.sample_mixture(rng)

@@ -93,6 +93,61 @@ def test_bump_mass_closed_form():
     assert b.value(np.array([0.3 + 0.3])) == 0.0  # outside the support
 
 
+@pytest.mark.parametrize("mean,var,pts", [
+    (0.4, 1.7, np.linspace(-9.0, 9.0, 301)),
+    ([0.3, -0.8], [0.6, 1.9], np.random.default_rng(3).normal(0.0, 2.0, (257, 2))),
+])
+def test_gaussian_sample_is_bit_identical_to_the_direct_formulas(mean, var, pts):
+    q = GaussianDensity(mean, var, scale=1.3)
+    x = pts.reshape(len(pts), -1)
+    value = (1.3 / np.prod(np.sqrt(2.0 * np.pi * q.var))) * np.exp(-0.5 * ((x - q.mean) ** 2 / q.var).sum(axis=1))
+    gradient = value[:, None] * (-(x - q.mean) / q.var)
+    z = (x - q.mean) / q.var
+    laplacian = value * ((z**2).sum(axis=1) - (1.0 / q.var).sum())
+    s = q.sample(pts, 2)
+    np.testing.assert_array_equal(s.value, value)
+    np.testing.assert_array_equal(s.gradient, gradient[:, 0] if q.dim == 1 else gradient)
+    np.testing.assert_array_equal(s.laplacian, laplacian)
+    assert q.sample(pts).gradient is None and q.sample(pts, 1).laplacian is None
+
+
+def test_sample_shapes_follow_the_pointwise_methods():
+    q2 = GaussianDensity([0.0, 1.0], [1.0, 2.0])
+    s = q2.sample(np.array([0.5, 0.5]), 2)
+    assert isinstance(s.value, float) and s.gradient.shape == (2,) and isinstance(s.laplacian, float)
+    s = GaussianDensity(0.0, 1.0).sample(0.3, 1)
+    assert isinstance(s.value, float) and isinstance(s.gradient, float)
+
+
+def test_mixture_and_combination_sum_leaf_samples_in_term_order():
+    a, b = GaussianDensity(-1.0, 0.5), GaussianDensity(1.5, 2.0)
+    m = MixtureDensity((a, b), (0.3, 0.9), scale=1.7)
+    bump = Bump(0.2, 0.6, -0.4)
+    x = np.linspace(-6.0, 6.0, 97)
+    sa, sb = a.sample(x, 2), b.sample(x, 2)
+    for got, ga, gb in zip(m.sample(x, 2), sa, sb):
+        np.testing.assert_array_equal(got, (1.7 * 0.3) * ga + (1.7 * 0.9) * gb)
+    combo = 2.0 * m - bump
+    sm, sbump = m.sample(x, 2), bump.sample(x, 2)
+    for got, gm, gbump, op in zip(combo.sample(x, 2), sm, sbump, ("value", "gradient", "laplacian")):
+        np.testing.assert_array_equal(got, 2.0 * gm + -1.0 * gbump)
+        np.testing.assert_array_equal(got, getattr(combo, op)(x))
+        np.testing.assert_array_equal(gbump, getattr(bump, op)(x))
+
+
+def test_bump_tail_bound_is_nonnegative_for_negative_amplitudes():
+    bound = Bump(0.0, 1.0, -1.0).tail_mass_bound(0.5)
+    assert bound >= 0.0
+    assert bound == pytest.approx(16.0 / 15.0)
+    assert Bump(0.0, 1.0, -1.0).tail_mass_bound(1.0) == 0.0
+
+
+def test_negative_bump_cannot_cancel_a_real_tail():
+    wide = GaussianDensity(0.0, 100.0)
+    combo = wide + Bump(0.0, 70.0, -1.0)
+    assert combo.tail_mass_bound(64.0) >= wide.tail_mass_bound(64.0) > 0.0
+
+
 def test_invalid_gaussian_parameters():
     with pytest.raises(InvalidParameterError):
         GaussianDensity(0.0, 0.0)

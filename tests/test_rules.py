@@ -1,5 +1,7 @@
 """Scoring rules: entropies, scores, divergences, Euler identities, modes."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -250,3 +252,63 @@ def test_euler_supremum_dirac_regime():
     x = np.linspace(0.0, 1.0, 401)
     q = GridDensity(0.0, 1.0, 2.0 - 4.0 * np.abs(x - 0.5) + 1e-12)
     assert rules.euler_residual("supremum", q) <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# 2-D fields on a coarse scheme
+# ---------------------------------------------------------------------------
+
+# 2 panels per unit length: 256 nodes per axis on the radius-8 box
+COARSE = pairing.QuadratureScheme(panels=2, nodes=8)
+
+
+def mixture_2d():
+    return MixtureDensity(
+        (GaussianDensity([0.4, -0.3], [0.7, 1.2]), GaussianDensity([-0.6, 0.5], [1.0, 0.5])),
+        (0.35, 0.8),
+        scale=1.4,
+    )
+
+
+def test_fisher_divergence_2d_unit_covariance():
+    p = GaussianDensity([0.5, -0.3], [1.0, 1.0], scale=2.0)
+    q = GaussianDensity([-0.2, 0.4], [1.0, 1.0], scale=0.7)
+    expected = 0.7**2 + 0.7**2  # |mu_p - mu_q|^2
+    assert rules.divergence("hyvarinen", p, q, COARSE) == pytest.approx(expected, abs=1e-8)
+    assert rules.hyvarinen_divergence_direct(p, q, COARSE) == pytest.approx(expected, abs=1e-8)
+
+
+def test_kl_divergence_2d_diagonal_gaussians():
+    mp, vp = np.array([0.3, -0.2]), np.array([0.6, 1.4])
+    mq, vq = np.array([-0.1, 0.5]), np.array([1.1, 0.8])
+    p, q = GaussianDensity(mp, vp, scale=1.5), GaussianDensity(mq, vq, scale=0.4)
+    expected = 0.5 * float(np.sum(vp / vq + (mq - mp) ** 2 / vq - 1.0 + np.log(vq / vp)))
+    assert rules.divergence("logarithmic", p, q, COARSE) == pytest.approx(expected, abs=1e-8)
+
+
+@pytest.mark.parametrize("rule", ["logarithmic", "hyvarinen", "quadratic"])
+def test_euler_residual_2d_mixture(rule):
+    assert rules.euler_residual(rule, mixture_2d(), COARSE) <= 1e-8
+
+
+def test_each_gaussian_leaf_is_sampled_once_per_rules_call(monkeypatch):
+    # value, gradient and Laplacian all go through one sample per call
+    calls = Counter()
+    original = GaussianDensity.sample
+
+    def counting(self, x, order=0):
+        calls[id(self)] += 1
+        return original(self, x, order)
+
+    monkeypatch.setattr(GaussianDensity, "sample", counting)
+    m = mixture_2d()
+    q = GaussianDensity([0.2, 0.1], [0.9, 1.1])
+    m_leaves = {id(c) for c in m.components}
+    for call, leaves in (
+        (lambda: rules.divergence("hyvarinen", m, q, COARSE), m_leaves | {id(q)}),
+        (lambda: rules.euler_residual("hyvarinen", m, COARSE), m_leaves),
+        (lambda: rules.hyvarinen_divergence_direct(m, q, COARSE), m_leaves | {id(q)}),
+    ):
+        calls.clear()
+        call()
+        assert set(calls) == leaves and max(calls.values()) == 1
