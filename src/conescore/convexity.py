@@ -39,6 +39,7 @@ from .errors import (
     InvalidParameterError,
     ModeMeasureZeroError,
     OneSidedOnlyError,
+    ZeroMassError,
 )
 
 __all__ = [
@@ -384,7 +385,10 @@ class VerificationReport:
 
 
 def _normalized(f: Field, scheme) -> Field:
-    return f * (1.0 / f.total_mass(scheme))
+    mass = f.total_mass(scheme)
+    if not (np.isfinite(mass) and mass > 0):
+        raise ZeroMassError(f"cannot normalise a field of nonpositive mass {mass!r}")
+    return f * (1.0 / mass)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, ClassVar, NamedTuple, Sequence
 
 import numpy as np
-from scipy import special
 
 from .errors import (
     ConeMembershipError,
@@ -299,8 +298,7 @@ class GaussianDensity(_OnePass):
     def tail_mass_bound(self, radius: float) -> float:
         sigma = np.sqrt(self.var)
         z = (radius - np.abs(self.mean)) / (sigma * np.sqrt(2.0))
-        z = np.maximum(z, 0.0)
-        return float(self.scale * np.sum(special.erfc(z)))
+        return float(self.scale * sum(math.erfc(max(float(v), 0.0)) for v in z))
 
 
 @dataclass(frozen=True, eq=False)
@@ -363,9 +361,11 @@ class PowerLawDensity(Field):
 
     def _normaliser(self) -> float:
         b = float(self.beta)
-        if self.dim == 1:
-            return math.exp(0.5 * math.log(math.pi) + special.gammaln((b - 1) / 2) - special.gammaln(b / 2))
-        return 2.0 * math.pi / (b - 2.0)
+        if self.dim == 2:
+            return 2.0 * math.pi / (b - 2.0)
+        if b < 340.0:  # the ratio of Gammas is accurate to a few ulps; Gamma(b/2) overflows near b = 343
+            return math.sqrt(math.pi) * math.gamma((b - 1) / 2) / math.gamma(b / 2)
+        return math.exp(0.5 * math.log(math.pi) + math.lgamma((b - 1) / 2) - math.lgamma(b / 2))
 
     def _values(self, pts: np.ndarray) -> np.ndarray:
         r2 = (pts**2).sum(axis=1)

@@ -125,6 +125,16 @@ def _norm_sq(s: Sample) -> np.ndarray:
     return g**2 if np.ndim(g) == np.ndim(s.value) else g[..., 0] ** 2 + g[..., 1] ** 2
 
 
+def _log_gradient(s: Sample, floor: float = LOG_CLAMP) -> Sample:
+    """grad q / q with q floored at ``floor``, as the gradient of a sample.
+
+    Dividing before squaring keeps |grad q / q|^2 finite where |grad q|^2
+    and q^2 underflow.
+    """
+    g, qf = s.gradient, np.maximum(s.value, floor)
+    return Sample(s.value, g / (qf if np.ndim(g) == np.ndim(qf) else np.expand_dims(qf, -1)))
+
+
 def _self_pairing(rule: str, w, s: Sample) -> float | None:
     """q.q on the node set, which the quadratic score reads; None for the other rules."""
     return float(np.sum(w * s.value**2)) if rule == "quadratic" else None
@@ -159,7 +169,7 @@ def _score(rule: str, s: Sample, mass, q2: float | None = None, floor: float = L
         qf = np.maximum(qv, floor)
         if rule == "logarithmic":
             return np.log(qf / mass)
-        return np.where(qv > 0, -2.0 * s.laplacian / qf + _norm_sq(s) / qf**2, np.inf)
+        return np.where(qv > 0, -2.0 * s.laplacian / qf + _norm_sq(_log_gradient(s, floor)), np.inf)
 
 
 def _pair(rule: str, w, pv, scores, support: float) -> float:
@@ -464,8 +474,7 @@ def hyvarinen_divergence_direct(
     qs = q.sample(ns.points, 1)
     live = (ps.value > 0) & (qs.value > 0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        sp, sq = ((s.gradient.T / np.maximum(s.value, LOG_CLAMP)).T for s in (ps, qs))
-        diff2 = _norm_sq(Sample(ps.value, sp - sq))
+        diff2 = _norm_sq(Sample(ps.value, _log_gradient(ps).gradient - _log_gradient(qs).gradient))
     terms = np.where(live, ps.value * np.where(np.isfinite(diff2), diff2, 0.0), 0.0)
     return float(np.sum(ns.weights * terms) / mp)
 

@@ -1,11 +1,21 @@
 """Command-line behavior: payloads, sentinels, exit codes, determinism."""
 
+import csv
+import hashlib
+import io
 import json
+import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import conescore
+from conescore import rules
 from conescore.cli import main
+from conescore.densities import density_from_config
 
 
 @pytest.fixture
@@ -135,6 +145,115 @@ def test_score_writes_json_and_csv(capsys, files, n01, tmp_path):
     assert len(lines) == 3
 
 
+def _reference_outputs(rule: str, cfg: dict, xs: list) -> tuple[str, str]:
+    """The report and the CSV as json.dumps and csv.writer write them from one dict per record."""
+    values = np.atleast_1d(rules.score_at(rule, density_from_config(cfg), np.array(xs), strict=rule != "logarithmic"))
+    outside = values == -np.inf
+    clamped = int(np.count_nonzero(outside))
+    scores = ["-inf" if out else s for out, s in zip(outside.tolist(), values.tolist())]
+    payload = {
+        "rule": rule,
+        "forecast_digest": hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()[:12],
+        "records": [{"x": x, "score": s} for x, s in zip(xs, scores)],
+        "summary": {"mean": "-inf" if clamped else float(np.mean(values)), "count": len(scores), "clamped": clamped},
+    }
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["x", "score", "rule", "forecast_digest"])
+    for rec in payload["records"]:
+        writer.writerow([rec["x"], rec["score"], payload["rule"], payload["forecast_digest"]])
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False), buf.getvalue()
+
+
+_AWKWARD = [0.0, -0.0, 1e-05, 0.1, 1.0 / 3.0, -2.5, 2.5e-320, 37.5]
+_HUGE = [123456789012345.6, 1e16, -1.7976931348623157e308]  # q underflows to 0 at each
+_GAUSSIAN = {"family": "gaussian", "mean": 0.5, "var": 2.0}
+_HALF_ZERO = {"family": "grid", "domain": [0.0, 1.0], "values": [0.0, 0.0, 1.0, 1.0, 1.0]}
+
+
+@pytest.mark.parametrize(
+    "rule, cfg, xs, sentinel",
+    [
+        ("logarithmic", _GAUSSIAN, _AWKWARD, False),
+        ("logarithmic", _GAUSSIAN, _AWKWARD + _HUGE, True),
+        ("quadratic", _GAUSSIAN, _AWKWARD + _HUGE, False),
+        ("hyvarinen", _GAUSSIAN, _AWKWARD, False),
+        ("logarithmic", _HALF_ZERO, [0.05, 0.5, 0.9, 0.0, 1.0], True),
+        ("quadratic", _HALF_ZERO, [0.05, 0.5, 0.9], False),
+    ],
+)
+def test_score_outputs_match_json_dumps_and_csv_writer(capsys, files, tmp_path, rule, cfg, xs, sentinel):
+    forecast = files("forecast.json", json.dumps(cfg))
+    obs = files("obs.csv", "x\n" + "".join(f"{x!r}\n" for x in xs))
+    text, table = _reference_outputs(rule, cfg, xs)
+    assert ('"-inf"' in text) == sentinel
+    argv = ["score", "--rule", rule, "--forecast", forecast, "--obs", obs]
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and out == text + "\n"
+    assert run(capsys, argv + ["--out", str(tmp_path / "r.json")])[:2] == (0, out)
+    assert (tmp_path / "r.json").read_bytes() == out.encode()
+    assert run(capsys, argv + ["--out", str(tmp_path / "r.csv")])[:2] == (0, out)
+    assert (tmp_path / "r.csv").read_bytes() == table.encode()
+
+
+def _reference_load(path: str):
+    """Row-by-row reading of the first column: the values, or the refusal's message."""
+    values = []
+    with open(path) as fh:
+        for i, row in enumerate(csv.reader(fh)):
+            if not row or not row[0].strip():
+                continue
+            try:
+                value = float(row[0])
+            except ValueError:
+                if i == 0:
+                    continue  # header line
+                return f"non-numeric observation on line {i + 1}: {row[0]!r}"
+            if not math.isfinite(value):
+                return f"non-finite observation on line {i + 1}: {row[0]!r}"
+            values.append(value)
+    return values or "no observations found"
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        "x\n1.0\n2.0\n",
+        "1.0\nx\n",  # a header is skipped on line 1 only
+        "\nx\n1.0\n",
+        "1.0\n\n   \n,5\n2.0\n",  # blank rows and blank first cells are skipped
+        "x\n1.0\nabc\n",
+        "x\n1.0\nnan\nabc\n",  # the first refusal in line order wins
+        "x\nabc\ninf\n",
+        "nan\n1.0\n",  # a number on line 1 is data, not a header
+        '"2.5",z\n"1e3"\n',  # quoted cells
+        'x\n"1,5"\n',
+        "1.0,abc,3\n2.0,,\n",  # extra columns are ignored
+        " 1.5 \n\t-2\n1_000\n",
+        "x\n",
+        "x\n-inf\n",
+    ],
+)
+def test_score_loader_matches_the_row_by_row_reference(capsys, files, n01, content):
+    obs = files("obs.csv", content)
+    expected = _reference_load(obs)
+    code, out, err = run(capsys, ["score", "--rule", "quad", "--forecast", n01, "--obs", obs])
+    if isinstance(expected, str):
+        assert (code, out, err) == (2, "", f"configuration error: {expected}\n")
+    else:
+        assert code == 0
+        assert [r["x"] for r in json.loads(out)["records"]] == expected
+
+
+def test_score_non_finite_score_is_a_domain_error(capsys, files):
+    # the Laplacian of so narrow a Gaussian overflows at its mean: the score is +inf
+    spike = files("spike.json", json.dumps({"family": "gaussian", "mean": 0.0, "var": 1e-305}))
+    obs = files("obs.csv", "0.0\n")
+    code, out, err = run(capsys, ["score", "--rule", "hyv", "--forecast", spike, "--obs", obs])
+    assert (code, out) == (3, "")
+    assert "hyvarinen score of observation 1 (x = 0.0) is inf" in err
+
+
 def test_score_out_of_domain_exits_3(capsys, files, uniform):
     obs = files("obs.csv", "2.0\n")
     code, _, err = run(capsys, ["score", "--rule", "quadratic", "--forecast", uniform, "--obs", obs])
@@ -184,6 +303,20 @@ def test_verify_runs_are_byte_identical(capsys):
     assert payload["summary"]["pass"] == payload["summary"]["total"]
 
 
+def test_verify_seed_with_far_tail_hyvarinen_cases_passes(capsys):
+    # seed 7 pairs a Hyvarinen score with q ~ 1e-164 where p has support
+    code, out, _ = run(capsys, ["verify", "--suite", "all", "--seed", "7"])
+    assert code == 0
+    summary = json.loads(out)["summary"]
+    assert summary["pass"] == summary["total"] > 0
+
+
+def test_verify_non_finite_report_value_is_a_typed_error(capsys):
+    code, out, err = run(capsys, ["verify", "--suite", "euler", "--samples", "2", "--tol", "nan"])
+    assert (code, out) == (2, "")
+    assert err.startswith("configuration error: report value cases[0].tol is not a finite number")
+
+
 def test_verify_config_errors_exit_2(capsys):
     assert run(capsys, ["verify", "--suite", "spectra"])[0] == 2
     assert run(capsys, ["verify", "--suite", "euler", "--tol", "-1"])[0] == 2
@@ -212,9 +345,25 @@ def test_deriv_unsupported_family_exits_3(capsys, uniform, n01):
     assert "domain" in err
 
 
+def test_deriv_zero_mass_is_a_typed_error(capsys, files, n01):
+    # a Gaussian this narrow misses every quadrature node: its mass on them is 0
+    narrow = files("narrow.json", json.dumps({"family": "gaussian", "mean": 0.0, "var": 1e-30}))
+    for q, p in ((narrow, n01), (n01, narrow)):
+        code, out, err = run(capsys, ["deriv", "--rule", "log", "--q", q, "--p", p])
+        assert (code, out) == (3, "")
+        assert "nonpositive mass 0.0" in err
+
+
 # ---------------------------------------------------------------------------
 # demo
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name, field", [("binary-boundary", "threshold"), ("nowhere-dense", "witnesses[0][0]")])
+def test_demo_non_finite_report_value_is_a_typed_error(capsys, name, field):
+    code, out, err = run(capsys, ["demo", "--name", name, "--alpha", "inf"])
+    assert (code, out) == (3, "")
+    assert f"domain error: report value {field} is not a finite number" in err
+
 
 def test_demo_binary_boundary(capsys):
     code, out, err = run(capsys, ["demo", "--name", "binary-boundary"])
@@ -258,3 +407,11 @@ def test_demo_validation(capsys):
 def test_no_command_exits_2(capsys):
     assert main([]) == 2
     capsys.readouterr()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = str(Path(conescore.__file__).resolve().parents[1])
+    code = "import sys, conescore.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env={"PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

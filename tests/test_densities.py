@@ -1,5 +1,8 @@
 """Density families, field algebra, cone checks, and homogeneous extensions."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -78,6 +81,48 @@ def test_mixture_total_mass_is_weight_sum():
 def test_power_law_is_normalised():
     assert PowerLawDensity(2.0).total_mass() == pytest.approx(1.0, abs=1e-9)
     assert PowerLawDensity(2.0).value(0.0) == pytest.approx(1.0 / np.pi, rel=1e-12)
+
+
+# erfc of the bound's own z values, to 20 digits (mpmath at 40 digits)
+@pytest.mark.parametrize(
+    "mean, var, scale, radius, expected",
+    [
+        ([0.5, -1.0], [0.5, 2.0], 3.0, 4.0, 0.10168678986918492228),
+        ([0.25], [1.5], 1.0, 6.0, 2.6679545936247914814e-6),
+        ([0.0], [1.0], 2.0, 1.0, 0.63462101572582829146),
+        ([5.0], [1.0], 2.0, 2.0, 2.0),  # radius inside |mean|: z clips at 0, erfc(0) = 1
+    ],
+)
+def test_gaussian_tail_bound_matches_its_erfc_closed_form(mean, var, scale, radius, expected):
+    bound = GaussianDensity(mean, var, scale).tail_mass_bound(radius)
+    assert bound == pytest.approx(expected, rel=1e-15, abs=0)
+
+
+def _power_law_norm_1d(beta: int) -> float:
+    """sqrt(pi) Gamma((beta - 1)/2) / Gamma(beta/2) for integer beta, in exact rationals (times pi if even)."""
+    if beta % 2 == 0:
+        k = beta // 2
+        ratio = Fraction(1)
+        for j in range(1, k):
+            ratio *= Fraction(2 * j - 1, 2 * j)
+        return float(ratio) * math.pi
+    m = (beta - 1) // 2
+    ratio = Fraction(math.factorial(m - 1))
+    for j in range(1, m + 1):
+        ratio /= Fraction(2 * j - 1, 2)
+    return float(ratio)
+
+
+@pytest.mark.parametrize("beta", range(2, 16))
+def test_power_law_normaliser_matches_its_closed_form(beta):
+    assert 1.0 / PowerLawDensity(float(beta)).value(0.0) == pytest.approx(_power_law_norm_1d(beta), rel=1e-15, abs=0)
+    if beta > 2:
+        assert PowerLawDensity(float(beta), dim=2).value([0.0, 0.0]) == pytest.approx((beta - 2) / (2 * math.pi), rel=1e-15)
+
+
+def test_power_law_normaliser_beyond_the_gamma_overflow():
+    # exp(lgamma - lgamma) loses about |lgamma| ulps (|lgamma(200)| ~ 857)
+    assert 1.0 / PowerLawDensity(400.0).value(0.0) == pytest.approx(_power_law_norm_1d(400), rel=1e-12)
 
 
 def test_power_law_requires_integrable_exponent():

@@ -91,6 +91,15 @@ def test_hyvarinen_score_examples():
     )
 
 
+def test_hyvarinen_score_survives_underflow_of_the_squares():
+    # q is 1e-196 to 1e-314 here: |grad q|^2 and q^2 underflow to 0, grad q / q does not
+    xs = np.array([30.0, 37.0, 38.0])
+    np.testing.assert_allclose(rules.score_at("hyvarinen", GaussianDensity(0.0, 1.0), xs), 2.0 - xs**2, rtol=1e-12, atol=0)
+    pts = np.array([[30.0, 0.0], [0.0, -37.0], [26.0, 26.0]])
+    unit_2d = GaussianDensity([0.0, 0.0], [1.0, 1.0])
+    np.testing.assert_allclose(rules.score_at("hyvarinen", unit_2d, pts), 4.0 - (pts**2).sum(axis=1), rtol=1e-12, atol=0)
+
+
 def test_hyvarinen_score_is_scale_invariant():
     q = GaussianDensity(0.5, 2.0)
     a = rules.score_at("hyvarinen", q, 0.3)
