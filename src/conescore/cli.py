@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import math
 import sys
 from pathlib import Path
-from typing import NamedTuple
+from typing import Any, Callable, NamedTuple, TextIO
 
 import numpy as np
 
@@ -144,11 +145,22 @@ def _emit(payload: dict, out: str | None) -> None:
     print(text)
 
 
-def _load_json(path: str) -> dict:
+def _read(path: str, parse: Callable[[TextIO], Any]) -> Any:
+    """``parse`` of the open text file; a file that cannot be opened, read or decoded is a configuration error."""
     try:
-        return json.loads(Path(path).read_text())
+        with Path(path).open() as fh:
+            return parse(fh)
     except FileNotFoundError as exc:
         raise InvalidParameterError(f"file not found: {path}") from exc
+    except OSError as exc:
+        raise InvalidParameterError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InvalidParameterError(f"cannot decode {path}: {exc}") from exc
+
+
+def _load_json(path: str) -> dict:
+    try:
+        return _read(path, json.load)
     except json.JSONDecodeError as exc:
         raise InvalidParameterError(f"invalid JSON in {path}: {exc}") from exc
 
@@ -167,11 +179,7 @@ def _load_density(path: str):
 
 def _load_observations(path: str) -> np.ndarray:
     """First column of a CSV file; a header on line 1 and blank rows are skipped."""
-    try:
-        with Path(path).open() as fh:
-            cells = [row[0] if row else "" for row in csv.reader(fh)]
-    except FileNotFoundError as exc:
-        raise InvalidParameterError(f"file not found: {path}") from exc
+    cells = _read(path, lambda fh: [row[0] if row else "" for row in csv.reader(fh)])
     if cells and not _is_number(cells[0]):
         cells[0] = ""  # header line
     try:
@@ -210,14 +218,8 @@ def _digest(cfg: dict) -> str:
 
 
 def _scheme_from_args(args) -> pairing.QuadratureScheme | None:
-    if args.panels is None and args.nodes is None and args.radius is None and args.tail_tol is None:
-        return None
-    return pairing.QuadratureScheme(
-        panels=args.panels if args.panels is not None else 16,
-        nodes=args.nodes if args.nodes is not None else 8,
-        radius=args.radius,
-        tail_tol=args.tail_tol if args.tail_tol is not None else 1e-10,
-    )
+    given = {k: getattr(args, k) for k in ("panels", "nodes", "radius", "tail_tol") if getattr(args, k) is not None}
+    return dataclasses.replace(pairing.DEFAULT_SCHEME, **given) if given else None
 
 
 def _maybe_require_cone(q, cone, rule, strict: bool, scheme) -> None:

@@ -324,8 +324,7 @@ def analytic_directional_derivative(
     pv = np.asarray(p.value(pts), dtype=float)
     ns = pairing.nodes_for(p, None)
     mp = float(np.sum(ns.weights * pv))
-    modal = qv >= np.max(qv) * (1.0 - rules.DELTA_MODE)
-    return float(np.max(pv[modal]) / mp)
+    return float(np.max(pv[rules._modal(qv)]) / mp)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +369,6 @@ class VerificationReport:
             "suite": self.suite,
             "seed": self.seed,
             "scheme": {
-                "rule": self.scheme.rule,
                 "panels": self.scheme.panels,
                 "nodes": self.scheme.nodes,
                 "radius": self.scheme.radius,
@@ -712,7 +710,7 @@ def _not_strict_witness(seed: int) -> tuple[GridDensity, GridDensity]:
     rng = np.random.default_rng([seed, 11])
     q = sampling.sample_plateau_grid(rng)
     vals = np.asarray(q.values).copy()
-    plateau = vals >= np.max(vals) * (1.0 - rules.DELTA_MODE)
+    plateau = rules._modal(vals)
     other = 0.4 + 0.4 * np.sin(np.linspace(0.0, 9.0, vals.size)) ** 2
     pv = np.where(plateau, np.max(vals), other)
     return GridDensity(q.lo, q.hi, pv), q

@@ -805,7 +805,9 @@ def cone_check(q: Field, spec: ConeSpec, scheme=None) -> ConeReport:
     else:
         pts_eval = pts
         radii = np.sqrt((pts**2).sum(axis=1))
-    vhat = np.asarray(q.value(pts_eval), dtype=float) / mass
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = q.sample(pts_eval, 2 if isinstance(spec, HyvarinenGrowth) else 0)
+    vhat = s.value / mass
 
     worsts: list[float] = []
     witnesses: list[ConeWitness] = []
@@ -819,12 +821,9 @@ def cone_check(q: Field, spec: ConeSpec, scheme=None) -> ConeReport:
         worsts.append(w)
         witnesses += ws
     elif isinstance(spec, HyvarinenGrowth):
+        gnorm = np.abs(s.gradient) if spec.dim == 1 else np.sqrt((s.gradient**2).sum(axis=1))
         with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.asarray(q.value(pts_eval), dtype=float)
-            grads = np.asarray(q.gradient(pts_eval), dtype=float)
-            laps = np.asarray(q.laplacian(pts_eval), dtype=float)
-            gnorm = np.abs(grads) if spec.dim == 1 else np.sqrt((grads**2).sum(axis=1))
-            ratio = np.where(vals > _RATIO_FLOOR, (gnorm + np.abs(laps)) / np.maximum(vals, _RATIO_FLOOR), 0.0)
+            ratio = np.where(s.value > _RATIO_FLOOR, (gnorm + np.abs(s.laplacian)) / np.maximum(s.value, _RATIO_FLOOR), 0.0)
         growth = spec.c1 * (1.0 + radii) ** spec.k
         w, ws = _collect(growth - ratio, pts, "growth", ratio, growth)
         worsts.append(w)

@@ -7,9 +7,11 @@ identities (propriety, Euler, quotient monotonicity) hold to floating-point
 accuracy rather than to quadrature accuracy: once the node set is frozen,
 the toolkit is doing exact convex analysis on a finite measure space.
 
-Analytic families integrate by composite Gauss-Legendre on a core box plus
-dyadic tail shells; grid families use the trapezoid rule on their native
-grid, which is all the information they carry.
+Analytic families integrate by composite Gauss-Legendre on one ascending
+list of panel edges: in 1-D the core [-R, R] flanked by dyadic tail shells
+out to where the field's tail-mass bound is negligible, in 2-D the tensor
+square of a core grown to that radius. Grid families use the trapezoid
+rule on their native grid, which is all the information they carry.
 """
 
 from __future__ import annotations
@@ -57,13 +59,12 @@ _MAX_SHELLS = 400
 
 @dataclass(frozen=True)
 class QuadratureScheme:
-    """Deterministic quadrature recipe.
+    """Deterministic composite Gauss-Legendre recipe for analytic families.
+
+    Grid fields ignore it: they integrate by trapezoid on their native grid.
 
     Parameters
     ----------
-    rule : {'gauss_legendre_composite', 'trapezoid'}
-        Grid fields always integrate by trapezoid on their native grid
-        regardless of this setting; the rule applies to analytic families.
     panels : int
         Panels per unit length on the core box, and panels per side on
         each dyadic tail shell.
@@ -77,15 +78,12 @@ class QuadratureScheme:
         falls below a safety fraction of this tolerance.
     """
 
-    rule: str = "gauss_legendre_composite"
     panels: int = 16
     nodes: int = 8
     radius: float | None = None
     tail_tol: float = 1e-10
 
     def __post_init__(self):
-        if self.rule not in ("gauss_legendre_composite", "trapezoid"):
-            raise InvalidParameterError(f"unknown quadrature rule {self.rule!r}")
         if int(self.panels) < 1 or int(self.nodes) < 1:
             raise InvalidParameterError("panels and nodes must be positive integers")
         if self.radius is not None and not self.radius > 0:
@@ -113,15 +111,12 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
 
 
-def _panel_nodes(lo: float, hi: float, panels: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre nodes and weights on [lo, hi]."""
+def _gauss_nodes(edges: np.ndarray, nodes: int) -> NodeSet:
+    """Composite Gauss-Legendre nodes and weights on the panels between ascending ``edges``."""
     x, w = _leggauss(nodes)
-    edges = np.linspace(lo, hi, panels + 1)
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[:-1] + edges[1:])
-    pts = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    wts = (half[:, None] * w[None, :]).ravel()
-    return pts, wts
+    return NodeSet((mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel())
 
 
 def _core_radius(field: Field, scheme: QuadratureScheme) -> float:
@@ -131,46 +126,43 @@ def _core_radius(field: Field, scheme: QuadratureScheme) -> float:
     return float(r)
 
 
-def _shell_edges(field: Field, radius: float, tail_tol: float) -> list[tuple[float, float]]:
-    """Dyadic shells [R 2^k, R 2^(k+1)] until the tail-mass bound is negligible."""
-    shells: list[tuple[float, float]] = []
-    r = radius
+def _panel_edges(lo: float, hi: float, scheme: QuadratureScheme) -> np.ndarray:
+    """Panel edges of [lo, hi] at ``scheme.panels`` panels per unit length."""
+    return np.linspace(lo, hi, max(1, int(np.ceil((hi - lo) * scheme.panels))) + 1)
+
+
+def _shell_panels(lo: float, hi: float, scheme: QuadratureScheme) -> tuple[np.ndarray, np.ndarray]:
+    """Panel edges of the shell pair [lo, hi] and [-hi, -lo], each ascending."""
+    return np.linspace(lo, hi, scheme.panels + 1), np.linspace(-hi, -lo, scheme.panels + 1)
+
+
+def _shell_edges(field: Field, radius: float, tail_tol: float) -> list[float]:
+    """Dyadic shell radii R, 2R, 4R, ... out to the first where the tail-mass bound is negligible."""
+    radii = [radius]
     for _ in range(_MAX_SHELLS):
-        if field.tail_mass_bound(r) < tail_tol * _TAIL_SAFETY:
-            return shells
-        shells.append((r, 2.0 * r))
-        r *= 2.0
+        if field.tail_mass_bound(radii[-1]) < tail_tol * _TAIL_SAFETY:
+            return radii
+        radii.append(2.0 * radii[-1])
     raise DivergenceError(
-        f"tail-mass bound still {field.tail_mass_bound(r):.3e} after {_MAX_SHELLS} dyadic shells"
+        f"tail-mass bound still {field.tail_mass_bound(radii[-1]):.3e} after {_MAX_SHELLS} dyadic shells"
     )
 
 
 def _line_nodes(field: Field, scheme: QuadratureScheme) -> NodeSet:
     radius = _core_radius(field, scheme)
-    core_panels = max(1, int(np.ceil(2.0 * radius * scheme.panels)))
-    pts, wts = _panel_nodes(-radius, radius, core_panels, scheme.nodes)
-    parts_p = [pts]
-    parts_w = [wts]
-    for lo, hi in _shell_edges(field, radius, scheme.tail_tol):
-        for a, b in ((lo, hi), (-hi, -lo)):
-            sp, sw = _panel_nodes(a, b, scheme.panels, scheme.nodes)
-            parts_p.append(sp)
-            parts_w.append(sw)
-    points = np.concatenate(parts_p)
-    weights = np.concatenate(parts_w)
-    order = np.argsort(points)
-    return NodeSet(points[order], weights[order])
+    radii = _shell_edges(field, radius, scheme.tail_tol)
+    shells = [_shell_panels(lo, hi, scheme) for lo, hi in zip(radii, radii[1:])]
+    core = _panel_edges(-radius, radius, scheme)
+    # adjacent pieces share their junction edge exactly, so each keeps it once
+    edges = np.concatenate([neg[:-1] for _, neg in reversed(shells)] + [core] + [pos[1:] for pos, _ in shells])
+    return _gauss_nodes(edges, scheme.nodes)
 
 
 def _box_nodes(field: Field, scheme: QuadratureScheme) -> NodeSet:
     radius = _core_radius(field, scheme)
     if scheme.radius is None:
-        for _ in range(_MAX_SHELLS):
-            if field.tail_mass_bound(radius) < scheme.tail_tol * _TAIL_SAFETY:
-                break
-            radius *= 2.0
-        else:
-            raise DivergenceError("tail-mass bound does not decay under radius doubling")
+        radius = _shell_edges(field, radius, scheme.tail_tol)[-1]
+    # counted before any edge is built: heavy tails grow the radius past what memory holds
     panels = max(1, int(np.ceil(2.0 * radius * scheme.panels)))
     per_axis = panels * scheme.nodes
     if per_axis**2 > _NODE_BUDGET:
@@ -178,7 +170,7 @@ def _box_nodes(field: Field, scheme: QuadratureScheme) -> NodeSet:
             f"tensor grid would need {per_axis**2:,} nodes (budget {_NODE_BUDGET:,}); "
             "pass a scheme with fewer panels or nodes, or a smaller radius"
         )
-    pts1, wts1 = _panel_nodes(-radius, radius, panels, scheme.nodes)
+    pts1, wts1 = _gauss_nodes(np.linspace(-radius, radius, panels + 1), scheme.nodes)
     xx, yy = np.meshgrid(pts1, pts1, indexing="ij")
     points = np.column_stack([xx.ravel(), yy.ravel()])
     weights = np.outer(wts1, wts1).ravel()
@@ -204,14 +196,6 @@ def nodes_for(field: Field, scheme: QuadratureScheme | None = None) -> NodeSet:
     scheme = scheme or DEFAULT_SCHEME
     if field.grid is not None:
         return _grid_nodes(field)
-    if scheme.rule == "trapezoid":
-        radius = _core_radius(field, scheme)
-        n = max(2, int(np.ceil(2.0 * radius * scheme.panels * scheme.nodes)) + 1)
-        pts = np.linspace(-radius, radius, n)
-        wts = np.full(n, pts[1] - pts[0])
-        wts[0] *= 0.5
-        wts[-1] *= 0.5
-        return NodeSet(pts, wts)
     if field.dim == 1:
         return _line_nodes(field, scheme)
     return _box_nodes(field, scheme)
@@ -285,31 +269,22 @@ def weighted_norm(
         lo, hi = float(domain[0]), float(domain[1])
         if not hi > lo:
             raise InvalidParameterError("domain must satisfy lo < hi")
-        panels = max(1, int(np.ceil((hi - lo) * scheme.panels)))
-        pts, wts = _panel_nodes(lo, hi, panels, scheme.nodes)
-        return float(np.sqrt(chunk(pts, wts)))
+        return float(np.sqrt(chunk(*_gauss_nodes(_panel_edges(lo, hi, scheme), scheme.nodes))))
 
     if not isinstance(f, Field):
         raise InvalidParameterError("weighted_norm of a bare callable needs an explicit domain")
-    if f.grid is not None:
-        ns = _grid_nodes(f)
-        return float(np.sqrt(chunk(ns.points, ns.weights)))
-    if f.dim != 1:
-        ns = nodes_for(f, scheme)
-        return float(np.sqrt(chunk(ns.points, ns.weights)))
+    if f.grid is not None or f.dim != 1:
+        return float(np.sqrt(chunk(*nodes_for(f, scheme))))
 
-    radius = _core_radius(f, scheme)
-    core_panels = max(1, int(np.ceil(2.0 * radius * scheme.panels)))
-    pts, wts = _panel_nodes(-radius, radius, core_panels, scheme.nodes)
-    total = chunk(pts, wts)
+    # the field's tail-mass bound does not bound f^2 (1+|x|)^m, so the shells
+    # stop on their own contributions rather than where _shell_edges would
+    r = _core_radius(f, scheme)
+    total = chunk(*_gauss_nodes(_panel_edges(-r, r, scheme), scheme.nodes))
     previous = np.inf
     growth_streak = 0
-    r = radius
     for _ in range(_MAX_SHELLS):
-        contribution = 0.0
-        for a, b in ((r, 2.0 * r), (-2.0 * r, -r)):
-            sp, sw = _panel_nodes(a, b, scheme.panels, scheme.nodes)
-            contribution += chunk(sp, sw)
+        pos, neg = _shell_panels(r, 2.0 * r, scheme)
+        contribution = chunk(*_gauss_nodes(pos, scheme.nodes)) + chunk(*_gauss_nodes(neg, scheme.nodes))
         total += contribution
         if contribution <= scheme.tail_tol * max(total, scheme.tail_tol):
             return float(np.sqrt(total))

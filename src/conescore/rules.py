@@ -260,8 +260,18 @@ class ModeSet:
     grid: GridInfo
 
 
+def _modal(vals: np.ndarray, delta_mode: float = DELTA_MODE) -> np.ndarray:
+    """Mask of the values within relative tolerance ``delta_mode`` of their maximum."""
+    return vals >= np.max(vals) * (1.0 - delta_mode)
+
+
 def mode_set(q: Field, delta_mode: float = DELTA_MODE) -> ModeSet:
     """Mode cells of a grid density within relative tolerance ``delta_mode``."""
+    return _sampled_mode_set(q, delta_mode)[0]
+
+
+def _sampled_mode_set(q: Field, delta_mode: float = DELTA_MODE) -> tuple[ModeSet, np.ndarray]:
+    """mode_set, and the grid values of q it was read from."""
     grid = _require_grid(q, "mode_set")
     if not 0 < delta_mode < 1:
         raise InvalidParameterError("delta_mode must lie in (0, 1)")
@@ -270,7 +280,7 @@ def mode_set(q: Field, delta_mode: float = DELTA_MODE) -> ModeSet:
     vmax = float(np.max(vals))
     if vmax <= 0:
         raise ZeroMassError("grid density has no positive values")
-    modal = vals >= vmax * (1.0 - delta_mode)
+    modal = _modal(vals, delta_mode)
     cells = np.flatnonzero(modal[:-1] & modal[1:])
     measure = grid.spacing * cells.size
     region: list[tuple[float, float]] = []
@@ -287,7 +297,7 @@ def mode_set(q: Field, delta_mode: float = DELTA_MODE) -> ModeSet:
         argmax=float(pts[int(np.argmax(vals))]),
         cells=tuple(int(i) for i in cells),
         grid=grid,
-    )
+    ), vals
 
 
 @dataclass(frozen=True, eq=False)
@@ -494,8 +504,8 @@ def euler_residual(rule: str, q: Field, scheme: pairing.QuadratureScheme | None 
     """
     rule = canonical_rule(rule)
     if rule == "supremum":
-        mode = mode_set(q)  # its height is the entropy max q; the Dirac evaluation q(x0) is that height
-        paired = mode_pairing(q, mode) if mode.measure > 0 else mode.height
+        mode, vals = _sampled_mode_set(q)  # its height is the entropy max q; the Dirac evaluation q(x0) is that height
+        paired = _plateau_pairing(vals, mode) if mode.measure > 0 else mode.height
         return abs(paired - mode.height) / abs(mode.height)
     if rule == "hyvarinen":
         _require_analytic(q, "hyvarinen entropy")

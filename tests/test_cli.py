@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import conescore
-from conescore import rules
+from conescore import cli, pairing, rules
 from conescore.cli import main
 from conescore.densities import density_from_config
 
@@ -271,6 +271,38 @@ def test_score_config_errors_exit_2(capsys, files, n01, uniform):
     empty = files("empty.csv", "\n")
     assert run(capsys, ["score", "--rule", "log", "--forecast", n01, "--obs", empty])[0] == 2
     assert run(capsys, ["score", "--rule", "elo", "--forecast", n01, "--obs", obs])[0] == 2
+
+
+@pytest.mark.parametrize("flag", ["--forecast", "--obs", "--p"])
+@pytest.mark.parametrize("kind", ["utf16", "directory"])
+def test_unreadable_input_files_are_configuration_errors(capsys, files, n01, tmp_path, flag, kind):
+    if kind == "utf16":
+        bad = tmp_path / "bom.txt"
+        bad.write_bytes(b"\xff\xfe0\x00\n\x00")
+    else:
+        bad = tmp_path / "a-directory"
+        bad.mkdir()
+    obs = files("obs.csv", "0.0\n")
+    if flag == "--p":
+        argv = ["deriv", "--rule", "log", "--q", n01, "--p", str(bad)]
+    else:
+        argv = ["score", "--rule", "log", "--forecast", n01, "--obs", obs]
+        argv[argv.index(flag) + 1] = str(bad)
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"configuration error: cannot {'decode' if kind == 'utf16' else 'read'} {bad}")
+
+
+def test_scheme_flags_replace_only_the_given_defaults():
+    def scheme(*flags):
+        return cli._scheme_from_args(cli.build_parser().parse_args(["verify", "--suite", "euler", *flags]))
+
+    assert scheme() is None
+    assert scheme("--radius", "5") == pairing.QuadratureScheme(radius=5.0)
+    assert scheme("--panels", "3", "--tail-tol", "1e-6") == pairing.QuadratureScheme(panels=3, tail_tol=1e-6)
+    assert scheme("--panels", "2", "--nodes", "4", "--radius", "7", "--tail-tol", "1e-12") == pairing.QuadratureScheme(
+        panels=2, nodes=4, radius=7.0, tail_tol=1e-12
+    )
 
 
 def test_score_strict_cone_gate(capsys, files, n01):

@@ -401,7 +401,7 @@ def test_run_suite_report_shape():
     assert d["seed"] == 1
     assert d["summary"] == {"pass": len(report.cases), "total": len(report.cases)}
     assert all({"id", "residual", "tol", "pass"} <= set(c) for c in d["cases"])
-    assert set(d["scheme"]) == {"rule", "panels", "nodes", "radius", "tail_tol"}
+    assert set(d["scheme"]) == {"panels", "nodes", "radius", "tail_tol"}
 
 
 def test_run_suite_reports_are_deterministic():

@@ -342,6 +342,48 @@ def test_cone_check_is_scale_invariant():
     assert cone_check(q * 1000.0, spec).member == cone_check(q, spec).member
 
 
+def _reference_growth_report(q, spec):
+    """The growth cone check from separate value, gradient and Laplacian calls."""
+    pts = densities.probe_points(spec.dim)
+    radii = np.abs(pts) if pts.ndim == 1 else np.sqrt((pts**2).sum(axis=1))
+    vhat = np.asarray(q.value(pts), dtype=float) / q.total_mass()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = np.asarray(q.value(pts), dtype=float)
+        grads = np.asarray(q.gradient(pts), dtype=float)
+        laps = np.asarray(q.laplacian(pts), dtype=float)
+        gnorm = np.abs(grads) if spec.dim == 1 else np.sqrt((grads**2).sum(axis=1))
+        floor = densities._RATIO_FLOOR
+        ratio = np.where(vals > floor, (gnorm + np.abs(laps)) / np.maximum(vals, floor), 0.0)
+    growth = spec.c1 * (1.0 + radii) ** spec.k
+    w1, ws1 = densities._collect(growth - ratio, pts, "growth", ratio, growth)
+    upper = spec.c2 * (1.0 + radii) ** (-(spec.dim + 1.0 + spec.k**2))
+    w2, ws2 = densities._collect(upper - vhat, pts, "upper_envelope", vhat, upper)
+    worst = min(w1, w2)
+    return densities.ConeReport(worst >= 0, worst, tuple((ws1 + ws2)[: densities._MAX_WITNESSES]), int(vhat.size))
+
+
+@pytest.mark.parametrize(
+    "q",
+    [
+        GaussianDensity(-1.5, 3.0),
+        MixtureDensity((GaussianDensity(-1.0, 0.5), GaussianDensity(2.0, 2.0)), (0.3, 0.7), scale=2.0),
+        PowerLawDensity(2.0),
+    ],
+    ids=["gaussian", "mixture", "cauchy"],
+)
+def test_growth_cone_check_reads_one_sample_with_the_same_report(q, monkeypatch):
+    specs = [default_cone_spec("hyvarinen", 1), densities.HyvarinenGrowth(c1=0.5, k=0.5, c2=0.05)]
+    expected = [_reference_growth_report(q, spec) for spec in specs]
+    assert not expected[1].member and expected[1].witnesses
+    orders = []
+    sample = type(q).sample
+    monkeypatch.setattr(type(q), "sample", lambda self, x, order=0: orders.append(order) or sample(self, x, order))
+    for spec, ref in zip(specs, expected):
+        orders.clear()
+        assert cone_check(q, spec) == ref
+        assert orders == [2]
+
+
 def test_require_cone_raises_with_witness():
     with pytest.raises(ConeMembershipError):
         require_cone(GaussianDensity(0.0, 1.0), default_cone_spec("logarithmic", 1))

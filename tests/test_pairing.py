@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from conescore import pairing
+from conescore import pairing, sampling
 from conescore.densities import (
     Bump,
     GaussianDensity,
@@ -24,9 +24,11 @@ from conescore.errors import (
 
 def test_scheme_validation():
     with pytest.raises(InvalidParameterError):
-        pairing.QuadratureScheme(rule="simpson")
-    with pytest.raises(InvalidParameterError):
         pairing.QuadratureScheme(panels=0)
+    with pytest.raises(InvalidParameterError):
+        pairing.QuadratureScheme(nodes=0)
+    with pytest.raises(InvalidParameterError):
+        pairing.QuadratureScheme(radius=0.0)
     with pytest.raises(InvalidParameterError):
         pairing.QuadratureScheme(tail_tol=-1.0)
     s = pairing.QuadratureScheme(panels=4, nodes=6, radius=10.0)
@@ -182,3 +184,119 @@ def test_pair_shared_nodes_for_sums():
     ns = pairing.nodes_for(p + q)
     mass = float(np.sum(ns.weights * (p.value(ns.points) + q.value(ns.points))))
     assert mass == pytest.approx(pairing.total_mass(p) + pairing.total_mass(q), abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# node sets against the earlier piecewise builder, kept here as the reference
+# ---------------------------------------------------------------------------
+
+def _reference_panel_nodes(lo, hi, panels, nodes):
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    edges = np.linspace(lo, hi, panels + 1)
+    half = 0.5 * np.diff(edges)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    return (mid[:, None] + half[:, None] * x[None, :]).ravel(), (half[:, None] * w[None, :]).ravel()
+
+
+def _reference_radius(field, scheme):
+    return float(scheme.radius if scheme.radius is not None else field.core_radius())
+
+
+def _reference_nodes(field, scheme):
+    """Core panels plus each dyadic shell pair built separately, then sorted; 2-D grows the core by doubling."""
+    radius = _reference_radius(field, scheme)
+    threshold = scheme.tail_tol * pairing._TAIL_SAFETY
+    if field.dim == 2:
+        if scheme.radius is None:
+            for _ in range(pairing._MAX_SHELLS):
+                if field.tail_mass_bound(radius) < threshold:
+                    break
+                radius *= 2.0
+        panels = max(1, int(np.ceil(2.0 * radius * scheme.panels)))
+        if (panels * scheme.nodes) ** 2 > pairing._NODE_BUDGET:
+            raise NodeBudgetError("over budget")
+        pts1, wts1 = _reference_panel_nodes(-radius, radius, panels, scheme.nodes)
+        xx, yy = np.meshgrid(pts1, pts1, indexing="ij")
+        return np.column_stack([xx.ravel(), yy.ravel()]), np.outer(wts1, wts1).ravel()
+    core_panels = max(1, int(np.ceil(2.0 * radius * scheme.panels)))
+    parts = [_reference_panel_nodes(-radius, radius, core_panels, scheme.nodes)]
+    r = radius
+    while field.tail_mass_bound(r) >= threshold:
+        parts.append(_reference_panel_nodes(r, 2.0 * r, scheme.panels, scheme.nodes))
+        parts.append(_reference_panel_nodes(-2.0 * r, -r, scheme.panels, scheme.nodes))
+        r *= 2.0
+    points = np.concatenate([pts for pts, _ in parts])
+    weights = np.concatenate([wts for _, wts in parts])
+    order = np.argsort(points)
+    return points[order], weights[order]
+
+
+_SCHEMES = [
+    pairing.DEFAULT_SCHEME,
+    pairing.QuadratureScheme(panels=2, nodes=4),
+    pairing.QuadratureScheme(radius=5.0),
+    pairing.QuadratureScheme(tail_tol=1e-14),
+]
+_SCHEME_IDS = ["default", "p2n4", "radius5", "tol1e-14"]
+
+_LINE_FIELDS = (
+    [sampling.sample_mixture(np.random.default_rng([k, 1])) for k in range(12)]
+    + [PowerLawDensity(beta) for beta in (1.5, 2.0, 3.0, 7.0)]
+    + [
+        Bump(0.3, 1.5, 2.0),
+        Bump(-4.0, 0.25, -1.0),
+        Bump(0.3, 1.5, 2.0) + GaussianDensity(1.0, 4.0) - 0.5 * PowerLawDensity(3.0),
+        GaussianDensity(0.0, 100.0) + Bump(0.0, 70.0, -1.0),
+    ]
+)
+
+_PLANE_FIELDS = [
+    GaussianDensity([0.0, 0.0], 1.0),
+    GaussianDensity([0.5, -1.0], [0.3, 2.0]) + GaussianDensity([1.0, 1.0], 0.5),
+    PowerLawDensity(3.0, dim=2),  # heavy tails grow the square past the node budget
+]
+
+
+@pytest.mark.parametrize("scheme", _SCHEMES, ids=_SCHEME_IDS)
+@pytest.mark.parametrize("field", _LINE_FIELDS + _PLANE_FIELDS, ids=lambda f: type(f).__name__)
+def test_node_sets_match_the_reference_builder(field, scheme):
+    try:
+        ref = _reference_nodes(field, scheme)
+    except NodeBudgetError:
+        with pytest.raises(NodeBudgetError):
+            pairing.nodes_for(field, scheme)
+        return
+    ns = pairing.nodes_for(field, scheme)
+    assert np.array_equal(ns.points, ref[0])
+    assert np.array_equal(ns.weights, ref[1])
+
+
+def _reference_weighted_norm(f, m, scheme):
+    """The 1-D weighted norm built from the reference panels: core, then shell pairs until negligible."""
+    def chunk(points, weights):
+        return float(np.sum(weights * np.asarray(f.value(points)) ** 2 * (1.0 + np.abs(points)) ** m))
+
+    r = _reference_radius(f, scheme)
+    total = chunk(*_reference_panel_nodes(-r, r, max(1, int(np.ceil(2.0 * r * scheme.panels))), scheme.nodes))
+    while True:
+        contribution = chunk(*_reference_panel_nodes(r, 2.0 * r, scheme.panels, scheme.nodes))
+        contribution += chunk(*_reference_panel_nodes(-2.0 * r, -r, scheme.panels, scheme.nodes))
+        total += contribution
+        if contribution <= scheme.tail_tol * max(total, scheme.tail_tol):
+            return float(np.sqrt(total))
+        r *= 2.0
+
+
+@pytest.mark.parametrize("scheme", _SCHEMES, ids=_SCHEME_IDS)
+def test_weighted_norm_matches_the_reference(scheme):
+    fields = [GaussianDensity(0.7, 2.3), PowerLawDensity(3.0), PowerLawDensity(7.0), _LINE_FIELDS[0], _LINE_FIELDS[-2]]
+    for f in fields:
+        for m in (1.0, 2.0):
+            assert pairing.weighted_norm(f, m, scheme=scheme) == _reference_weighted_norm(f, m, scheme)
+
+
+def test_scheme_has_no_rule_option():
+    with pytest.raises(TypeError):
+        pairing.QuadratureScheme(rule="trapezoid")
+    with pytest.raises(TypeError):
+        pairing.QuadratureScheme(rule="gauss_legendre_composite")

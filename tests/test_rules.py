@@ -249,6 +249,27 @@ def test_euler_residual_mixtures(rule):
         assert rules.euler_residual(rule, q) <= 1e-8
 
 
+class _CountingGrid(GridDensity):
+    """A grid density that counts its value calls."""
+
+    def value(self, x):
+        self.__dict__.setdefault("calls", []).append(1)
+        return super().value(x)
+
+
+@pytest.mark.parametrize("plateau", [True, False], ids=["plateau", "dirac"])
+def test_sup_euler_residual_samples_the_grid_once(plateau):
+    x = np.linspace(0.0, 1.0, 201)
+    vals = np.where(np.abs(x - 0.4) < 0.1, 2.0, 1.0 + x) if plateau else 2.0 - np.abs(x - 0.4)
+    q = _CountingGrid(0.0, 1.0, vals)
+    resid = rules.euler_residual("supremum", q)
+    assert len(q.calls) == 1
+    mode = rules.mode_set(GridDensity(0.0, 1.0, vals))
+    assert (mode.measure > 0) == plateau
+    paired = rules.mode_pairing(q, mode) if plateau else mode.height
+    assert resid == abs(paired - mode.height) / abs(mode.height)
+
+
 @pytest.mark.parametrize("rule", ["logarithmic", "quadratic", "supremum"])
 def test_euler_residual_grids(rule):
     rng = np.random.default_rng(8)
