@@ -27,8 +27,6 @@ from .densities import (
     cone_spec_from_config,
     default_cone_spec,
     density_from_config,
-    extend_entropy,
-    extend_score,
     feasible_direction,
     make_density,
     require_cone,

@@ -8,8 +8,7 @@ combinations serve as directions for the derivative machinery.
 
 Densities are deliberately *denormalised*: the cone of positive scalings is
 the natural home of the entropy calculus, where entropies extend
-1-homogeneously and scores 0-homogeneously. ``extend_entropy`` and
-``extend_score`` implement exactly those extensions.
+1-homogeneously and scores 0-homogeneously.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, ClassVar, NamedTuple, Sequence
+from typing import ClassVar, NamedTuple, Sequence
 
 import numpy as np
 
@@ -26,7 +25,6 @@ from .errors import (
     DomainError,
     InvalidParameterError,
     UnsupportedFamilyError,
-    ZeroMassError,
 )
 
 __all__ = [
@@ -54,8 +52,6 @@ __all__ = [
     "default_cone_spec",
     "cone_check",
     "feasible_direction",
-    "extend_entropy",
-    "extend_score",
     "probe_points",
     "DEFAULT_EPSILON_SCHEDULE",
 ]
@@ -147,6 +143,10 @@ class Field:
     def tail_mass_bound(self, radius: float) -> float:
         """Analytic upper bound on the |field| mass beyond ``radius``."""
         raise NotImplementedError
+
+    def half_max_width(self) -> float:
+        """Full width at half maximum of the narrowest feature; 0 if unknown (2-D sets then use the panel cap)."""
+        return 0.0
 
     # -- vector-space structure -----------------------------------------------
     def terms(self) -> tuple[tuple[float, "Field"], ...]:
@@ -241,6 +241,9 @@ class Combination(_OnePass):
     def core_radius(self) -> float:
         return max(f.core_radius() for f in self.fields)
 
+    def half_max_width(self) -> float:
+        return min(f.half_max_width() for f in self.fields)
+
     def tail_mass_bound(self, radius: float) -> float:
         return sum(abs(c) * f.tail_mass_bound(radius) for c, f in zip(self.coeffs, self.fields))
 
@@ -300,6 +303,9 @@ class GaussianDensity(_OnePass):
         z = (radius - np.abs(self.mean)) / (sigma * np.sqrt(2.0))
         return float(self.scale * sum(math.erfc(max(float(v), 0.0)) for v in z))
 
+    def half_max_width(self) -> float:
+        return float(np.sqrt(8.0 * math.log(2.0) * np.min(self.var)))
+
 
 @dataclass(frozen=True, eq=False)
 class MixtureDensity(_OnePass):
@@ -337,6 +343,9 @@ class MixtureDensity(_OnePass):
 
     def tail_mass_bound(self, radius: float) -> float:
         return self.scale * sum(w * c.tail_mass_bound(radius) for w, c in zip(self.weights, self.components))
+
+    def half_max_width(self) -> float:
+        return min(c.half_max_width() for c in self.components)
 
 
 @dataclass(frozen=True, eq=False)
@@ -398,6 +407,9 @@ class PowerLawDensity(Field):
         if self.dim == 1:
             return 2.0 * self.scale * r ** (1.0 - b) / (self._norm * (b - 1.0))
         return 2.0 * math.pi * self.scale * r ** (2.0 - b) / (self._norm * (b - 2.0))
+
+    def half_max_width(self) -> float:
+        return 2.0 * math.sqrt(math.expm1(2.0 * math.log(2.0) / self.beta))
 
 
 @dataclass(frozen=True, eq=False)
@@ -912,23 +924,3 @@ def feasible_direction(
     eps_plus = _largest_feasible(q, r, spec, schedule, scheme)
     eps_minus = _largest_feasible(q, -r, spec, schedule, scheme)
     return DirectionProbe(q, r, eps_plus, eps_plus > 0 and eps_minus > 0)
-
-
-# ---------------------------------------------------------------------------
-# homogeneous extensions
-# ---------------------------------------------------------------------------
-
-def extend_entropy(phi_normalized: Callable[[Field], float], q: Field, scheme=None) -> float:
-    """1-homogeneous extension: (q.1) * phi(q / (q.1))."""
-    mass = q.total_mass(scheme)
-    if not np.isfinite(mass) or mass <= 0:
-        raise ZeroMassError(f"total mass must be positive, got {mass!r}")
-    return mass * phi_normalized(q.scaled(1.0 / mass))
-
-
-def extend_score(score_normalized: Callable[[Field], Callable], q: Field, scheme=None) -> Callable:
-    """0-homogeneous extension: the score of q / (q.1); scale-invariant."""
-    mass = q.total_mass(scheme)
-    if not np.isfinite(mass) or mass <= 0:
-        raise ZeroMassError(f"total mass must be positive, got {mass!r}")
-    return score_normalized(q.scaled(1.0 / mass))

@@ -1,24 +1,27 @@
 """Deterministic quadrature: the bilinear pairing, masses, norms, surface terms.
 
 Every integral in the toolkit reduces to a weighted sum over a *node set*
-that is a pure function of the quadrature scheme and the field's decay
-metadata. Fixing the nodes first is what makes the discrete convexity
-identities (propriety, Euler, quotient monotonicity) hold to floating-point
-accuracy rather than to quadrature accuracy: once the node set is frozen,
-the toolkit is doing exact convex analysis on a finite measure space.
+that is a deterministic function of the quadrature scheme and the field.
+Fixing the nodes first is what makes the discrete convexity identities
+(propriety, Euler, quotient monotonicity) hold to floating-point accuracy
+rather than to quadrature accuracy: once the node set is frozen, the
+toolkit is doing exact convex analysis on a finite measure space.
 
 Analytic families integrate by composite Gauss-Legendre on one ascending
-list of panel edges: in 1-D the core [-R, R] flanked by dyadic tail shells
-out to where the field's tail-mass bound is negligible, in 2-D the tensor
-square of a core grown to that radius. Grid families use the trapezoid
-rule on their native grid, which is all the information they carry.
+list of panel edges: the core [-R, R] flanked by dyadic tail shells out to
+where the field's tail-mass bound is negligible. 1-D uses that list at
+``scheme.panels`` (sizing it waits for fields to report the breakpoints no
+panel may straddle); 2-D its tensor square at the coarsest density, up to
+``scheme.panels`` and no coarser than the field's half-maximum width, on
+which every leaf's mass has settled. Grid families use the trapezoid rule
+on their native grid, all the information they carry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,8 +69,9 @@ class QuadratureScheme:
     Parameters
     ----------
     panels : int
-        Panels per unit length on the core box, and panels per side on
-        each dyadic tail shell.
+        Panels per unit length on the core, and per dyadic tail shell. In
+        2-D a cap: the node set takes the coarsest of 1, 2, 4, ... up to
+        it on which the leaves' masses have settled (``_box_nodes``).
     nodes : int
         Gauss-Legendre nodes per panel.
     radius : float or None
@@ -148,33 +152,54 @@ def _shell_edges(field: Field, radius: float, tail_tol: float) -> list[float]:
     )
 
 
-def _line_nodes(field: Field, scheme: QuadratureScheme) -> NodeSet:
+def _line_edges(field: Field, scheme: QuadratureScheme) -> np.ndarray:
+    """Ascending panel edges: the core [-R, R] flanked by the dyadic shell pairs."""
     radius = _core_radius(field, scheme)
     radii = _shell_edges(field, radius, scheme.tail_tol)
     shells = [_shell_panels(lo, hi, scheme) for lo, hi in zip(radii, radii[1:])]
     core = _panel_edges(-radius, radius, scheme)
     # adjacent pieces share their junction edge exactly, so each keeps it once
-    edges = np.concatenate([neg[:-1] for _, neg in reversed(shells)] + [core] + [pos[1:] for pos, _ in shells])
-    return _gauss_nodes(edges, scheme.nodes)
+    return np.concatenate([neg[:-1] for _, neg in reversed(shells)] + [core] + [pos[1:] for pos, _ in shells])
 
 
-def _box_nodes(field: Field, scheme: QuadratureScheme) -> NodeSet:
-    radius = _core_radius(field, scheme)
-    if scheme.radius is None:
-        radius = _shell_edges(field, radius, scheme.tail_tol)[-1]
-    # counted before any edge is built: heavy tails grow the radius past what memory holds
-    panels = max(1, int(np.ceil(2.0 * radius * scheme.panels)))
-    per_axis = panels * scheme.nodes
+def _square_nodes(field: Field, scheme: QuadratureScheme) -> NodeSet:
+    """Tensor square of the 1-D node set on the same edge list."""
+    edges = _line_edges(field, scheme)
+    # counted before any node is built: heavy tails add shells past what memory holds
+    per_axis = (edges.size - 1) * scheme.nodes
     if per_axis**2 > _NODE_BUDGET:
         raise NodeBudgetError(
             f"tensor grid would need {per_axis**2:,} nodes (budget {_NODE_BUDGET:,}); "
-            "pass a scheme with fewer panels or nodes, or a smaller radius"
+            "pass a scheme with fewer panels or nodes"
         )
-    pts1, wts1 = _gauss_nodes(np.linspace(-radius, radius, panels + 1), scheme.nodes)
+    pts1, wts1 = _gauss_nodes(edges, scheme.nodes)
     xx, yy = np.meshgrid(pts1, pts1, indexing="ij")
-    points = np.column_stack([xx.ravel(), yy.ravel()])
-    weights = np.outer(wts1, wts1).ravel()
-    return NodeSet(points, weights)
+    return NodeSet(np.column_stack([xx.ravel(), yy.ravel()]), np.outer(wts1, wts1).ravel())
+
+
+def _box_nodes(field: Field, scheme: QuadratureScheme) -> NodeSet:
+    """The tensor square at the coarsest panel density on which every leaf's mass has settled.
+
+    Densities k = 1, 2, 4, ... panels per unit (and per shell), at most
+    ``scheme.panels``, are tried from the first whose panels are no wider
+    than the field's half-maximum width: a narrower leaf can fall between
+    the nodes of two levels alike and look settled at mass 0. The first k
+    with sum |c_i| |M_i(k) - M_i(k/2)| <= tail_tol * _TAIL_SAFETY over the
+    leaves is used, so terms whose masses cancel cannot stop the doubling.
+    A field that never settles gets the cap; a level over budget raises.
+    """
+    coeffs = np.abs([c for c, _ in field.terms()])
+    previous, k = None, 1
+    while k < scheme.panels and k * field.half_max_width() < 1.0:
+        k *= 2
+    while True:
+        ns = _square_nodes(field, replace(scheme, panels=min(k, scheme.panels)))
+        if k >= scheme.panels:
+            return ns
+        masses = np.array([np.sum(ns.weights * leaf.value(ns.points)) for _, leaf in field.terms()])
+        if previous is not None and np.sum(coeffs * np.abs(masses - previous)) <= scheme.tail_tol * _TAIL_SAFETY:
+            return ns
+        previous, k = masses, 2 * k
 
 
 def _grid_nodes(field: Field) -> NodeSet:
@@ -187,17 +212,18 @@ def _grid_nodes(field: Field) -> NodeSet:
 
 
 def nodes_for(field: Field, scheme: QuadratureScheme | None = None) -> NodeSet:
-    """Node set for integrals against ``field``; pure in (scheme, metadata).
+    """Node set for integrals against ``field``; deterministic in (scheme, field).
 
-    Two fields with the same decay metadata get identical nodes, and a
-    combination's nodes cover every term, so pairing different fields on
+    The nodes are a pure function of the scheme and the field's metadata,
+    and in 2-D also of the leaves' masses on the sizing levels (``_box_nodes``).
+    A combination's nodes cover every term, so pairing different fields on
     ``nodes_for(p + q, scheme)`` puts them on one shared discrete measure.
     """
     scheme = scheme or DEFAULT_SCHEME
     if field.grid is not None:
         return _grid_nodes(field)
     if field.dim == 1:
-        return _line_nodes(field, scheme)
+        return _gauss_nodes(_line_edges(field, scheme), scheme.nodes)
     return _box_nodes(field, scheme)
 
 

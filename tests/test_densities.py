@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conescore import densities, pairing
+from conescore import densities, rules
 from conescore.densities import (
     Bump,
     GaussianDensity,
@@ -19,8 +19,6 @@ from conescore.densities import (
     cone_spec_from_config,
     default_cone_spec,
     density_from_config,
-    extend_entropy,
-    extend_score,
     feasible_direction,
     make_density,
     require_cone,
@@ -123,6 +121,26 @@ def test_power_law_normaliser_matches_its_closed_form(beta):
 def test_power_law_normaliser_beyond_the_gamma_overflow():
     # exp(lgamma - lgamma) loses about |lgamma| ulps (|lgamma(200)| ~ 857)
     assert 1.0 / PowerLawDensity(400.0).value(0.0) == pytest.approx(_power_law_norm_1d(400), rel=1e-12)
+
+
+def test_half_max_width_is_where_the_profile_halves():
+    for q, centre, axis in (
+        (GaussianDensity(0.4, 0.3), 0.4, None),
+        (GaussianDensity([0.4, -1.0], [2.0, 0.3]), np.array([0.4, -1.0]), np.array([0.0, 1.0])),
+        (PowerLawDensity(2.5), 0.0, None),
+        (PowerLawDensity(7.0, dim=2), np.zeros(2), np.array([1.0, 0.0])),
+    ):
+        step = 0.5 * q.half_max_width() * (1.0 if axis is None else axis)
+        assert q.value(centre + step) == pytest.approx(0.5 * q.value(centre), rel=1e-12)
+    narrow, wide = GaussianDensity(0.0, 0.01), GaussianDensity(1.0, 4.0)
+    assert MixtureDensity((wide, narrow), (1.0, 1.0)).half_max_width() == narrow.half_max_width()
+    assert (wide - 2.0 * narrow).half_max_width() == narrow.half_max_width()
+    assert Bump(0.0, 1.0).half_max_width() == 0.0  # unknown: 2-D node sets stay at the panel cap
+
+
+def test_two_dimensional_power_law_config_builds():
+    q = density_from_config({"family": "power_law", "beta": 4, "dim": 2})
+    assert q.dim == 2 and q.total_mass() == pytest.approx(1.0, abs=1e-10)
 
 
 def test_power_law_requires_integrable_exponent():
@@ -436,34 +454,12 @@ def test_gaussian_tail_breaks_power_law_feasibility():
     assert probe.epsilon == 0.0
 
 
-def test_extend_entropy_is_one_homogeneous():
-    q = GaussianDensity(0.3, 1.2)
-
-    def phi_hat(d):  # normalized Shannon entropy
-        ns = pairing.nodes_for(d)
-        v = np.asarray(d.value(ns.points), dtype=float)
-        mass = float(np.sum(ns.weights * v))
-        vn = v / mass
-        return float(np.sum(ns.weights * np.where(vn > 0, vn * np.log(np.where(vn > 0, vn, 1.0)), 0.0)))
-
-    base = extend_entropy(phi_hat, q)
-    scaled = extend_entropy(phi_hat, q * 3.0)
-    assert scaled == pytest.approx(3.0 * base, rel=1e-10)
-
-
-def test_extend_score_is_zero_homogeneous():
-    q = GaussianDensity(0.3, 1.2)
-    factory = lambda d: (lambda x: float(np.log(d.value(x))))
-    a = extend_score(factory, q)(0.5)
-    b = extend_score(factory, q * 7.0)(0.5)
-    # masses agree to the tail tolerance, not to machine precision
-    assert a == pytest.approx(b, abs=1e-10)
-
-
 def test_extensions_reject_zero_mass():
+    # the 1-homogeneous extension of each entropy is rules.entropy itself
     zero = GaussianDensity(0.0, 1.0) - GaussianDensity(0.0, 1.0)
-    with pytest.raises(ZeroMassError):
-        extend_entropy(lambda d: 0.0, zero)
+    for rule in ("logarithmic", "hyvarinen", "quadratic"):
+        with pytest.raises(ZeroMassError):
+            rules.entropy(rule, zero)
 
 
 def test_probe_points_are_deterministic():

@@ -1,5 +1,7 @@
 """Quadrature schemes, frozen node sets, pairings, and boundary terms."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -178,6 +180,86 @@ def test_two_dimensional_budget_guard():
         pairing.nodes_for(q, dense)
 
 
+# ---------------------------------------------------------------------------
+# 2-D node sets sized by the leaves' masses
+# ---------------------------------------------------------------------------
+
+def _sized(field, scheme=pairing.DEFAULT_SCHEME):
+    """The 2-D node set, and the panels per unit whose tensor square it is."""
+    ns = pairing.nodes_for(field, scheme)
+    levels = [k for k in (1, 2, 4, 8, 16) if k <= scheme.panels]
+    per_axis = {k: (pairing._line_edges(field, replace(scheme, panels=k)).size - 1) * scheme.nodes for k in levels}
+    (level,) = [k for k in levels if per_axis[k] ** 2 == ns.weights.size]
+    return ns, level
+
+
+def _mass(field, ns):
+    return float(np.sum(ns.weights * field.value(ns.points)))
+
+
+def test_two_dimensional_masses_match_closed_forms():
+    g = GaussianDensity([0.3, -1.2], [0.5, 2.0], scale=2.5)
+    m = MixtureDensity((GaussianDensity([1.0, 0.0], 0.4), GaussianDensity([-1.5, 2.0], [3.0, 0.3])), (0.3, 0.9), scale=1.5)
+    signed = g - 0.5 * GaussianDensity([-0.7, 0.4], [1.2, 0.6])
+    for field, exact in ((g, 2.5), (m, 1.8), (signed, 2.0)):
+        assert pairing.total_mass(field) == pytest.approx(exact, abs=1e-12)
+
+
+@pytest.mark.parametrize("beta", [4.0, 6.0, 10.0, 20.0])
+def test_two_dimensional_power_law_masses(beta):
+    # the dyadic shells reach the r^(2 - beta) tail; the old uniform square needed up to 6.7e7 nodes
+    assert pairing.total_mass(PowerLawDensity(beta, dim=2)) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_two_dimensional_heavy_power_laws_need_a_lower_panel_cap():
+    # confirming the mass of beta = 2.5 or 3 takes a level that is over the node budget at
+    # the default cap; a cap of 1 or 2 panels per unit is within it and accurate
+    for beta, panels in ((2.5, 1), (3.0, 2)):
+        q = PowerLawDensity(beta, dim=2)
+        with pytest.raises(NodeBudgetError):
+            pairing.nodes_for(q)
+        assert pairing.total_mass(q, pairing.QuadratureScheme(panels=panels)) == pytest.approx(1.0, abs=1e-10)
+    # beta = 2.2 needs 3008^2 = 9,048,064 nodes already at one panel per unit
+    for panels in (1, 16):
+        with pytest.raises(NodeBudgetError, match="9,048,064"):
+            pairing.nodes_for(PowerLawDensity(2.2, dim=2), pairing.QuadratureScheme(panels=panels))
+
+
+def _between_nodes(*levels):
+    """The point of [0, 1] farthest from every core node of the lines at these panels per unit."""
+    line = lambda k: pairing._gauss_nodes(pairing._panel_edges(-8.0, 8.0, pairing.QuadratureScheme(panels=k)), 8).points
+    nodes = np.concatenate([line(k) for k in levels])
+    nodes = nodes[np.abs(nodes - 0.5) < 0.6]
+    xs = np.linspace(0.0, 1.0, 10001)
+    return float(xs[np.argmax(np.min(np.abs(xs[:, None] - nodes), axis=1))])
+
+
+# a leaf far from every node of two coarse levels has mass ~0 on both, which must not pass for settled
+_SWEEP_MEANS = [[0.37, -0.61], [-2.0, 1.7], [0.16135, 0.0]] + [[_between_nodes(k, 2 * k)] * 2 for k in (1, 2, 4)]
+
+
+@pytest.mark.parametrize("mean", _SWEEP_MEANS)
+def test_two_dimensional_gaussian_sweep_is_no_worse_than_the_capped_set(mean):
+    for sigma in (0.005, 0.01, 0.02, 0.05, 0.08, 0.15, 0.2, 0.4, 1.0):
+        q = GaussianDensity(mean, sigma**2)
+        ns, level = _sized(q)
+        error = abs(_mass(q, ns) - 1.0)
+        if error > 1e-11:
+            capped = pairing._square_nodes(q, pairing.DEFAULT_SCHEME)
+            assert error <= abs(_mass(q, capped) - 1.0)
+        if sigma < 0.1:
+            assert level == 16
+
+
+@pytest.mark.parametrize("sigma", [0.05, 0.3])
+def test_cancelling_terms_reach_the_level_of_their_leaves(sigma):
+    # the total mass is 0 at every level; only the per-leaf check keeps doubling
+    a, b = GaussianDensity([0.6, -0.4], sigma**2), GaussianDensity([-0.6, 0.4], sigma**2)
+    ns, level = _sized(a - b)
+    assert level == _sized(a)[1] == _sized(b)[1] > 2
+    assert abs(_mass(a - b, ns)) <= 1e-12
+
+
 def test_pair_shared_nodes_for_sums():
     p = GaussianDensity(-1.0, 0.5)
     q = GaussianDensity(2.0, 1.5)
@@ -202,22 +284,10 @@ def _reference_radius(field, scheme):
     return float(scheme.radius if scheme.radius is not None else field.core_radius())
 
 
-def _reference_nodes(field, scheme):
-    """Core panels plus each dyadic shell pair built separately, then sorted; 2-D grows the core by doubling."""
+def _reference_line(field, scheme):
+    """Core panels plus each dyadic shell pair built separately, then sorted."""
     radius = _reference_radius(field, scheme)
     threshold = scheme.tail_tol * pairing._TAIL_SAFETY
-    if field.dim == 2:
-        if scheme.radius is None:
-            for _ in range(pairing._MAX_SHELLS):
-                if field.tail_mass_bound(radius) < threshold:
-                    break
-                radius *= 2.0
-        panels = max(1, int(np.ceil(2.0 * radius * scheme.panels)))
-        if (panels * scheme.nodes) ** 2 > pairing._NODE_BUDGET:
-            raise NodeBudgetError("over budget")
-        pts1, wts1 = _reference_panel_nodes(-radius, radius, panels, scheme.nodes)
-        xx, yy = np.meshgrid(pts1, pts1, indexing="ij")
-        return np.column_stack([xx.ravel(), yy.ravel()]), np.outer(wts1, wts1).ravel()
     core_panels = max(1, int(np.ceil(2.0 * radius * scheme.panels)))
     parts = [_reference_panel_nodes(-radius, radius, core_panels, scheme.nodes)]
     r = radius
@@ -229,6 +299,46 @@ def _reference_nodes(field, scheme):
     weights = np.concatenate([wts for _, wts in parts])
     order = np.argsort(points)
     return points[order], weights[order]
+
+
+def _reference_square(field, scheme):
+    """Tensor square of the reference line nodes; over the node budget raises."""
+    pts1, wts1 = _reference_line(field, scheme)
+    if pts1.size**2 > pairing._NODE_BUDGET:
+        raise NodeBudgetError("over budget")
+    xx, yy = np.meshgrid(pts1, pts1, indexing="ij")
+    return np.column_stack([xx.ravel(), yy.ravel()]), np.outer(wts1, wts1).ravel()
+
+
+def _exact_mass(leaf):
+    if isinstance(leaf, MixtureDensity):
+        return leaf.scale * sum(leaf.weights)
+    return leaf.scale  # GaussianDensity and PowerLawDensity are normalised before scaling
+
+
+def _leaf_mass_errors(field, points, weights):
+    return np.array([abs(np.sum(weights * leaf.value(points)) - _exact_mass(leaf)) for _, leaf in field.terms()])
+
+
+def _check_plane_nodes(field, scheme):
+    """A 2-D set is the reference square at one level up to the cap, per leaf no less accurate than the cap."""
+    try:
+        capped = _reference_square(field, scheme)
+    except NodeBudgetError:
+        capped = None
+    try:
+        ns = pairing.nodes_for(field, scheme)
+    except NodeBudgetError:
+        assert capped is None  # levels only grow, so a refused one means the cap is over budget too
+        return
+    levels = sorted({min(2**i, scheme.panels) for i in range(scheme.panels.bit_length() + 1)})
+    (level,) = [k for k in levels if _reference_line(field, replace(scheme, panels=k))[0].size ** 2 == ns.weights.size]
+    points, weights = _reference_square(field, replace(scheme, panels=level))
+    assert np.array_equal(ns.points, points) and np.array_equal(ns.weights, weights)
+    bound = scheme.tail_tol * pairing._TAIL_SAFETY
+    if capped is not None:
+        bound = np.maximum(bound, _leaf_mass_errors(field, *capped))
+    assert np.all(_leaf_mass_errors(field, points, weights) <= bound)
 
 
 _SCHEMES = [
@@ -253,15 +363,20 @@ _LINE_FIELDS = (
 _PLANE_FIELDS = [
     GaussianDensity([0.0, 0.0], 1.0),
     GaussianDensity([0.5, -1.0], [0.3, 2.0]) + GaussianDensity([1.0, 1.0], 0.5),
-    PowerLawDensity(3.0, dim=2),  # heavy tails grow the square past the node budget
+    PowerLawDensity(3.0, dim=2),  # at the default scheme the level after 2 panels per unit is over budget
+    PowerLawDensity(4.0, dim=2),  # dyadic shells out to radius 8 * 2**19
+    GaussianDensity([0.3, -0.2], 0.05**2) - GaussianDensity([-0.3, 0.2], 0.05**2),  # zero total mass
 ]
 
 
 @pytest.mark.parametrize("scheme", _SCHEMES, ids=_SCHEME_IDS)
 @pytest.mark.parametrize("field", _LINE_FIELDS + _PLANE_FIELDS, ids=lambda f: type(f).__name__)
 def test_node_sets_match_the_reference_builder(field, scheme):
+    if field.dim == 2:
+        _check_plane_nodes(field, scheme)
+        return
     try:
-        ref = _reference_nodes(field, scheme)
+        ref = _reference_line(field, scheme)
     except NodeBudgetError:
         with pytest.raises(NodeBudgetError):
             pairing.nodes_for(field, scheme)

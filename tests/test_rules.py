@@ -321,16 +321,45 @@ def test_euler_residual_2d_mixture(rule):
     assert rules.euler_residual(rule, mixture_2d(), COARSE) <= 1e-8
 
 
+def _gaussian_product(ma, va, mb, vb):
+    """Integral of N(ma, diag va) N(mb, diag vb)."""
+    v = va + vb
+    return float(np.prod(np.exp(-0.5 * (ma - mb) ** 2 / v) / np.sqrt(2.0 * np.pi * v)))
+
+
+def test_wide_2d_gaussian_pairs_match_closed_forms():
+    # the 1-D family's ranges: the uniform square refused most of these draws over its node budget
+    rng = np.random.default_rng([6, 2])
+    for _ in range(12):
+        mp, mq, vp, vq = rng.uniform(-2.0, 2.0, 2), rng.uniform(-2.0, 2.0, 2), rng.uniform(0.25, 4.0, 2), rng.uniform(0.25, 4.0, 2)
+        p, q = GaussianDensity(mp, vp), GaussianDensity(mq, vq)
+        expected = {
+            "logarithmic": 0.5 * float(np.sum(vp / vq + (mq - mp) ** 2 / vq - 1.0 + np.log(vq / vp))),
+            "hyvarinen": float(np.sum(((mp - mq) / vq) ** 2 + (1.0 / vq - 1.0 / vp) ** 2 * vp)),
+            "quadratic": _gaussian_product(mp, vp, mp, vp) + _gaussian_product(mq, vq, mq, vq) - 2.0 * _gaussian_product(mp, vp, mq, vq),
+        }
+        for rule, value in expected.items():
+            assert rules.divergence(rule, p, q) == pytest.approx(value, rel=1e-10, abs=0)
+
+
 def test_each_gaussian_leaf_is_sampled_once_per_rules_call(monkeypatch):
-    # value, gradient and Laplacian all go through one sample per call
-    calls = Counter()
-    original = GaussianDensity.sample
+    # value, gradient and Laplacian all go through one sample on the node set
+    # the kernel pairs on; sizing the 2-D node set reads values on coarser levels
+    samples = []  # (leaf id, points, order); holding the points keeps their ids unique
+    kernel_sets = []
+    original_sample, original_nodes_for = GaussianDensity.sample, pairing.nodes_for
 
     def counting(self, x, order=0):
-        calls[id(self)] += 1
-        return original(self, x, order)
+        samples.append((id(self), x, order))
+        return original_sample(self, x, order)
+
+    def recording(field, scheme=None):
+        ns = original_nodes_for(field, scheme)
+        kernel_sets.append(ns.points)
+        return ns
 
     monkeypatch.setattr(GaussianDensity, "sample", counting)
+    monkeypatch.setattr(pairing, "nodes_for", recording)
     m = mixture_2d()
     q = GaussianDensity([0.2, 0.1], [0.9, 1.1])
     m_leaves = {id(c) for c in m.components}
@@ -339,6 +368,11 @@ def test_each_gaussian_leaf_is_sampled_once_per_rules_call(monkeypatch):
         (lambda: rules.euler_residual("hyvarinen", m, COARSE), m_leaves),
         (lambda: rules.hyvarinen_divergence_direct(m, q, COARSE), m_leaves | {id(q)}),
     ):
-        calls.clear()
+        samples.clear()
+        kernel_sets.clear()
         call()
-        assert set(calls) == leaves and max(calls.values()) == 1
+        (kernel,) = kernel_sets
+        on_kernel = Counter(leaf for leaf, x, _ in samples if x is kernel)
+        assert set(on_kernel) == leaves and max(on_kernel.values()) == 1
+        sizing = [(x, order) for _, x, order in samples if x is not kernel]
+        assert sizing and all(order == 0 and len(x) < len(kernel) for x, order in sizing)
