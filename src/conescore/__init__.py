@@ -11,7 +11,6 @@ from .densities import (
     Bump,
     Combination,
     ConeReport,
-    DirectionProbe,
     Field,
     GaussianDensity,
     GridDensity,
@@ -27,11 +26,10 @@ from .densities import (
     cone_spec_from_config,
     default_cone_spec,
     density_from_config,
-    feasible_direction,
     make_density,
     require_cone,
 )
-from .pairing import NodeSet, QuadratureScheme, boundary_term, nodes_for, pair, total_mass, weighted_norm
+from .pairing import NodeSet, QuadratureScheme, boundary_term, nodes_for, total_mass, weighted_norm
 from .rules import (
     RULE_IDS,
     ModeIndicator,
@@ -78,7 +76,6 @@ from .errors import (
     DivergenceError,
     DomainError,
     InfeasibleStepError,
-    IntegrandSingularityError,
     InvalidParameterError,
     ModeMeasureZeroError,
     NodeBudgetError,

@@ -413,11 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a certification suite")
     p_verify.add_argument("--rule", default=None, help=rule_help)
-    p_verify.add_argument(
-        "--suite",
-        required=True,
-        choices=["propriety", "euler", "homogeneity", "derivatives", "gateaux", "all"],
-    )
+    p_verify.add_argument("--suite", required=True, choices=convexity.SUITES)
     p_verify.add_argument("--samples", type=int, default=50)
     p_verify.add_argument("--seed", type=int, default=sampling.DEFAULT_SEED)
     p_verify.add_argument("--tol", type=float, default=None, help="override the suite's primary tolerance")

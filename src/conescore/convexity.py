@@ -470,7 +470,7 @@ def certify_sublinearity(
     ``strict_tol`` on pairs separated in normalised L1 distance.
     """
     rule = rules.canonical_rule(rule)
-    strict_rule = rule in ("logarithmic", "hyvarinen", "quadratic")
+    strict_rule = rule in rules.SMOOTH_RULES
     cases: list[CaseResult] = []
     for i, f in enumerate(samples):
         line = entropy_line(rule, f, scheme=scheme)
@@ -670,14 +670,6 @@ def _rule_list(rule: str | None) -> tuple[str, ...]:
     return (rules.canonical_rule(rule),)
 
 
-def _mixture_rules(rule_ids):
-    return [r for r in rule_ids if r in ("logarithmic", "hyvarinen", "quadratic")]
-
-
-def _grid_rules(rule_ids):
-    return [r for r in rule_ids if r in ("logarithmic", "quadratic", "supremum")]
-
-
 def _grid_samples(n: int, seed: int, plateau_every: int = 4) -> list[GridDensity]:
     rng = np.random.default_rng([seed, 7])
     out = []
@@ -694,11 +686,12 @@ def _euler_cases(rule_ids, samples, seed, scheme, tol) -> list[CaseResult]:
     n_grid = max(1, (2 * samples) // 5)
     mixtures = [sampling.sample_mixture(np.random.default_rng([seed, 1, k])) for k in range(samples)]
     grids = _grid_samples(n_grid, seed)
-    for rule in _mixture_rules(rule_ids):
+    for rule in [r for r in rule_ids if r in rules.SMOOTH_RULES]:
         for i, q in enumerate(mixtures):
             resid = rules.euler_residual(rule, q, scheme)
             cases.append(CaseResult(f"{rule}/euler/mix{i:03d}", resid, tol, resid <= tol))
-    for rule in _grid_rules(rule_ids):
+    # grid fields have no Laplacian, so no Hyvarinen score
+    for rule in [r for r in rule_ids if r != "hyvarinen"]:
         for i, q in enumerate(grids):
             resid = rules.euler_residual(rule, q, scheme)
             cases.append(CaseResult(f"{rule}/euler/grid{i:03d}", resid, tol, resid <= tol))
@@ -724,7 +717,7 @@ def _propriety_cases(rule_ids, samples, seed, scheme, tol, strict_tol) -> list[C
         for a, b in zip(_grid_samples(samples, seed + 1), _grid_samples(samples, seed + 2))
     ]
     for rule in rule_ids:
-        pair_set = mix_pairs if rule in ("logarithmic", "hyvarinen", "quadratic") else grid_pairs
+        pair_set = mix_pairs if rule in rules.SMOOTH_RULES else grid_pairs
         strict_rule = rule != "supremum"
         for i, (p, q) in enumerate(pair_set):
             diagnostics: dict = {}
@@ -784,7 +777,7 @@ def _homogeneity_cases(rule_ids, samples, seed, scheme, tol) -> list[CaseResult]
     # plateau grids only: the supremum score is undefined in the Dirac regime
     plateaus = _grid_samples(n, seed + 5, plateau_every=1)
     for rule in rule_ids:
-        fields = mixtures if rule in ("logarithmic", "hyvarinen", "quadratic") else plateaus
+        fields = mixtures if rule in rules.SMOOTH_RULES else plateaus
         report = certify_sublinearity(rule, fields, tol=tol, scheme=scheme)
         cases.extend(report.cases)
         for i, q in enumerate(fields[:4]):
@@ -823,12 +816,12 @@ def _derivative_cases(rule_ids, samples, seed, scheme, tol_fd) -> list[CaseResul
     cases = []
     n_bases = max(1, samples // 10)
     for rule in rule_ids:
-        if rule in ("logarithmic", "hyvarinen", "quadratic"):
+        if rule in rules.SMOOTH_RULES:
             bases = [sampling.sample_mixture(np.random.default_rng([seed, 23, k])) for k in range(n_bases)]
         else:
             bases = _grid_samples(n_bases, seed + 13, plateau_every=2)
         for k, q in enumerate(bases):
-            if rule in ("logarithmic", "hyvarinen", "quadratic"):
+            if rule in rules.SMOOTH_RULES:
                 one_sided, two_sided = _smooth_direction_sets(q, seed + k, scheme)
             else:
                 one_sided, two_sided = _grid_direction_sets(q, seed + k)

@@ -1,4 +1,4 @@
-"""Denormalised predictive densities, prediction cones, and direction probes.
+"""Denormalised predictive densities, their JSON configs, and prediction cones.
 
 A *field* is a scalar function on R^d (d = 1 or 2) or on a 1-D grid box,
 exposing pointwise value, gradient, and Laplacian where the family supports
@@ -45,15 +45,13 @@ __all__ = [
     "GridPositive",
     "ConeWitness",
     "ConeReport",
-    "DirectionProbe",
     "make_density",
     "density_from_config",
     "cone_spec_from_config",
     "default_cone_spec",
     "cone_check",
-    "feasible_direction",
+    "require_cone",
     "probe_points",
-    "DEFAULT_EPSILON_SCHEDULE",
 ]
 
 # Values below this are treated as numerically indistinguishable from zero
@@ -114,7 +112,6 @@ class Field:
     """Scalar field on R^d with optional derivatives and decay metadata."""
 
     dim: int = 1
-    gradient_is_approximate: ClassVar[bool] = False
 
     # -- pointwise evaluation -------------------------------------------------
     def value(self, x):
@@ -222,10 +219,6 @@ class Combination(_OnePass):
     @property
     def grid(self) -> GridInfo | None:
         return self._grid
-
-    @property
-    def gradient_is_approximate(self) -> bool:  # type: ignore[override]
-        return any(f.gradient_is_approximate for f in self.fields)
 
     def terms(self):
         return tuple(zip(self.coeffs, self.fields))
@@ -416,15 +409,15 @@ class PowerLawDensity(Field):
 class GridField(Field):
     """Signed values on a uniform 1-D grid; evaluation interpolates linearly.
 
-    Gradients come from central differences and are flagged approximate;
-    there is no Laplacian (sampled values carry no trustworthy curvature).
+    Gradients come from central differences, so the Hyvarinen rule refuses
+    grid fields; there is no Laplacian (sampled values carry no trustworthy
+    curvature).
     """
 
     lo: float
     hi: float
     values: np.ndarray
 
-    gradient_is_approximate: ClassVar[bool] = True
     dim = 1
 
     def __post_init__(self):
@@ -555,7 +548,7 @@ class Bump(Field):
 # ---------------------------------------------------------------------------
 
 def make_density(family: str, scale: float = 1.0, **params) -> Field:
-    """Build a density of the named family and cache its total mass.
+    """Build a density of the named family; nothing is integrated until a caller picks a scheme.
 
     Parameters
     ----------
@@ -585,7 +578,6 @@ def make_density(family: str, scale: float = 1.0, **params) -> Field:
         q = GridDensity(float(lo), float(hi), values)
     else:
         raise InvalidParameterError(f"unknown density family {family!r}")
-    q.total_mass()
     return q
 
 
@@ -618,6 +610,19 @@ def probe_points(dim: int = 1) -> np.ndarray:
     return np.vstack(pts)
 
 
+def _validate_probes(spec) -> None:
+    """Envelope and growth probes, when given, are finite points: (n,) or (n, 1) in 1-D, (n, 2) in 2-D."""
+    if spec.probes is None:
+        return
+    try:
+        pts = np.asarray(spec.probes, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameterError(f"cone probes must be numbers: {exc}") from exc
+    shaped = (pts.ndim == 2 and pts.shape[1] == spec.dim) or (spec.dim == 1 and pts.ndim == 1)
+    if not (shaped and pts.size and np.all(np.isfinite(pts))):
+        raise InvalidParameterError(f"cone probes must be finite points of shape (n, {spec.dim}), got {pts.shape}")
+
+
 @dataclass(frozen=True)
 class ShannonEnvelope:
     """Power-law envelope cone: c1*(1+|x|)^(-a) <= q-hat <= c2*(1+|x|)^(-(d+1))."""
@@ -632,8 +637,9 @@ class ShannonEnvelope:
     def __post_init__(self):
         _validate_positive("c1", self.c1)
         _validate_positive("c2", self.c2)
-        if self.a < self.dim + 1:
-            raise InvalidParameterError(f"decay exponent a must be >= dim+1 = {self.dim + 1}")
+        if not (np.isfinite(self.a) and self.a >= self.dim + 1):
+            raise InvalidParameterError(f"decay exponent a must be finite and >= dim+1 = {self.dim + 1}")
+        _validate_probes(self)
 
 
 @dataclass(frozen=True)
@@ -652,6 +658,7 @@ class HyvarinenGrowth:
         _validate_positive("c1", self.c1)
         _validate_positive("c2", self.c2)
         _validate_positive("k", self.k)
+        _validate_probes(self)
 
 
 @dataclass(frozen=True)
@@ -700,9 +707,9 @@ def cone_spec_from_config(config: dict) -> ConeSpec:
     }
     if kind not in table:
         raise InvalidParameterError(f"unknown cone kind {config.get('kind')!r}")
-    if "probes" in cfg and cfg["probes"] is not None:
-        cfg["probes"] = tuple(cfg["probes"])
     try:
+        if cfg.get("probes") is not None:
+            cfg["probes"] = tuple(cfg["probes"])
         return table[kind](**cfg)
     except TypeError as exc:
         raise InvalidParameterError(f"bad cone spec fields: {exc}") from exc
@@ -776,11 +783,13 @@ def cone_check(q: Field, spec: ConeSpec, scheme=None) -> ConeReport:
 
     Membership is tested with the spec's own constants against the
     normalised density, so the verdict is invariant under positive scaling
-    of ``q``. The report never raises; violations come back as witnesses
-    with the worst (most negative) slack.
+    of ``q``. Violations come back as witnesses with the worst (most
+    negative) slack; only a spec that does not apply to ``q`` raises.
     """
     from . import pairing
 
+    if spec.dim != q.dim:
+        raise InvalidParameterError(f"{spec.kind} cone of dimension {spec.dim} does not apply to a {q.dim}-D density")
     if isinstance(spec, GridPositive):
         if q.grid is None:
             raise InvalidParameterError("grid_positive cone applies to grid fields")
@@ -811,14 +820,9 @@ def cone_check(q: Field, spec: ConeSpec, scheme=None) -> ConeReport:
         return ConeReport(worst >= 0, worst, tuple(witnesses), 1)
 
     pts = np.asarray(spec.probes, dtype=float) if spec.probes is not None else probe_points(spec.dim)
-    if spec.dim == 1 and pts.ndim == 1:
-        pts_eval: np.ndarray = pts
-        radii = np.abs(pts)
-    else:
-        pts_eval = pts
-        radii = np.sqrt((pts**2).sum(axis=1))
+    radii = np.abs(pts) if pts.ndim == 1 else np.sqrt((pts**2).sum(axis=1))
     with np.errstate(divide="ignore", invalid="ignore"):
-        s = q.sample(pts_eval, 2 if isinstance(spec, HyvarinenGrowth) else 0)
+        s = q.sample(pts, 2 if isinstance(spec, HyvarinenGrowth) else 0)
     vhat = s.value / mass
 
     worsts: list[float] = []
@@ -862,65 +866,3 @@ def require_cone(q: Field, spec: ConeSpec, scheme=None):
             + ")"
         )
     return report
-
-
-# ---------------------------------------------------------------------------
-# feasible directions
-# ---------------------------------------------------------------------------
-
-DEFAULT_EPSILON_SCHEDULE = tuple(2.0**k for k in range(1, -13, -1))
-
-
-@dataclass(frozen=True)
-class DirectionProbe:
-    """Feasibility record for a signed direction at a base density.
-
-    ``epsilon`` is the largest tested step with base + epsilon*direction
-    nonnegative at the probe points and inside the cone (0.0 when no step
-    works); ``two_sided`` reports whether the reversed direction is also
-    feasible at some tested step.
-    """
-
-    base: Field
-    direction: Field
-    epsilon: float
-    two_sided: bool
-
-
-def _largest_feasible(q: Field, r: Field, spec: ConeSpec, schedule, scheme) -> float:
-    if isinstance(spec, GridPositive):
-        pts = q.grid.points() if q.grid is not None else probe_points(1)
-    elif spec.probes is not None:
-        pts = np.asarray(spec.probes, dtype=float)
-    else:
-        pts = probe_points(spec.dim)
-    for eps in schedule:
-        candidate = q + float(eps) * r
-        vals = np.asarray(candidate.value(pts), dtype=float)
-        if np.any(vals < 0):
-            continue
-        if cone_check(candidate, spec, scheme=scheme).member:
-            return float(eps)
-    return 0.0
-
-
-def feasible_direction(
-    q: Field,
-    r: Field,
-    spec: ConeSpec,
-    schedule: Sequence[float] = DEFAULT_EPSILON_SCHEDULE,
-    scheme=None,
-) -> DirectionProbe:
-    """Scan a decreasing step schedule for cone-feasibility of ``q + eps*r``.
-
-    Returns a :class:`DirectionProbe`; an everywhere-infeasible direction
-    yields epsilon = 0.0 rather than an error, so callers can report it.
-    """
-    schedule = tuple(float(e) for e in schedule)
-    if not schedule or any(e <= 0 for e in schedule) or any(
-        schedule[i] <= schedule[i + 1] for i in range(len(schedule) - 1)
-    ):
-        raise InvalidParameterError("epsilon schedule must be positive and strictly decreasing")
-    eps_plus = _largest_feasible(q, r, spec, schedule, scheme)
-    eps_minus = _largest_feasible(q, -r, spec, schedule, scheme)
-    return DirectionProbe(q, r, eps_plus, eps_plus > 0 and eps_minus > 0)

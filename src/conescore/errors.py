@@ -35,14 +35,6 @@ class ZeroDensityError(ConescoreError):
     """A pointwise score was requested where the density vanishes."""
 
 
-class IntegrandSingularityError(ConescoreError):
-    """The integrand is non-finite at a node carrying non-negligible mass."""
-
-    def __init__(self, message: str, node=None):
-        super().__init__(message)
-        self.node = node
-
-
 class DivergenceError(ConescoreError):
     """A truncated integral keeps growing with the truncation radius."""
 

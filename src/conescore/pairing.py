@@ -1,4 +1,4 @@
-"""Deterministic quadrature: the bilinear pairing, masses, norms, surface terms.
+"""Deterministic quadrature: node sets, masses, weighted norms, surface terms.
 
 Every integral in the toolkit reduces to a weighted sum over a *node set*
 that is a deterministic function of the quadrature scheme and the field.
@@ -28,7 +28,6 @@ import numpy as np
 from .densities import Field
 from .errors import (
     DivergenceError,
-    IntegrandSingularityError,
     InvalidParameterError,
     NodeBudgetError,
     ZeroDensityError,
@@ -39,7 +38,6 @@ __all__ = [
     "NodeSet",
     "DEFAULT_SCHEME",
     "nodes_for",
-    "pair",
     "total_mass",
     "weighted_norm",
     "boundary_term",
@@ -227,37 +225,6 @@ def nodes_for(field: Field, scheme: QuadratureScheme | None = None) -> NodeSet:
     return _box_nodes(field, scheme)
 
 
-def _integrand_values(f, points: np.ndarray) -> np.ndarray:
-    values = f.value(points) if isinstance(f, Field) else f(points)
-    return np.asarray(values, dtype=float)
-
-
-def pair(f, p: Field, scheme: QuadratureScheme | None = None, nodes: NodeSet | None = None) -> float:
-    """Bilinear pairing p.f = integral of f(x) p(x) dx on p's node set.
-
-    ``f`` is a field or a callable on node arrays. Non-finite values of
-    ``f`` are tolerated where ``|p|`` is below the support threshold (the
-    measure-zero convention 0*inf = 0); above it they raise
-    :class:`IntegrandSingularityError` naming the offending node.
-    """
-    ns = nodes if nodes is not None else nodes_for(p, scheme)
-    pv = np.asarray(p.value(ns.points), dtype=float)
-    fv = _integrand_values(f, ns.points)
-    if fv.shape != pv.shape:
-        raise InvalidParameterError(f"integrand returned shape {fv.shape}, expected {pv.shape}")
-    bad = ~np.isfinite(fv)
-    if bad.any():
-        live = bad & (np.abs(pv) > SUPPORT_THRESHOLD)
-        if live.any():
-            node = ns.points[np.argmax(live)]
-            raise IntegrandSingularityError(
-                f"non-finite integrand at node {node} where |p| > {SUPPORT_THRESHOLD:g}",
-                node=node,
-            )
-        fv = np.where(bad, 0.0, fv)
-    return float(np.sum(ns.weights * fv * pv))
-
-
 def total_mass(p: Field, scheme: QuadratureScheme | None = None) -> float:
     """Total mass p.1 on p's node set."""
     ns = nodes_for(p, scheme)
@@ -270,35 +237,21 @@ def _weight_values(points: np.ndarray, m: float) -> np.ndarray:
     return (1.0 + r) ** m
 
 
-def weighted_norm(
-    f,
-    m: float,
-    domain: tuple[float, float] | None = None,
-    scheme: QuadratureScheme | None = None,
-) -> float:
-    """Weighted L2 norm (integral of f(x)^2 (1+|x|)^m dx)^(1/2).
+def weighted_norm(f: Field, m: float, scheme: QuadratureScheme | None = None) -> float:
+    """Weighted L2 norm (integral of f(x)^2 (1+|x|)^m dx)^(1/2) of a field.
 
-    With an explicit compact ``domain`` the integral is taken there and
-    cannot diverge. Without one, ``f`` must be a field; the core integral
-    extends through dyadic shells until contributions are negligible, and
-    shells that keep growing raise :class:`DivergenceError`.
+    Grid and 2-D fields integrate on their node set. On the line the core
+    integral extends through dyadic shells until contributions are
+    negligible; shells that keep growing raise :class:`DivergenceError`.
     """
     scheme = scheme or DEFAULT_SCHEME
     if not m > 0:
         raise InvalidParameterError("weight exponent m must be positive")
 
     def chunk(points: np.ndarray, weights: np.ndarray) -> float:
-        fv = _integrand_values(f, points)
+        fv = np.asarray(f.value(points), dtype=float)
         return float(np.sum(weights * fv**2 * _weight_values(points, m)))
 
-    if domain is not None:
-        lo, hi = float(domain[0]), float(domain[1])
-        if not hi > lo:
-            raise InvalidParameterError("domain must satisfy lo < hi")
-        return float(np.sqrt(chunk(*_gauss_nodes(_panel_edges(lo, hi, scheme), scheme.nodes))))
-
-    if not isinstance(f, Field):
-        raise InvalidParameterError("weighted_norm of a bare callable needs an explicit domain")
     if f.grid is not None or f.dim != 1:
         return float(np.sqrt(chunk(*nodes_for(f, scheme))))
 

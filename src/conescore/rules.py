@@ -41,6 +41,7 @@ from .errors import (
 
 __all__ = [
     "RULE_IDS",
+    "SMOOTH_RULES",
     "canonical_rule",
     "DELTA_MODE",
     "LOG_CLAMP",
@@ -57,7 +58,9 @@ __all__ = [
     "euler_residual",
 ]
 
-RULE_IDS = ("logarithmic", "hyvarinen", "quadratic", "supremum")
+# the rules certified on analytic densities; the supremum rule needs a grid
+SMOOTH_RULES = ("logarithmic", "hyvarinen", "quadratic")
+RULE_IDS = SMOOTH_RULES + ("supremum",)
 
 _ALIASES = {
     "log": "logarithmic",
@@ -88,7 +91,7 @@ def canonical_rule(name: str) -> str:
 
 
 def _require_analytic(q: Field, op: str):
-    if q.grid is not None or q.gradient_is_approximate:
+    if q.grid is not None:
         raise UnsupportedFamilyError(f"{op} needs exact derivatives; grid families do not provide them")
 
 

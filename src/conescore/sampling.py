@@ -18,7 +18,6 @@ from .densities import Field, GaussianDensity, GridDensity, GridInfo, MixtureDen
 __all__ = [
     "DEFAULT_SEED",
     "DEFAULT_GRID",
-    "COLLINEAR_TOL",
     "sample_mixture",
     "sample_mixture_pairs",
     "sample_fd_pairs",
@@ -31,10 +30,6 @@ __all__ = [
 
 DEFAULT_SEED = 42
 DEFAULT_GRID = GridInfo(0.0, 1.0, 401)
-
-# normalised L1 distance below this counts as positively collinear, which
-# is the regime where strict rules are allowed to report zero divergence
-COLLINEAR_TOL = 1e-6
 
 
 def sample_mixture(rng: np.random.Generator, max_components: int = 3) -> MixtureDensity:

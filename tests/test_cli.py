@@ -386,6 +386,27 @@ def test_deriv_zero_mass_is_a_typed_error(capsys, files, n01):
         assert "nonpositive mass 0.0" in err
 
 
+_N2 = {"family": "gaussian", "mean": [0.0, 0.0], "var": [1.0, 1.0]}
+_HYV = {"kind": "hyvarinen_growth", "c1": 200.0, "k": 2.0, "c2": 1e5}
+
+
+@pytest.mark.parametrize(
+    "density, cone, message",
+    [
+        (_N2, {**_HYV, "dim": 2, "probes": [0.5, 0.5]}, "cone probes must be finite points of shape (n, 2), got (2,)"),
+        ({"family": "gaussian", "mean": 0.0, "var": 1.0}, {**_HYV, "probes": [[0.0, 1.0], [2.0, 3.0]]}, "got (2, 2)"),
+        ({"family": "power_law", "beta": 2.0}, {"kind": "shannon_envelope", "a": math.nan, "c1": 0.1, "c2": 0.6}, "decay exponent a must be finite"),
+        ({"family": "gaussian", "mean": 0.0, "var": 1.0}, {**_HYV, "dim": 2}, "cone of dimension 2 does not apply to a 1-D density"),
+    ],
+    ids=["flat-2d-probes", "square-1d-probes", "nan-exponent", "dimension-mismatch"],
+)
+def test_deriv_malformed_cone_spec_exits_2(capsys, files, density, cone, message):
+    q = files("q.json", json.dumps({"density": density, "cone": cone}))
+    code, out, err = run(capsys, ["deriv", "--rule", "hyv", "--q", q, "--p", q, "--strict-cone"])
+    assert (code, out) == (2, "")
+    assert err.startswith("configuration error: ") and message in err
+
+
 # ---------------------------------------------------------------------------
 # demo
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conescore import densities, rules
+from conescore import densities, pairing, rules
 from conescore.densities import (
     Bump,
     GaussianDensity,
@@ -19,7 +19,6 @@ from conescore.densities import (
     cone_spec_from_config,
     default_cone_spec,
     density_from_config,
-    feasible_direction,
     make_density,
     require_cone,
 )
@@ -27,6 +26,7 @@ from conescore.errors import (
     ConeMembershipError,
     DomainError,
     InvalidParameterError,
+    NodeBudgetError,
     UnsupportedFamilyError,
     ZeroMassError,
 )
@@ -328,6 +328,14 @@ def test_make_density_matches_config_layer():
     assert q.value(0.0) == pytest.approx(1.0 / np.sqrt(2.0 * np.pi))
 
 
+def test_config_mass_is_computed_at_the_callers_scheme():
+    # a 2-D beta = 3 power law needs a lower panel cap than the default scheme's
+    q = density_from_config({"family": "power_law", "beta": 3, "dim": 2})
+    assert q.total_mass(pairing.QuadratureScheme(panels=2)) == pytest.approx(1.0, abs=1e-10)
+    with pytest.raises(NodeBudgetError):
+        q.total_mass()
+
+
 # ---------------------------------------------------------------------------
 # cones
 # ---------------------------------------------------------------------------
@@ -428,30 +436,15 @@ def test_quadratic_cone_spec_validation():
 # directions and extensions
 # ---------------------------------------------------------------------------
 
-def test_feasible_direction_mixture_path():
-    q = GaussianDensity(0.0, 1.0)
-    p = GaussianDensity(0.5, 1.5)
-    probe = feasible_direction(q, p - q, default_cone_spec("hyvarinen", 1))
-    assert probe.epsilon > 0.0
-
-
-def test_feasible_direction_reports_infeasible():
-    # a deficit deep enough to defeat the whole epsilon schedule
-    q = GaussianDensity(0.0, 1.0)
-    bad = Bump(0.0, 0.5, -1e7)
-    probe = feasible_direction(q, bad, default_cone_spec("hyvarinen", 1))
-    assert probe.epsilon == 0.0
-    assert not probe.two_sided
-
-
-def test_gaussian_tail_breaks_power_law_feasibility():
-    # adding a Gaussian deficit under a polynomial envelope fails in the tail
+def test_gaussian_tail_breaks_power_law_cone_at_every_step():
+    # the Cauchy touches this envelope; no step toward a Gaussian stays inside it
     q = PowerLawDensity(2.0)
     spec = cone_spec_from_config(
         {"kind": "shannon_envelope", "a": 2, "c1": 1.0 / (2.0 * np.pi), "c2": 2.0 / np.pi}
     )
-    probe = feasible_direction(q, GaussianDensity(0.0, 1.0) - q, spec)
-    assert probe.epsilon == 0.0
+    assert cone_check(q, spec).member
+    for k in range(1, -13, -1):
+        assert not cone_check(q + 2.0**k * (GaussianDensity(0.0, 1.0) - q), spec).member
 
 
 def test_extensions_reject_zero_mass():

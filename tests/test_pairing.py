@@ -17,7 +17,6 @@ from conescore.densities import (
 from conescore.errors import (
     DivergenceError,
     DomainError,
-    IntegrandSingularityError,
     InvalidParameterError,
     NodeBudgetError,
     ZeroDensityError,
@@ -64,27 +63,11 @@ def test_total_mass_matches_quad_for_power_law():
     assert pairing.total_mass(q) == pytest.approx(ref, abs=1e-9)
 
 
-def test_pair_with_callable_integrand():
+def test_weighted_sum_on_the_node_set_gives_a_gaussian_moment():
+    # E[x^2] = 1 under the unit Gaussian, as one weighted sum on its frozen nodes
     q = GaussianDensity(0.0, 1.0)
-    # E[x^2] = 1 under the unit Gaussian
-    assert pairing.pair(lambda x: x**2, q) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_pair_tolerates_singularities_off_support():
-    # log q blows up only where the bump vanishes; weighted by the bump
-    # itself those nodes carry no mass and must be ignored
-    b = Bump(0.0, 0.5, 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        value = pairing.pair(lambda x: np.where(np.abs(x) < 0.5, 0.0, np.inf), b)
-    assert value == 0.0
-
-
-def test_pair_raises_on_singularity_with_mass():
-    q = GaussianDensity(0.0, 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        with pytest.raises(IntegrandSingularityError) as err:
-            pairing.pair(lambda x: 1.0 / (x - x), q)  # nan everywhere
-    assert "node" in str(err.value).lower() or "at" in str(err.value)
+    ns = pairing.nodes_for(q)
+    assert np.sum(ns.weights * ns.points**2 * q.value(ns.points)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_grid_pairing_uses_trapezoid():
@@ -96,22 +79,11 @@ def test_grid_pairing_uses_trapezoid():
     assert ns.weights[0] == pytest.approx(ns.weights[1] / 2.0)
 
 
-def test_weighted_norm_constant_on_interval():
-    # int_0^1 (1+x)^2 dx = 7/3
-    norm = pairing.weighted_norm(lambda x: 1.0, 2.0, domain=(0.0, 1.0))
-    assert norm == pytest.approx(np.sqrt(7.0 / 3.0), abs=1e-12)
-
-
 def test_weighted_norm_gaussian_field():
     q = GaussianDensity(0.0, 1.0)
     ref, _ = integrate.quad(lambda x: q.value(x) ** 2 * (1.0 + abs(x)) ** 2, -30, 30)
     norm = pairing.weighted_norm(q, 2.0)
     assert norm**2 == pytest.approx(ref, abs=1e-10)
-
-
-def test_weighted_norm_bare_callable_needs_domain():
-    with pytest.raises(InvalidParameterError):
-        pairing.weighted_norm(lambda x: x, 2.0)
 
 
 def _poly_field():

@@ -4,9 +4,10 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from conescore import pairing, rules, sampling
-from conescore.densities import GaussianDensity, GridDensity, MixtureDensity
+from conescore.densities import Bump, GaussianDensity, GridDensity, MixtureDensity
 from conescore.errors import (
     InvalidParameterError,
     ModeMeasureZeroError,
@@ -98,6 +99,17 @@ def test_hyvarinen_score_survives_underflow_of_the_squares():
     pts = np.array([[30.0, 0.0], [0.0, -37.0], [26.0, 26.0]])
     unit_2d = GaussianDensity([0.0, 0.0], [1.0, 1.0])
     np.testing.assert_allclose(rules.score_at("hyvarinen", unit_2d, pts), 4.0 - (pts**2).sum(axis=1), rtol=1e-12, atol=0)
+
+
+def test_expected_score_counts_infinite_scores_off_support_as_zero():
+    # the Hyvarinen score of q = (1 - x^2)^2 is 8 / (1 - x^2) inside |x| < 1 and infinite on
+    # q's zero set: a p vanishing there pairs to a finite number (0 * inf = 0), one with mass there raises
+    q = Bump(0.0, 1.0)
+    mean, _ = integrate.quad(lambda x: 8.0 / (1.0 - x * x) * (1.0 - 4.0 * x * x) ** 2 * 15.0 / 8.0, -0.5, 0.5)
+    assert rules.expected_score("hyvarinen", Bump(0.0, 0.5), q) == pytest.approx(mean, abs=1e-12)
+    assert mean == pytest.approx(8.3127, abs=1e-4)
+    with pytest.raises(ZeroDensityError):
+        rules.expected_score("hyvarinen", Bump(0.0, 2.0), q)
 
 
 def test_hyvarinen_score_is_scale_invariant():
