@@ -895,6 +895,8 @@ def run_suite(
         raise InvalidParameterError(f"unknown suite {suite!r}; expected one of {SUITES}")
     if samples < 1:
         raise InvalidParameterError("samples must be positive")
+    if seed < 0:  # numpy's seed streams take non-negative integers only
+        raise InvalidParameterError(f"seed must be a non-negative integer, got {seed!r}")
     rule_ids = _rule_list(rule)
     use_scheme = scheme or pairing.DEFAULT_SCHEME
 

@@ -273,6 +273,15 @@ def test_score_config_errors_exit_2(capsys, files, n01, uniform):
     assert run(capsys, ["score", "--rule", "elo", "--forecast", n01, "--obs", obs])[0] == 2
 
 
+def test_score_node_sets_over_budget_exit_3(capsys, files, n01):
+    # refused from the node count: 2e6 panels per unit would build 2.56e8 nodes, a radius of 1e308 inf
+    obs = files("obs.csv", "0.0\n")
+    for flags in (["--panels", "2000000"], ["--radius", "1e308"]):
+        code, out, err = run(capsys, ["score", "--rule", "quad", "--forecast", n01, "--obs", obs, *flags])
+        assert (code, out) == (3, "")
+        assert "budget 6,000,000" in err
+
+
 @pytest.mark.parametrize("flag", ["--forecast", "--obs", "--p"])
 @pytest.mark.parametrize("kind", ["utf16", "directory"])
 def test_unreadable_input_files_are_configuration_errors(capsys, files, n01, tmp_path, flag, kind):
@@ -354,6 +363,12 @@ def test_verify_config_errors_exit_2(capsys):
     assert run(capsys, ["verify", "--suite", "euler", "--tol", "-1"])[0] == 2
     assert run(capsys, ["verify", "--suite", "gateaux", "--rule", "log"])[0] == 2
     assert run(capsys, ["verify", "--suite", "euler", "--samples", "0"])[0] == 2
+
+
+def test_verify_negative_seed_exits_2(capsys):
+    code, out, err = run(capsys, ["verify", "--suite", "euler", "--seed", "-1"])
+    assert (code, out) == (2, "")
+    assert err.startswith("configuration error: seed must be a non-negative integer")
 
 
 # ---------------------------------------------------------------------------

@@ -391,6 +391,8 @@ def test_run_suite_validation():
         run_suite("euler", samples=0)
     with pytest.raises(InvalidParameterError):
         run_suite("gateaux", rule="logarithmic")
+    with pytest.raises(InvalidParameterError, match="non-negative"):
+        run_suite("euler", seed=-1)
 
 
 def test_run_suite_report_shape():

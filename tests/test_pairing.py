@@ -152,6 +152,35 @@ def test_two_dimensional_budget_guard():
         pairing.nodes_for(q, dense)
 
 
+def _unbuilt(*args, **kwargs):
+    raise AssertionError("edges built before the node count was checked")
+
+
+def test_one_dimensional_budget_guard(monkeypatch):
+    # 16 * 50,000 core panels of 8 nodes: refused from the count, before any edge is built
+    monkeypatch.setattr(pairing, "_panel_edges", _unbuilt)
+    monkeypatch.setattr(pairing, "_shell_panels", _unbuilt)
+    q = GaussianDensity(0.0, 1.0)
+    dense = pairing.QuadratureScheme(panels=50_000)
+    with pytest.raises(NodeBudgetError, match="6,400,000"):
+        pairing.nodes_for(q, dense)
+    with pytest.raises(NodeBudgetError, match="6,400,000"):
+        pairing.weighted_norm(q, 1.0, dense)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_a_radius_near_the_float_maximum_is_over_budget(monkeypatch, dim):
+    # 2 * radius * panels overflows to inf: counted as a float, it cannot overflow int()
+    monkeypatch.setattr(pairing, "_panel_edges", _unbuilt)
+    q = GaussianDensity([0.0] * dim, 1.0)
+    huge = pairing.QuadratureScheme(radius=1e308)
+    with pytest.raises(NodeBudgetError, match="inf nodes"):
+        pairing.nodes_for(q, huge)
+    if dim == 1:
+        with pytest.raises(NodeBudgetError, match="inf nodes"):
+            pairing.weighted_norm(q, 1.0, huge)
+
+
 # ---------------------------------------------------------------------------
 # 2-D node sets sized by the leaves' masses
 # ---------------------------------------------------------------------------
@@ -230,6 +259,97 @@ def test_cancelling_terms_reach_the_level_of_their_leaves(sigma):
     ns, level = _sized(a - b)
     assert level == _sized(a)[1] == _sized(b)[1] > 2
     assert abs(_mass(a - b, ns)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# 2-D sizing reads each leaf's mass on its own square, once per level
+# ---------------------------------------------------------------------------
+
+def _cover_wide_nodes(field, scheme=pairing.DEFAULT_SCHEME):
+    """The earlier sizing, kept as the reference: every level's leaf masses on the field's own square."""
+    coeffs = np.abs([c for c, _ in field.terms()])
+    previous, k = None, 1
+    while k < scheme.panels and k * field.half_max_width() < 1.0:
+        k *= 2
+    while True:
+        ns = pairing._square_nodes(field, replace(scheme, panels=min(k, scheme.panels)))
+        if k >= scheme.panels:
+            return ns
+        masses = np.array([np.sum(ns.weights * leaf.value(ns.points)) for _, leaf in field.terms()])
+        if previous is not None and np.sum(coeffs * np.abs(masses - previous)) <= scheme.tail_tol * pairing._TAIL_SAFETY:
+            return ns
+        previous, k = masses, 2 * k
+
+
+def _plane_draws(seed):
+    """The benchmark's 2-D fields for one seed: p + q, p, the mixture m and m + q."""
+    rng = np.random.default_rng([seed, 2])
+
+    def gaussian(scale):
+        return GaussianDensity(rng.uniform(-1.0, 1.0, 2), rng.uniform(0.25, 1.0, 2), scale=scale)
+
+    p, q = gaussian(float(rng.uniform(0.5, 1.0))), gaussian(float(rng.uniform(0.5, 1.0)))
+    m = MixtureDensity((gaussian(1.0), gaussian(1.0)), tuple(rng.uniform(0.2, 0.5, 2)))
+    return [p + q, p, m, m + q]
+
+
+def _cached_sizing_fields():
+    w, p = GaussianDensity([0.4, -0.7], [0.3, 1.6]), GaussianDensity([-1.1, 0.2], [2.0, 0.5], scale=0.8)
+    fields = [field for seed in range(601, 611) for field in _plane_draws(seed)]
+    fields += [3.0 * w - 2.0 * p]
+    fields += [GaussianDensity([0.6, -0.4], s**2) - GaussianDensity([-0.6, 0.4], s**2) for s in (0.05, 0.3)]
+    fields += [
+        c * PowerLawDensity(beta, dim=2) + GaussianDensity([0.3, -0.2], [0.5, 0.8])
+        for c in (1.0, 1e-2, 1e-4)
+        for beta in (3.15, 3.3, 3.6, 4.0)
+    ]
+    return fields
+
+
+@pytest.mark.parametrize("field", _cached_sizing_fields(), ids=lambda f: type(f).__name__)
+def test_cached_leaf_masses_give_the_cover_wide_node_sets(field):
+    expected = _cover_wide_nodes(field)
+    for _ in range(2):  # sized, then read from the leaves' caches
+        ns = pairing.nodes_for(field)
+        assert np.array_equal(ns.points, expected.points) and np.array_equal(ns.weights, expected.weights)
+
+
+def test_a_leaf_square_over_budget_falls_back_to_the_cover_wide_check():
+    # the 1e-2 shrinks the tail bound the field's shells stop on, not the leaf's own
+    heavy = PowerLawDensity(3.0, dim=2)
+    field = 1e-2 * heavy + GaussianDensity([0.1, 0.2], 0.3**2)
+    level = replace(pairing.DEFAULT_SCHEME, panels=4)
+    assert pairing._line_edges(heavy, level).size > pairing._line_edges(field, level).size
+    with pytest.raises(NodeBudgetError):
+        pairing._square_nodes(heavy, level)
+    expected = _cover_wide_nodes(field)
+    ns = pairing.nodes_for(field)
+    assert np.array_equal(ns.points, expected.points) and np.array_equal(ns.weights, expected.weights)
+    assert ns.weights.size == (pairing._line_edges(field, level).size - 1) ** 2 * level.nodes**2
+
+
+def test_leaf_masses_are_sampled_once_per_level(monkeypatch):
+    sampled = []
+    original = GaussianDensity.sample
+
+    def counting(self, x, order=0):
+        sampled.append(len(x))
+        return original(self, x, order)
+
+    monkeypatch.setattr(GaussianDensity, "sample", counting)
+    p, q = GaussianDensity([0.2, -0.3], [0.6, 0.9]), GaussianDensity([-0.5, 0.1], 0.4)
+    for scheme, sizes in (
+        (pairing.DEFAULT_SCHEME, True),
+        (pairing.DEFAULT_SCHEME, False),  # the same leaves and scheme: every mass is cached
+        (pairing.QuadratureScheme(tail_tol=1e-12), True),  # another scheme sizes again
+    ):
+        sampled.clear()
+        pairing.nodes_for(p + q, scheme)
+        pairing.nodes_for(q, scheme)
+        assert bool(sampled) == sizes
+    for leaf in (p, q):
+        masses = leaf.__dict__["_sizing_masses"]
+        assert masses and all(type(m) is float for m in masses.values())
 
 
 def test_pair_shared_nodes_for_sums():

@@ -356,7 +356,8 @@ def test_wide_2d_gaussian_pairs_match_closed_forms():
 
 def test_each_gaussian_leaf_is_sampled_once_per_rules_call(monkeypatch):
     # value, gradient and Laplacian all go through one sample on the node set
-    # the kernel pairs on; sizing the 2-D node set reads values on coarser levels
+    # the kernel pairs on; sizing the 2-D node set reads values on coarser
+    # levels once, and a repeat call with the same leaves and scheme reads none
     samples = []  # (leaf id, points, order); holding the points keeps their ids unique
     kernel_sets = []
     original_sample, original_nodes_for = GaussianDensity.sample, pairing.nodes_for
@@ -372,19 +373,23 @@ def test_each_gaussian_leaf_is_sampled_once_per_rules_call(monkeypatch):
 
     monkeypatch.setattr(GaussianDensity, "sample", counting)
     monkeypatch.setattr(pairing, "nodes_for", recording)
-    m = mixture_2d()
-    q = GaussianDensity([0.2, 0.1], [0.9, 1.1])
-    m_leaves = {id(c) for c in m.components}
-    for call, leaves in (
-        (lambda: rules.divergence("hyvarinen", m, q, COARSE), m_leaves | {id(q)}),
-        (lambda: rules.euler_residual("hyvarinen", m, COARSE), m_leaves),
-        (lambda: rules.hyvarinen_divergence_direct(m, q, COARSE), m_leaves | {id(q)}),
-    ):
-        samples.clear()
-        kernel_sets.clear()
-        call()
-        (kernel,) = kernel_sets
-        on_kernel = Counter(leaf for leaf, x, _ in samples if x is kernel)
-        assert set(on_kernel) == leaves and max(on_kernel.values()) == 1
-        sizing = [(x, order) for _, x, order in samples if x is not kernel]
-        assert sizing and all(order == 0 and len(x) < len(kernel) for x, order in sizing)
+    calls = (
+        lambda m, q: rules.divergence("hyvarinen", m, q, COARSE),
+        lambda m, q: rules.euler_residual("hyvarinen", m, COARSE),
+        lambda m, q: rules.hyvarinen_divergence_direct(m, q, COARSE),
+    )
+    for call, with_q in zip(calls, (True, False, True)):
+        m, q = mixture_2d(), GaussianDensity([0.2, 0.1], [0.9, 1.1])
+        leaves = {id(c) for c in m.components} | ({id(q)} if with_q else set())
+        for first in (True, False):
+            samples.clear()
+            kernel_sets.clear()
+            call(m, q)
+            (kernel,) = kernel_sets
+            on_kernel = Counter(leaf for leaf, x, _ in samples if x is kernel)
+            assert set(on_kernel) == leaves and max(on_kernel.values()) == 1
+            sizing = [(x, order) for _, x, order in samples if x is not kernel]
+            if first:
+                assert sizing and all(order == 0 and len(x) < len(kernel) for x, order in sizing)
+            else:
+                assert sizing == []
