@@ -13,10 +13,10 @@ where the field's tail-mass bound is negligible. 1-D uses that list at
 ``scheme.panels`` (sizing it waits for fields to report the breakpoints no
 panel may straddle); 2-D its tensor square at the coarsest density, up to
 ``scheme.panels`` and no coarser than the field's half-maximum width, on
-which every leaf's mass has settled. Each leaf's mass per density is taken
-on the leaf's own square and kept on the leaf, so it is sampled once per
-scheme whatever fields the leaf is a term of. Every analytic set is counted
-before it is built and refused over the node budget. Grid families use the
+which every leaf's mass has settled. Each leaf's mass on a sizing square is
+kept on the leaf, so it is sampled once per square whatever fields the leaf
+is a term of. Every analytic set is counted before it is built and refused
+over the node budget. Grid families use the
 trapezoid rule on their native grid, all the information they carry.
 """
 
@@ -72,8 +72,7 @@ class QuadratureScheme:
     panels : int
         Panels per unit length on the core, and per dyadic tail shell. In
         2-D a cap: the node set takes the coarsest of 1, 2, 4, ... up to
-        it on which the leaves' masses, each on its own square and sampled
-        once per level, have settled (``_box_nodes``).
+        it on which the leaves' masses have settled (``_box_nodes``).
     nodes : int
         Gauss-Legendre nodes per panel.
     radius : float or None
@@ -132,9 +131,21 @@ def _core_radius(field: Field, scheme: QuadratureScheme) -> float:
     return float(r)
 
 
+def _refuse_over_budget(nodes: float, what: str = "node set") -> None:
+    """Raise NodeBudgetError for a count over ``_NODE_BUDGET``; called before any node is built."""
+    if not nodes <= _NODE_BUDGET:
+        raise NodeBudgetError(
+            f"{what} would need {nodes:,.0f} nodes (budget {_NODE_BUDGET:,}); "
+            "pass a scheme with fewer panels or nodes"
+        )
+
+
 def _panel_edges(lo: float, hi: float, scheme: QuadratureScheme) -> np.ndarray:
-    """Panel edges of [lo, hi] at ``scheme.panels`` panels per unit length."""
-    return np.linspace(lo, hi, max(1, int(np.ceil((hi - lo) * scheme.panels))) + 1)
+    """Panel edges of [lo, hi] at ``scheme.panels`` panels per unit length, refused over the node budget."""
+    # counted in floats: a span near the float maximum counts inf panels instead of overflowing int()
+    panels = max(1.0, float(np.ceil((hi - lo) * scheme.panels)))
+    _refuse_over_budget(panels * scheme.nodes)
+    return np.linspace(lo, hi, int(panels) + 1)
 
 
 def _shell_panels(lo: float, hi: float, scheme: QuadratureScheme) -> tuple[np.ndarray, np.ndarray]:
@@ -154,52 +165,51 @@ def _shell_edges(field: Field, radius: float, tail_tol: float) -> list[float]:
     )
 
 
-def _refuse_over_budget(nodes: float, what: str = "node set") -> None:
-    """Raise NodeBudgetError for a count over ``_NODE_BUDGET``; called before any node is built."""
-    if not nodes <= _NODE_BUDGET:
-        raise NodeBudgetError(
-            f"{what} would need {nodes:,.0f} nodes (budget {_NODE_BUDGET:,}); "
-            "pass a scheme with fewer panels or nodes"
-        )
-
-
-def _line_edges(field: Field, scheme: QuadratureScheme, dim: int = 1) -> np.ndarray:
+def _line_edges(field: Field, scheme: QuadratureScheme) -> np.ndarray:
     """Ascending panel edges: the core [-R, R] flanked by the dyadic shell pairs.
 
-    The node set they give in ``dim`` dimensions is counted before any edge
-    is built, and refused over the budget: heavy tails add shells, and a
-    large ``panels`` or radius more core panels, than memory holds.
+    The 1-D node set they give is counted before the shells are built and
+    refused over the budget: heavy tails add shells past what memory holds.
     """
     radius = _core_radius(field, scheme)
     radii = _shell_edges(field, radius, scheme.tail_tol)
-    # counted in floats: a radius near the float maximum counts inf panels instead of overflowing int()
-    core_panels = max(1.0, float(np.ceil(2.0 * radius * scheme.panels)))
-    per_axis = (core_panels + 2.0 * scheme.panels * (len(radii) - 1)) * scheme.nodes
-    _refuse_over_budget(per_axis * per_axis if dim == 2 else per_axis, "tensor grid" if dim == 2 else "node set")
-    shells = [_shell_panels(lo, hi, scheme) for lo, hi in zip(radii, radii[1:])]
     core = _panel_edges(-radius, radius, scheme)
+    _refuse_over_budget((core.size - 1 + 2 * scheme.panels * (len(radii) - 1)) * scheme.nodes)
+    shells = [_shell_panels(lo, hi, scheme) for lo, hi in zip(radii, radii[1:])]
     # adjacent pieces share their junction edge exactly, so each keeps it once
     return np.concatenate([neg[:-1] for _, neg in reversed(shells)] + [core] + [pos[1:] for pos, _ in shells])
 
 
 def _square_nodes(field: Field, scheme: QuadratureScheme) -> NodeSet:
     """Tensor square of the 1-D node set on the same edge list."""
-    pts1, wts1 = _gauss_nodes(_line_edges(field, scheme, dim=2), scheme.nodes)
+    edges = _line_edges(field, scheme)
+    # counted before any node is built
+    per_axis = (edges.size - 1) * scheme.nodes
+    _refuse_over_budget(per_axis**2, "tensor grid")
+    pts1, wts1 = _gauss_nodes(edges, scheme.nodes)
     xx, yy = np.meshgrid(pts1, pts1, indexing="ij")
     return NodeSet(np.column_stack([xx.ravel(), yy.ravel()]), np.outer(wts1, wts1).ravel())
 
 
-def _leaf_mass(leaf: Field, level: QuadratureScheme) -> float:
-    """The leaf's mass on its own tensor square at ``level``, cached on the leaf per level."""
-    cache = leaf.__dict__.setdefault("_sizing_masses", {})
-    if level not in cache:
-        ns = _square_nodes(leaf, level)
-        cache[level] = float(np.sum(ns.weights * leaf.value(ns.points)))
-    return cache[level]
+def _leaf_masses(field: Field, level: QuadratureScheme, square: tuple) -> tuple[NodeSet | None, np.ndarray]:
+    """Each leaf's mass on the field's tensor square at ``level``, cached on the leaf under ``square``.
+
+    ``square`` is what fixes that square: the level, the core radius and the
+    shell count. The square is built, and returned, only when some leaf has
+    no mass cached under it; otherwise nothing is sampled and None comes back.
+    """
+    caches = [leaf.__dict__.setdefault("_sizing_masses", {}) for _, leaf in field.terms()]
+    ns = None
+    if not all(square in cache for cache in caches):
+        ns = _square_nodes(field, level)
+        for (_, leaf), cache in zip(field.terms(), caches):
+            if square not in cache:
+                cache[square] = float(np.sum(ns.weights * leaf.value(ns.points)))
+    return ns, np.array([cache[square] for cache in caches])
 
 
-def _settled_level(field: Field, scheme: QuadratureScheme, own_squares: bool) -> QuadratureScheme:
-    """The scheme at the coarsest panel density on which every leaf's mass has settled.
+def _box_nodes(field: Field, scheme: QuadratureScheme) -> NodeSet:
+    """The tensor square at the coarsest panel density on which every leaf's mass has settled.
 
     Densities k = 1, 2, 4, ... panels per unit (and per shell), at most
     ``scheme.panels``, are tried from the first whose panels are no wider
@@ -207,40 +217,27 @@ def _settled_level(field: Field, scheme: QuadratureScheme, own_squares: bool) ->
     the nodes of two levels alike and look settled at mass 0. The first k
     with sum |c_i| |M_i(k) - M_i(k/2)| <= tail_tol * _TAIL_SAFETY over the
     leaves is used, so terms whose masses cancel cannot stop the doubling.
-    M_i is leaf i's mass on its own square (cached, ``_leaf_mass``), or with
-    ``own_squares`` false on the field's square. A field that never settles
-    gets the cap; a square over budget raises.
+    M_i(k) is leaf i's mass on the field's square at level k, kept on the
+    leaf (``_leaf_masses``): every field with the same square, such as a sum
+    and its terms when their core radii and shell counts agree, reads it
+    without sampling again. A field that never settles gets the cap; a
+    level over budget raises.
     """
     coeffs = np.abs([c for c, _ in field.terms()])
+    # the core radius and shell count do not depend on the level's panels
+    radius = _core_radius(field, scheme)
+    shells = len(_shell_edges(field, radius, scheme.tail_tol))
     previous, k = None, 1
     while k < scheme.panels and k * field.half_max_width() < 1.0:
         k *= 2
-    while k < scheme.panels:
-        level = replace(scheme, panels=k)
-        if own_squares:
-            masses = np.array([_leaf_mass(leaf, level) for _, leaf in field.terms()])
-        else:
-            ns = _square_nodes(field, level)
-            masses = np.array([np.sum(ns.weights * leaf.value(ns.points)) for _, leaf in field.terms()])
+    while True:
+        level = replace(scheme, panels=min(k, scheme.panels))
+        if k >= scheme.panels:
+            return _square_nodes(field, level)
+        ns, masses = _leaf_masses(field, level, (level, radius, shells))
         if previous is not None and np.sum(coeffs * np.abs(masses - previous)) <= scheme.tail_tol * _TAIL_SAFETY:
-            return level
+            return ns if ns is not None else _square_nodes(field, level)
         previous, k = masses, 2 * k
-    return scheme
-
-
-def _box_nodes(field: Field, scheme: QuadratureScheme) -> NodeSet:
-    """The field's tensor square at the level where its leaves' masses, each on its own square, settle.
-
-    A leaf's own square does not depend on the field it is a term of, so its
-    mass per level is sampled once per scheme and read from the leaf's cache
-    after that. A leaf with |c| < 1 can need more tail shells on its own
-    than the field does; where such a square, or the one chosen, is over
-    budget, the levels are compared on the field's squares instead.
-    """
-    try:
-        return _square_nodes(field, _settled_level(field, scheme, own_squares=True))
-    except NodeBudgetError:
-        return _square_nodes(field, _settled_level(field, scheme, own_squares=False))
 
 
 def _grid_nodes(field: Field) -> NodeSet:
@@ -256,9 +253,9 @@ def nodes_for(field: Field, scheme: QuadratureScheme | None = None) -> NodeSet:
     """Node set for integrals against ``field``; deterministic in (scheme, field).
 
     The nodes are a pure function of the scheme and the field's metadata,
-    and in 2-D also of the leaves' masses on the sizing levels, each taken
-    on the leaf's own square and cached on the leaf (``_box_nodes``). A set
-    over the node budget raises :class:`NodeBudgetError` before it is built.
+    and in 2-D also of the leaves' masses on the sizing levels, cached on
+    the leaves (``_box_nodes``). A set over the node budget raises
+    :class:`NodeBudgetError` before it is built.
     A combination's nodes cover every term, so pairing different fields on
     ``nodes_for(p + q, scheme)`` puts them on one shared discrete measure.
     """
@@ -303,7 +300,6 @@ def weighted_norm(f: Field, m: float, scheme: QuadratureScheme | None = None) ->
     # the field's tail-mass bound does not bound f^2 (1+|x|)^m, so the shells
     # stop on their own contributions rather than where _shell_edges would
     r = _core_radius(f, scheme)
-    _refuse_over_budget(max(float(np.ceil(2.0 * r * scheme.panels)), scheme.panels) * scheme.nodes)
     total = chunk(*_gauss_nodes(_panel_edges(-r, r, scheme), scheme.nodes))
     previous = np.inf
     growth_streak = 0

@@ -158,8 +158,7 @@ def _unbuilt(*args, **kwargs):
 
 def test_one_dimensional_budget_guard(monkeypatch):
     # 16 * 50,000 core panels of 8 nodes: refused from the count, before any edge is built
-    monkeypatch.setattr(pairing, "_panel_edges", _unbuilt)
-    monkeypatch.setattr(pairing, "_shell_panels", _unbuilt)
+    monkeypatch.setattr(np, "linspace", _unbuilt)
     q = GaussianDensity(0.0, 1.0)
     dense = pairing.QuadratureScheme(panels=50_000)
     with pytest.raises(NodeBudgetError, match="6,400,000"):
@@ -171,7 +170,7 @@ def test_one_dimensional_budget_guard(monkeypatch):
 @pytest.mark.parametrize("dim", [1, 2])
 def test_a_radius_near_the_float_maximum_is_over_budget(monkeypatch, dim):
     # 2 * radius * panels overflows to inf: counted as a float, it cannot overflow int()
-    monkeypatch.setattr(pairing, "_panel_edges", _unbuilt)
+    monkeypatch.setattr(np, "linspace", _unbuilt)
     q = GaussianDensity([0.0] * dim, 1.0)
     huge = pairing.QuadratureScheme(radius=1e308)
     with pytest.raises(NodeBudgetError, match="inf nodes"):
@@ -262,7 +261,7 @@ def test_cancelling_terms_reach_the_level_of_their_leaves(sigma):
 
 
 # ---------------------------------------------------------------------------
-# 2-D sizing reads each leaf's mass on its own square, once per level
+# 2-D sizing samples each leaf once per sizing square
 # ---------------------------------------------------------------------------
 
 def _cover_wide_nodes(field, scheme=pairing.DEFAULT_SCHEME):
@@ -297,6 +296,10 @@ def _cached_sizing_fields():
     w, p = GaussianDensity([0.4, -0.7], [0.3, 1.6]), GaussianDensity([-1.1, 0.2], [2.0, 0.5], scale=0.8)
     fields = [field for seed in range(601, 611) for field in _plane_draws(seed)]
     fields += [3.0 * w - 2.0 * p]
+    # a core radius of 6 * 1.7 + 1.3 = 11.5, where the standard normal's own is 8: the leaf's
+    # masses are taken on the field's square, not on its own
+    wide, n = GaussianDensity([1.3, -0.4], [1.7**2, 0.5**2]), GaussianDensity([0.0, 0.0], 1.0)
+    fields += [wide + n, 1e-2 * wide + n, n]
     fields += [GaussianDensity([0.6, -0.4], s**2) - GaussianDensity([-0.6, 0.4], s**2) for s in (0.05, 0.3)]
     fields += [
         c * PowerLawDensity(beta, dim=2) + GaussianDensity([0.3, -0.2], [0.5, 0.8])
@@ -314,8 +317,9 @@ def test_cached_leaf_masses_give_the_cover_wide_node_sets(field):
         assert np.array_equal(ns.points, expected.points) and np.array_equal(ns.weights, expected.weights)
 
 
-def test_a_leaf_square_over_budget_falls_back_to_the_cover_wide_check():
-    # the 1e-2 shrinks the tail bound the field's shells stop on, not the leaf's own
+def test_a_leaf_whose_own_square_is_over_budget_sizes_on_the_field_square():
+    # the 1e-2 shrinks the tail bound the field's shells stop on, not the leaf's own: the
+    # power law's own square is over budget, and sizing never builds it
     heavy = PowerLawDensity(3.0, dim=2)
     field = 1e-2 * heavy + GaussianDensity([0.1, 0.2], 0.3**2)
     level = replace(pairing.DEFAULT_SCHEME, panels=4)
@@ -328,26 +332,28 @@ def test_a_leaf_square_over_budget_falls_back_to_the_cover_wide_check():
     assert ns.weights.size == (pairing._line_edges(field, level).size - 1) ** 2 * level.nodes**2
 
 
-def test_leaf_masses_are_sampled_once_per_level(monkeypatch):
+def test_leaf_masses_are_sampled_once_per_square(monkeypatch):
     sampled = []
     original = GaussianDensity.sample
 
     def counting(self, x, order=0):
-        sampled.append(len(x))
+        sampled.append(id(self))
         return original(self, x, order)
 
     monkeypatch.setattr(GaussianDensity, "sample", counting)
     p, q = GaussianDensity([0.2, -0.3], [0.6, 0.9]), GaussianDensity([-0.5, 0.1], 0.4)
-    for scheme, sizes in (
-        (pairing.DEFAULT_SCHEME, True),
-        (pairing.DEFAULT_SCHEME, False),  # the same leaves and scheme: every mass is cached
-        (pairing.QuadratureScheme(tail_tol=1e-12), True),  # another scheme sizes again
+    wide = GaussianDensity([1.3, -0.4], [1.7**2, 0.5**2])  # core radius 11.5, where q's is 8
+    for fields, scheme, sizes in (
+        ((p + q, q), pairing.DEFAULT_SCHEME, True),
+        ((p + q, q), pairing.DEFAULT_SCHEME, False),  # the same leaves and squares: every mass is cached
+        ((p + q, q), pairing.QuadratureScheme(tail_tol=1e-12), True),  # another scheme sizes again
+        ((q + wide,), pairing.DEFAULT_SCHEME, True),  # so does a wider square than q has had
     ):
         sampled.clear()
-        pairing.nodes_for(p + q, scheme)
-        pairing.nodes_for(q, scheme)
-        assert bool(sampled) == sizes
-    for leaf in (p, q):
+        for field in fields:
+            pairing.nodes_for(field, scheme)
+        assert (id(q) in sampled) == sizes
+    for leaf in (p, q, wide):
         masses = leaf.__dict__["_sizing_masses"]
         assert masses and all(type(m) is float for m in masses.values())
 
