@@ -387,7 +387,7 @@ def cmd_demo(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_scheme_flags(sub):
-    sub.add_argument("--panels", type=int, default=None, help="quadrature panels per unit length")
+    sub.add_argument("--panels", type=int, default=None, help="quadrature panels per unit length, a cap")
     sub.add_argument("--nodes", type=int, default=None, help="Gauss-Legendre nodes per panel")
     sub.add_argument("--radius", type=float, default=None, help="core truncation radius")
     sub.add_argument("--tail-tol", dest="tail_tol", type=float, default=None, help="tail mass tolerance")

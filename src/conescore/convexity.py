@@ -88,15 +88,15 @@ def _row_entropies(rule: str, w, fv, grad=None) -> list:
     """Entropy of each row of sampled values: a float, or the domain error refusing the row."""
     if rule == "supremum":
         return [float(v) for v in np.max(fv, axis=1)]
-    mass = np.sum(w * fv, axis=1)
+    mass = (w * fv).sum(axis=1)
     values = rules._entropy(rule, w, Sample(fv, grad), mass)
-    negative = np.any(fv < 0, axis=1) & (rule != "quadratic")
+    negative = np.any(fv < 0, axis=1).tolist() if rule != "quadratic" else [False] * len(fv)
     massless = (mass <= 0) & (rule != "hyvarinen")
     return [
         rules.ZeroDensityError("field leaves the nonnegative cone on the node set") if neg
         else rules.ZeroMassError("nonpositive mass on the node set") if empty
         else float(value)
-        for value, neg, empty in zip(values, negative, massless)
+        for value, neg, empty in zip(values.tolist(), negative, massless.tolist())
     ]
 
 
@@ -895,8 +895,7 @@ def run_suite(
         raise InvalidParameterError(f"unknown suite {suite!r}; expected one of {SUITES}")
     if samples < 1:
         raise InvalidParameterError("samples must be positive")
-    if seed < 0:  # numpy's seed streams take non-negative integers only
-        raise InvalidParameterError(f"seed must be a non-negative integer, got {seed!r}")
+    sampling._checked_seed(seed)
     rule_ids = _rule_list(rule)
     use_scheme = scheme or pairing.DEFAULT_SCHEME
 

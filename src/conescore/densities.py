@@ -95,9 +95,9 @@ def _squeeze(values: np.ndarray, scalar: bool):
     return float(values[0]) if values.ndim == 1 else values[0]
 
 
-def _column_sum(a: np.ndarray) -> np.ndarray:
-    """Row sums of an (n, 1) or (n, 2) array, added in the order of ``a.sum(axis=1)``."""
-    return a[:, 0] if a.shape[1] == 1 else a[:, 0] + a[:, 1]
+def _axis_sum(a) -> np.ndarray:
+    """Sum over the leading axis, of length 1 or 2, added in order."""
+    return a[0] if len(a) == 1 else a[0] + a[1]
 
 
 class Sample(NamedTuple):
@@ -142,8 +142,12 @@ class Field:
         raise NotImplementedError
 
     def half_max_width(self) -> float:
-        """Full width at half maximum of the narrowest feature; 0 if unknown (2-D sets then use the panel cap)."""
+        """Full width at half maximum of the narrowest feature; 0 if unknown (node sets then use the panel cap)."""
         return 0.0
+
+    def breakpoints(self) -> tuple[float, ...]:
+        """Ascending 1-D points where the field is not smooth; node sets put a panel edge at each."""
+        return ()
 
     # -- vector-space structure -----------------------------------------------
     def terms(self) -> tuple[tuple[float, "Field"], ...]:
@@ -189,6 +193,56 @@ class _OnePass(Field):
 
     def laplacian(self, x):
         return self.sample(x, 2).laplacian
+
+
+def _gaussian_rows(pts: np.ndarray, mean: np.ndarray, var: np.ndarray, factor: np.ndarray, order: int) -> list:
+    """Value, gradient (order >= 1) and Laplacian (order 2) at points (n, d) of m Gaussians, one row each.
+
+    ``mean`` and ``var`` are (m, d), ``factor`` (m,) each scale over its
+    normaliser. Values and Laplacians come back (m, n), gradients (m, d, n).
+    One exp per point and Gaussian, reused by the gradient and Laplacian.
+    """
+    var = var.T[:, :, None]
+    d = pts.T[:, None, :] - mean.T[:, :, None]  # (d, m, n)
+    value = _axis_sum(d**2 / var)  # in place from here on: on a 2-D set each temporary is megabytes
+    value *= -0.5
+    np.exp(value, out=value)
+    value *= factor[:, None]
+    rows = [value]
+    if order >= 1:
+        z = np.divide(d, var, out=d)
+    if order >= 2:  # before the gradient overwrites z
+        laplacian = _axis_sum(np.square(z))
+        laplacian -= _axis_sum(1.0 / var)
+        laplacian *= value
+    if order >= 1:
+        z *= -value
+        rows.append(z.swapaxes(0, 1))
+    if order >= 2:
+        rows.append(laplacian)
+    return rows
+
+
+class _GaussianSum(_OnePass):
+    """Weighted diagonal Gaussians, many sampled per pass.
+
+    ``_rows`` holds their means and variances (m, d) and their scales over
+    their normalisers (m,); ``_coeffs`` holds their weights.
+    """
+
+    def sample(self, x, order: int = 0) -> Sample:
+        """Each Gaussian's weighted sample, added in order."""
+        pts, scalar = _as_points(x, self.dim)
+        out = None
+        step = max(1, 2**14 // pts.size)  # Gaussians per pass: all on small sets, one where temporaries pass 128 KiB
+        for i in range(0, len(self._coeffs), step):
+            rows = _gaussian_rows(pts, *(a[i : i + step] for a in self._rows), order)
+            for c, *terms in zip(self._coeffs[i : i + step], *rows):
+                terms = terms if c == 1.0 else [c * t for t in terms]  # 1 * t is t
+                out = terms if out is None else [np.add(total, t, out=total) for total, t in zip(out, terms)]
+        if order >= 1:  # (d, n) as the pointwise gradient: (n,) in 1-D, (n, 2) in 2-D
+            out[1] = out[1][0] if self.dim == 1 else out[1].T
+        return Sample(*(_squeeze(a, scalar) for a in out))
 
 
 class Combination(_OnePass):
@@ -237,6 +291,9 @@ class Combination(_OnePass):
     def half_max_width(self) -> float:
         return min(f.half_max_width() for f in self.fields)
 
+    def breakpoints(self) -> tuple[float, ...]:
+        return tuple(sorted({b for f in self.fields for b in f.breakpoints()}))
+
     def tail_mass_bound(self, radius: float) -> float:
         return sum(abs(c) * f.tail_mass_bound(radius) for c, f in zip(self.coeffs, self.fields))
 
@@ -247,7 +304,7 @@ def _validate_positive(name: str, value: float):
 
 
 @dataclass(frozen=True, eq=False)
-class GaussianDensity(_OnePass):
+class GaussianDensity(_GaussianSum):
     """Gaussian with diagonal covariance, scaled by a positive factor."""
 
     mean: np.ndarray
@@ -271,37 +328,28 @@ class GaussianDensity(_OnePass):
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "var", var)
         object.__setattr__(self, "dim", mean.size)
-
-    def sample(self, x, order: int = 0) -> Sample:
-        """One exp per point; the gradient and the Laplacian reuse it and the z-scores."""
-        pts, scalar = _as_points(x, self.dim)
-        d = pts - self.mean
-        norm = np.prod(np.sqrt(2.0 * np.pi * self.var))
-        value = (self.scale / norm) * np.exp(-0.5 * _column_sum(d**2 / self.var))
-        out = [value]
-        if order >= 1:
-            z = np.divide(d, self.var, out=d)
-            g = value[:, None] * -z
-            out.append(g[:, 0] if self.dim == 1 else g)
-        if order >= 2:
-            out.append(value * (_column_sum(np.square(z, out=z)) - (1.0 / self.var).sum()))
-        return Sample(*(_squeeze(a, scalar) for a in out))
+        # node sets read the metadata on every call: plain floats, computed once
+        m, v = np.abs(mean).tolist(), var.tolist()
+        sigma = [math.sqrt(x) for x in v]
+        object.__setattr__(self, "_core", max(8.0, *(6.0 * s + a for s, a in zip(sigma, m))))
+        object.__setattr__(self, "_tail", tuple((a, s * math.sqrt(2.0)) for a, s in zip(m, sigma)))
+        object.__setattr__(self, "_width", math.sqrt(8.0 * math.log(2.0) * min(v)))
+        factor = self.scale / math.prod(math.sqrt(2.0 * math.pi * x) for x in v)
+        object.__setattr__(self, "_rows", (mean[None], var[None], np.array([factor])))
+        object.__setattr__(self, "_coeffs", (1.0,))
 
     def core_radius(self) -> float:
-        sigma = np.sqrt(self.var)
-        return float(max(8.0, np.max(6.0 * sigma + np.abs(self.mean))))
+        return self._core
 
     def tail_mass_bound(self, radius: float) -> float:
-        sigma = np.sqrt(self.var)
-        z = (radius - np.abs(self.mean)) / (sigma * np.sqrt(2.0))
-        return float(self.scale * sum(math.erfc(max(float(v), 0.0)) for v in z))
+        return float(self.scale * sum(math.erfc(max((radius - m) / s, 0.0)) for m, s in self._tail))
 
     def half_max_width(self) -> float:
-        return float(np.sqrt(8.0 * math.log(2.0) * np.min(self.var)))
+        return self._width
 
 
 @dataclass(frozen=True, eq=False)
-class MixtureDensity(_OnePass):
+class MixtureDensity(_GaussianSum):
     """Positive combination of Gaussians; weights need not sum to one."""
 
     components: tuple
@@ -326,10 +374,8 @@ class MixtureDensity(_OnePass):
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "dim", comps[0].dim)
-        object.__setattr__(self, "_sum", Combination(tuple(self.scale * w for w in weights), comps))
-
-    def sample(self, x, order: int = 0) -> Sample:
-        return self._sum.sample(x, order)
+        object.__setattr__(self, "_rows", tuple(np.concatenate(parts) for parts in zip(*(c._rows for c in comps))))
+        object.__setattr__(self, "_coeffs", tuple(self.scale * w for w in weights))
 
     def core_radius(self) -> float:
         return max(c.core_radius() for c in self.components)
@@ -479,8 +525,8 @@ class GridDensity(GridField):
 class Bump(Field):
     """Compactly supported polynomial bump a*(1 - u^2)^2, u = |x - c|/h.
 
-    Twice continuously differentiable with closed-form gradient and
-    Laplacian; the natural sign-changing direction for interior probes.
+    C^1 with closed-form gradient and Laplacian, which jumps where u = 1
+    (the breakpoints c -+ h in 1-D); the natural sign-changing direction.
     """
 
     center: np.ndarray
@@ -530,13 +576,16 @@ class Bump(Field):
             return self.amplitude * self.halfwidth * 16.0 / 15.0
         return self.amplitude * math.pi * self.halfwidth**2 / 3.0
 
-    def total_mass(self, scheme=None) -> float:
-        # the closed form beats quadrature: panel edges rarely align with
-        # the support edges, where the third derivative jumps
-        return self.exact_mass()
-
     def core_radius(self) -> float:
         return float(np.max(np.abs(self.center)) + self.halfwidth)
+
+    def half_max_width(self) -> float:
+        # a 2-D bump's kink is a circle no panel edge can follow, so its node sets keep the cap
+        return 2.0 * self.halfwidth * math.sqrt(1.0 - math.sqrt(0.5)) if self.dim == 1 else 0.0
+
+    def breakpoints(self) -> tuple[float, ...]:
+        c, h = float(self.center[0]), float(self.halfwidth)
+        return (c - h, c + h) if self.dim == 1 else ()
 
     def tail_mass_bound(self, radius: float) -> float:
         # the bump keeps one sign, so its |field| mass is |exact mass|

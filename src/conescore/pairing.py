@@ -9,15 +9,16 @@ toolkit is doing exact convex analysis on a finite measure space.
 
 Analytic families integrate by composite Gauss-Legendre on one ascending
 list of panel edges: the core [-R, R] flanked by dyadic tail shells out to
-where the field's tail-mass bound is negligible. 1-D uses that list at
-``scheme.panels`` (sizing it waits for fields to report the breakpoints no
-panel may straddle); 2-D its tensor square at the coarsest density, up to
-``scheme.panels`` and no coarser than the field's half-maximum width, on
-which every leaf's mass has settled. Each leaf's mass on a sizing square is
-kept on the leaf, so it is sampled once per square whatever fields the leaf
-is a term of. Every analytic set is counted before it is built and refused
-over the node budget. Grid families use the
-trapezoid rule on their native grid, all the information they carry.
+where the field's tail-mass bound is negligible, with the field's
+breakpoints (a 1-D bump's c - h and c + h) as panel edges, so that no panel
+straddles a kink. 1-D uses that list, 2-D its tensor square, at the
+coarsest density, up to ``scheme.panels`` (a cap in both dimensions) and no
+coarser than the field's half-maximum width, on which every leaf's mass has
+settled. Each leaf's mass on a sizing level is kept on the leaf, so it is
+sampled once per level whatever fields the leaf is a term of. Every
+analytic set is counted before it is built and refused over the node
+budget. Grid families use the trapezoid rule on their native grid, all the
+information they carry.
 """
 
 from __future__ import annotations
@@ -70,9 +71,9 @@ class QuadratureScheme:
     Parameters
     ----------
     panels : int
-        Panels per unit length on the core, and per dyadic tail shell. In
-        2-D a cap: the node set takes the coarsest of 1, 2, 4, ... up to
-        it on which the leaves' masses have settled (``_box_nodes``).
+        Panels per unit length on the core, and per dyadic tail shell, as a
+        cap: in 1-D and 2-D the node set takes the coarsest of 1, 2, 4, ...
+        up to it on which the leaves' masses have settled (``_sized_nodes``).
     nodes : int
         Gauss-Legendre nodes per panel.
     radius : float or None
@@ -118,8 +119,10 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _gauss_nodes(edges: np.ndarray, nodes: int) -> NodeSet:
     """Composite Gauss-Legendre nodes and weights on the panels between ascending ``edges``."""
+    # the rule solves an n x n eigenproblem: O(n^2) memory, counted before it is built
+    _refuse_over_budget(float(nodes) ** 2, f"the {nodes}-node Gauss-Legendre rule's {nodes} x {nodes} eigenproblem")
     x, w = _leggauss(nodes)
-    half = 0.5 * np.diff(edges)
+    half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[:-1] + edges[1:])
     return NodeSet((mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel())
 
@@ -148,11 +151,6 @@ def _panel_edges(lo: float, hi: float, scheme: QuadratureScheme) -> np.ndarray:
     return np.linspace(lo, hi, int(panels) + 1)
 
 
-def _shell_panels(lo: float, hi: float, scheme: QuadratureScheme) -> tuple[np.ndarray, np.ndarray]:
-    """Panel edges of the shell pair [lo, hi] and [-hi, -lo], each ascending."""
-    return np.linspace(lo, hi, scheme.panels + 1), np.linspace(-hi, -lo, scheme.panels + 1)
-
-
 def _shell_edges(field: Field, radius: float, tail_tol: float) -> list[float]:
     """Dyadic shell radii R, 2R, 4R, ... out to the first where the tail-mass bound is negligible."""
     radii = [radius]
@@ -165,78 +163,98 @@ def _shell_edges(field: Field, radius: float, tail_tol: float) -> list[float]:
     )
 
 
-def _line_edges(field: Field, scheme: QuadratureScheme) -> np.ndarray:
-    """Ascending panel edges: the core [-R, R] flanked by the dyadic shell pairs.
+def _edges(radii: np.ndarray, breakpoints: tuple, scheme: QuadratureScheme) -> np.ndarray:
+    """Ascending panel edges: the core [-R, R], the dyadic shell pairs out to ``radii``, and the breakpoints.
 
     The 1-D node set they give is counted before the shells are built and
     refused over the budget: heavy tails add shells past what memory holds.
     """
+    edges = _panel_edges(-float(radii[0]), float(radii[0]), scheme)
+    _refuse_over_budget((edges.size - 1 + 2 * scheme.panels * (radii.size - 1) + len(breakpoints)) * scheme.nodes)
+    if radii.size > 1:  # one shell per column, in np.linspace's arithmetic: i * step + start, the stop last
+        lo, hi = radii[:-1], radii[1:]
+        pos = np.arange(scheme.panels + 1.0)[:, None] * ((hi - lo) / scheme.panels)
+        neg = pos - hi
+        pos += lo
+        pos[-1], neg[-1] = hi, -lo
+        # adjacent pieces share their junction edge exactly, so each keeps it once
+        edges = np.concatenate([neg[:-1, ::-1].T.ravel(), edges, pos[1:].T.ravel()])
+    inner = [b for b in breakpoints if edges[0] < b < edges[-1]]
+    if not inner:
+        return edges
+    edges = np.sort(np.concatenate([edges, inner]))
+    return edges[np.concatenate(([True], edges[1:] != edges[:-1]))]  # a breakpoint on an edge is kept once
+
+
+def _line_edges(field: Field, scheme: QuadratureScheme) -> np.ndarray:
+    """The field's ascending panel edges at ``scheme.panels``."""
     radius = _core_radius(field, scheme)
-    radii = _shell_edges(field, radius, scheme.tail_tol)
-    core = _panel_edges(-radius, radius, scheme)
-    _refuse_over_budget((core.size - 1 + 2 * scheme.panels * (len(radii) - 1)) * scheme.nodes)
-    shells = [_shell_panels(lo, hi, scheme) for lo, hi in zip(radii, radii[1:])]
-    # adjacent pieces share their junction edge exactly, so each keeps it once
-    return np.concatenate([neg[:-1] for _, neg in reversed(shells)] + [core] + [pos[1:] for pos, _ in shells])
+    return _edges(np.array(_shell_edges(field, radius, scheme.tail_tol)), field.breakpoints(), scheme)
 
 
-def _square_nodes(field: Field, scheme: QuadratureScheme) -> NodeSet:
-    """Tensor square of the 1-D node set on the same edge list."""
-    edges = _line_edges(field, scheme)
-    # counted before any node is built
-    per_axis = (edges.size - 1) * scheme.nodes
-    _refuse_over_budget(per_axis**2, "tensor grid")
-    pts1, wts1 = _gauss_nodes(edges, scheme.nodes)
+def _cover_nodes(edges: np.ndarray, nodes: int, dim: int) -> NodeSet:
+    """Gauss-Legendre nodes on the panels of ``edges``; in 2-D their tensor square, counted before it is built."""
+    if dim == 1:
+        return _gauss_nodes(edges, nodes)
+    _refuse_over_budget(((edges.size - 1) * nodes) ** 2, "tensor grid")
+    pts1, wts1 = _gauss_nodes(edges, nodes)
     xx, yy = np.meshgrid(pts1, pts1, indexing="ij")
     return NodeSet(np.column_stack([xx.ravel(), yy.ravel()]), np.outer(wts1, wts1).ravel())
 
 
-def _leaf_masses(field: Field, level: QuadratureScheme, square: tuple) -> tuple[NodeSet | None, np.ndarray]:
-    """Each leaf's mass on the field's tensor square at ``level``, cached on the leaf under ``square``.
+def _square_nodes(field: Field, scheme: QuadratureScheme) -> NodeSet:
+    """Tensor square of the 1-D node set on the same edge list."""
+    return _cover_nodes(_line_edges(field, scheme), scheme.nodes, 2)
 
-    ``square`` is what fixes that square: the level, the core radius and the
-    shell count. The square is built, and returned, only when some leaf has
-    no mass cached under it; otherwise nothing is sampled and None comes back.
+
+@lru_cache(maxsize=64)
+def _level(scheme: QuadratureScheme, panels: int) -> QuadratureScheme:
+    return replace(scheme, panels=panels)
+
+
+def _sized_nodes(field: Field, scheme: QuadratureScheme) -> NodeSet:
+    """The node set at the coarsest panel density on which every leaf's mass has settled.
+
+    The set is composite Gauss-Legendre on the edge list, in 2-D its tensor
+    square. Densities k = 1, 2, 4, ... panels per unit (and per shell), at
+    most ``scheme.panels``, are tried from the first whose panels are no
+    wider than the field's half-maximum width: a narrower leaf can fall
+    between the nodes of two levels alike and look settled at mass 0. The
+    first k with sum |c_i| |M_i(k) - M_i(k/2)| <= tail_tol * _TAIL_SAFETY
+    over the leaves is used, so terms whose masses cancel cannot stop the
+    doubling. M_i(k) is leaf i's mass on the field's set at level k, kept on
+    the leaf under the level, core radius, shell count and breakpoints that
+    fix that set: every field with the same set, such as a sum and its
+    terms when those agree, reads it without sampling again; a level whose
+    masses are all kept builds no set unless it is the one returned. A field
+    that never settles gets the cap; a level over budget raises.
     """
-    caches = [leaf.__dict__.setdefault("_sizing_masses", {}) for _, leaf in field.terms()]
-    ns = None
-    if not all(square in cache for cache in caches):
-        ns = _square_nodes(field, level)
-        for (_, leaf), cache in zip(field.terms(), caches):
-            if square not in cache:
-                cache[square] = float(np.sum(ns.weights * leaf.value(ns.points)))
-    return ns, np.array([cache[square] for cache in caches])
-
-
-def _box_nodes(field: Field, scheme: QuadratureScheme) -> NodeSet:
-    """The tensor square at the coarsest panel density on which every leaf's mass has settled.
-
-    Densities k = 1, 2, 4, ... panels per unit (and per shell), at most
-    ``scheme.panels``, are tried from the first whose panels are no wider
-    than the field's half-maximum width: a narrower leaf can fall between
-    the nodes of two levels alike and look settled at mass 0. The first k
-    with sum |c_i| |M_i(k) - M_i(k/2)| <= tail_tol * _TAIL_SAFETY over the
-    leaves is used, so terms whose masses cancel cannot stop the doubling.
-    M_i(k) is leaf i's mass on the field's square at level k, kept on the
-    leaf (``_leaf_masses``): every field with the same square, such as a sum
-    and its terms when their core radii and shell counts agree, reads it
-    without sampling again. A field that never settles gets the cap; a
-    level over budget raises.
-    """
+    leaves = [leaf for _, leaf in field.terms()]
     coeffs = np.abs([c for c, _ in field.terms()])
-    # the core radius and shell count do not depend on the level's panels
+    caches = [leaf.__dict__.setdefault("_sizing_masses", {}) for leaf in leaves]
+    # the core radius, shells, breakpoints and width do not depend on the level's panels
     radius = _core_radius(field, scheme)
-    shells = len(_shell_edges(field, radius, scheme.tail_tol))
+    radii = np.array(_shell_edges(field, radius, scheme.tail_tol))
+    breakpoints, width = field.breakpoints(), field.half_max_width()
+
+    def nodes_at(level: QuadratureScheme) -> NodeSet:
+        return _cover_nodes(_edges(radii, breakpoints, level), level.nodes, field.dim)
+
     previous, k = None, 1
-    while k < scheme.panels and k * field.half_max_width() < 1.0:
+    while k < scheme.panels and k * width < 1.0:
         k *= 2
     while True:
-        level = replace(scheme, panels=min(k, scheme.panels))
+        level = _level(scheme, min(k, scheme.panels))
         if k >= scheme.panels:
-            return _square_nodes(field, level)
-        ns, masses = _leaf_masses(field, level, (level, radius, shells))
-        if previous is not None and np.sum(coeffs * np.abs(masses - previous)) <= scheme.tail_tol * _TAIL_SAFETY:
-            return ns if ns is not None else _square_nodes(field, level)
+            return nodes_at(level)
+        key = (level, radius, radii.size, breakpoints)
+        ns = None if all(key in cache for cache in caches) else nodes_at(level)
+        for leaf, cache in zip(leaves, caches):
+            if key not in cache:
+                cache[key] = float((ns.weights * leaf.value(ns.points)).sum())
+        masses = np.array([cache[key] for cache in caches])
+        if previous is not None and (coeffs * np.abs(masses - previous)).sum() <= scheme.tail_tol * _TAIL_SAFETY:
+            return ns if ns is not None else nodes_at(level)
         previous, k = masses, 2 * k
 
 
@@ -252,19 +270,17 @@ def _grid_nodes(field: Field) -> NodeSet:
 def nodes_for(field: Field, scheme: QuadratureScheme | None = None) -> NodeSet:
     """Node set for integrals against ``field``; deterministic in (scheme, field).
 
-    The nodes are a pure function of the scheme and the field's metadata,
-    and in 2-D also of the leaves' masses on the sizing levels, cached on
-    the leaves (``_box_nodes``). A set over the node budget raises
-    :class:`NodeBudgetError` before it is built.
+    The nodes are a pure function of the scheme, the field's metadata
+    (core radius, tail bound, width and breakpoints) and the leaves' masses
+    on the sizing levels, cached on the leaves (``_sized_nodes``). A set
+    over the node budget raises :class:`NodeBudgetError` before it is built.
     A combination's nodes cover every term, so pairing different fields on
     ``nodes_for(p + q, scheme)`` puts them on one shared discrete measure.
     """
     scheme = scheme or DEFAULT_SCHEME
     if field.grid is not None:
         return _grid_nodes(field)
-    if field.dim == 1:
-        return _gauss_nodes(_line_edges(field, scheme), scheme.nodes)
-    return _box_nodes(field, scheme)
+    return _sized_nodes(field, scheme)
 
 
 def total_mass(p: Field, scheme: QuadratureScheme | None = None) -> float:
@@ -304,8 +320,8 @@ def weighted_norm(f: Field, m: float, scheme: QuadratureScheme | None = None) ->
     previous = np.inf
     growth_streak = 0
     for _ in range(_MAX_SHELLS):
-        pos, neg = _shell_panels(r, 2.0 * r, scheme)
-        contribution = chunk(*_gauss_nodes(pos, scheme.nodes)) + chunk(*_gauss_nodes(neg, scheme.nodes))
+        pair = (np.linspace(lo, hi, scheme.panels + 1) for lo, hi in ((r, 2.0 * r), (-2.0 * r, -r)))
+        contribution = sum(chunk(*_gauss_nodes(edges, scheme.nodes)) for edges in pair)
         total += contribution
         if contribution <= scheme.tail_tol * max(total, scheme.tail_tol):
             return float(np.sqrt(total))

@@ -102,7 +102,7 @@ def _require_grid(q: Field, op: str) -> GridInfo:
 
 
 def _mass_on(values: np.ndarray, weights: np.ndarray, label: str) -> float:
-    mass = float(np.sum(weights * values))
+    mass = float((weights * values).sum())
     if not np.isfinite(mass) or mass <= 0:
         raise ZeroMassError(f"{label} has nonpositive mass {mass!r}")
     return mass
@@ -155,8 +155,8 @@ def _entropy(rule: str, w, s: Sample, mass):
         elif rule == "hyvarinen":
             terms = np.where(qv > 0, _norm_sq(s) / np.maximum(qv, LOG_CLAMP), 0.0)
         else:
-            return np.sum(w * qv**2, axis=-1) / mass
-    return np.sum(w * terms, axis=-1)
+            return (w * qv**2).sum(axis=-1) / mass
+    return (w * terms).sum(axis=-1)
 
 
 def _score(rule: str, s: Sample, mass, q2: float | None = None, floor: float = LOG_CLAMP):

@@ -14,6 +14,7 @@ import numpy as np
 
 from . import pairing
 from .densities import Field, GaussianDensity, GridDensity, GridInfo, MixtureDensity
+from .errors import InvalidParameterError
 
 __all__ = [
     "DEFAULT_SEED",
@@ -32,6 +33,13 @@ DEFAULT_SEED = 42
 DEFAULT_GRID = GridInfo(0.0, 1.0, 401)
 
 
+def _checked_seed(seed: int) -> int:
+    """``seed``, refused when negative: numpy's seed streams take non-negative integers only."""
+    if seed < 0:
+        raise InvalidParameterError(f"seed must be a non-negative integer, got {seed!r}")
+    return seed
+
+
 def sample_mixture(rng: np.random.Generator, max_components: int = 3) -> MixtureDensity:
     """One denormalised Gaussian mixture from the seeded family."""
     k = int(rng.integers(1, max_components + 1))
@@ -43,7 +51,7 @@ def sample_mixture(rng: np.random.Generator, max_components: int = 3) -> Mixture
 
 
 def sample_mixture_pairs(n: int, seed: int = DEFAULT_SEED) -> list[tuple[MixtureDensity, MixtureDensity]]:
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_checked_seed(seed))
     return [(sample_mixture(rng), sample_mixture(rng)) for _ in range(n)]
 
 
@@ -75,7 +83,7 @@ def perturbed_mixture(q: MixtureDensity, rng: np.random.Generator) -> MixtureDen
 def sample_fd_pairs(n: int, seed: int = DEFAULT_SEED) -> list[tuple[MixtureDensity, MixtureDensity]]:
     """Seeded (p, q) pairs safe for finite-difference derivatives at q."""
     pairs = []
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_checked_seed(seed))
     for _ in range(n):
         q = sample_mixture(rng)
         pairs.append((perturbed_mixture(q, rng), q))

@@ -273,10 +273,14 @@ def test_score_config_errors_exit_2(capsys, files, n01, uniform):
     assert run(capsys, ["score", "--rule", "elo", "--forecast", n01, "--obs", obs])[0] == 2
 
 
-def test_score_node_sets_over_budget_exit_3(capsys, files, n01):
-    # refused from the node count: 2e6 panels per unit would build 2.56e8 nodes, a radius of 1e308 inf
+def test_score_node_sets_over_budget_exit_3(capsys, monkeypatch, files, n01):
+    # refused from the count: a 20,000-node rule's eigenproblem holds 4e8 entries, a radius of 1e308 inf nodes
+    def unbuilt(n):
+        raise AssertionError("Gauss-Legendre rule built before its size was counted")
+
+    monkeypatch.setattr(pairing, "_leggauss", unbuilt)
     obs = files("obs.csv", "0.0\n")
-    for flags in (["--panels", "2000000"], ["--radius", "1e308"]):
+    for flags in (["--nodes", "20000"], ["--radius", "1e308"]):
         code, out, err = run(capsys, ["score", "--rule", "quad", "--forecast", n01, "--obs", obs, *flags])
         assert (code, out) == (3, "")
         assert "budget 6,000,000" in err

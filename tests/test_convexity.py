@@ -19,7 +19,7 @@ from conescore.convexity import (
     run_suite,
     two_sided_derivative,
 )
-from conescore.densities import Bump, Combination, GaussianDensity, GridDensity, GridField
+from conescore.densities import Bump, Combination, GaussianDensity, GridDensity, GridField, MixtureDensity
 from conescore.errors import (
     InfeasibleStepError,
     InvalidParameterError,
@@ -288,21 +288,36 @@ def test_gateaux_gradient_on_uniform():
 
 
 def test_gateaux_evaluates_each_leaf_once_per_node_set(monkeypatch):
-    # counts calls, not time: every step used to re-evaluate every leaf
-    calls = Counter()
+    # counts calls, not time: every step used to re-evaluate every leaf. Sizing the cover
+    # samples each leaf once per level inside nodes_for, on the final level's set too;
+    # outside it the kernel samples each leaf once, on the cover's set
+    calls = {True: Counter(), False: Counter()}  # inside nodes_for -> (leaf id, points id) -> count
     seen = []  # holding the node arrays keeps their ids unique
+    kernel_sets = []
+    sizing = [False]
+    original_nodes_for = pairing.nodes_for
+
+    def recording(field, scheme=None):
+        sizing[0] = True
+        try:
+            ns = original_nodes_for(field, scheme)
+        finally:
+            sizing[0] = False
+        kernel_sets.append(ns.points)
+        return ns
 
     def counting(original):
         def evaluate(self, x, *args):
             seen.append(x)
-            calls[id(self), id(x)] += 1
+            calls[sizing[0]][id(self), id(x)] += 1
             return original(self, x, *args)
 
         return evaluate
 
-    # a Gaussian's value, gradient and Laplacian all go through its one-pass sample
-    monkeypatch.setattr(GaussianDensity, "sample", counting(GaussianDensity.sample))
+    # a mixture's value, gradient and Laplacian all go through its one-pass sample
+    monkeypatch.setattr(MixtureDensity, "sample", counting(MixtureDensity.sample))
     monkeypatch.setattr(Bump, "value", counting(Bump.value))
+    monkeypatch.setattr(pairing, "nodes_for", recording)
     rng = np.random.default_rng(8)
     q = sampling.sample_mixture(rng)
     directions = [
@@ -313,7 +328,10 @@ def test_gateaux_evaluates_each_leaf_once_per_node_set(monkeypatch):
     ]
     report = gateaux_check(q, directions)
     assert report.passed
-    assert calls and max(calls.values()) == 1
+    assert max(calls[True].values()) == 1 and max(calls[False].values()) == 1
+    kernel = kernel_sets[0]  # the entropy line's cover, sized before anything else is asked
+    leaves = {id(q)} | {id(leaf) for d in directions for _, leaf in d.terms()}
+    assert {leaf for leaf, x in calls[False] if x == id(kernel)} == leaves
 
 
 def test_gateaux_requires_directions():
@@ -393,6 +411,13 @@ def test_run_suite_validation():
         run_suite("gateaux", rule="logarithmic")
     with pytest.raises(InvalidParameterError, match="non-negative"):
         run_suite("euler", seed=-1)
+
+
+@pytest.mark.parametrize("sampler", [sampling.sample_mixture_pairs, sampling.sample_fd_pairs])
+def test_seeded_samplers_refuse_a_negative_seed(sampler):
+    # numpy's own refusal is a bare ValueError
+    with pytest.raises(InvalidParameterError, match="non-negative"):
+        sampler(3, seed=-1)
 
 
 def test_run_suite_report_shape():

@@ -129,13 +129,23 @@ def test_half_max_width_is_where_the_profile_halves():
         (GaussianDensity([0.4, -1.0], [2.0, 0.3]), np.array([0.4, -1.0]), np.array([0.0, 1.0])),
         (PowerLawDensity(2.5), 0.0, None),
         (PowerLawDensity(7.0, dim=2), np.zeros(2), np.array([1.0, 0.0])),
+        (Bump(0.3, 0.7, -1.5), 0.3, None),
     ):
         step = 0.5 * q.half_max_width() * (1.0 if axis is None else axis)
         assert q.value(centre + step) == pytest.approx(0.5 * q.value(centre), rel=1e-12)
     narrow, wide = GaussianDensity(0.0, 0.01), GaussianDensity(1.0, 4.0)
     assert MixtureDensity((wide, narrow), (1.0, 1.0)).half_max_width() == narrow.half_max_width()
     assert (wide - 2.0 * narrow).half_max_width() == narrow.half_max_width()
-    assert Bump(0.0, 1.0).half_max_width() == 0.0  # unknown: 2-D node sets stay at the panel cap
+    assert Bump(0.0, 1.0).half_max_width() == pytest.approx(1.0824, abs=1e-4)  # 2h sqrt(1 - 2^-1/2)
+    assert Bump([0.0, 0.0], 1.0).half_max_width() == 0.0  # its kink is a circle: 2-D node sets stay at the cap
+
+
+def test_breakpoints_are_the_one_dimensional_bump_edges():
+    assert Bump(0.3, 0.5).breakpoints() == (-0.2, 0.8)
+    assert Bump([0.3, 0.0], 0.5).breakpoints() == ()
+    assert GaussianDensity(0.0, 1.0).breakpoints() == ()
+    combo = Bump(1.0, 0.5) - 2.0 * Bump(-1.0, 0.5) + Bump(1.5, 1.0) + GaussianDensity(0.0, 1.0)
+    assert combo.breakpoints() == (-1.5, -0.5, 0.5, 1.5, 2.5)  # the union, ascending, each once
 
 
 def test_two_dimensional_power_law_config_builds():
@@ -151,8 +161,9 @@ def test_power_law_requires_integrable_exponent():
 
 
 def test_bump_mass_closed_form():
+    # by quadrature: c - h and c + h are panel edges, so each panel holds one quartic piece
     b = Bump(0.3, 0.25, 1.7)
-    assert b.total_mass() == pytest.approx(16.0 * 1.7 * 0.25 / 15.0, abs=1e-12)
+    assert b.total_mass() == pytest.approx(16.0 * 1.7 * 0.25 / 15.0, rel=1e-15)
     assert b.value(np.array([0.3 + 0.3])) == 0.0  # outside the support
 
 

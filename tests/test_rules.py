@@ -357,21 +357,26 @@ def test_wide_2d_gaussian_pairs_match_closed_forms():
 def test_each_gaussian_leaf_is_sampled_once_per_rules_call(monkeypatch):
     # value, gradient and Laplacian all go through one sample on the node set
     # the kernel pairs on; sizing the 2-D node set reads values on coarser
-    # levels once, and a repeat call with the same leaves and scheme reads none
+    # levels once, and a repeat call with the same leaves and scheme reads none.
+    # A mixture samples its components in one pass, so it is the leaf counted
     samples = []  # (leaf id, points, order); holding the points keeps their ids unique
     kernel_sets = []
-    original_sample, original_nodes_for = GaussianDensity.sample, pairing.nodes_for
+    original_nodes_for = pairing.nodes_for
 
-    def counting(self, x, order=0):
-        samples.append((id(self), x, order))
-        return original_sample(self, x, order)
+    def counting(original):
+        def sample(self, x, order=0):
+            samples.append((id(self), x, order))
+            return original(self, x, order)
+
+        return sample
 
     def recording(field, scheme=None):
         ns = original_nodes_for(field, scheme)
         kernel_sets.append(ns.points)
         return ns
 
-    monkeypatch.setattr(GaussianDensity, "sample", counting)
+    monkeypatch.setattr(GaussianDensity, "sample", counting(GaussianDensity.sample))
+    monkeypatch.setattr(MixtureDensity, "sample", counting(MixtureDensity.sample))
     monkeypatch.setattr(pairing, "nodes_for", recording)
     calls = (
         lambda m, q: rules.divergence("hyvarinen", m, q, COARSE),
@@ -380,7 +385,7 @@ def test_each_gaussian_leaf_is_sampled_once_per_rules_call(monkeypatch):
     )
     for call, with_q in zip(calls, (True, False, True)):
         m, q = mixture_2d(), GaussianDensity([0.2, 0.1], [0.9, 1.1])
-        leaves = {id(c) for c in m.components} | ({id(q)} if with_q else set())
+        leaves = {id(m)} | ({id(q)} if with_q else set())
         for first in (True, False):
             samples.clear()
             kernel_sets.clear()
