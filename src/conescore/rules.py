@@ -286,15 +286,10 @@ def _sampled_mode_set(q: Field, delta_mode: float = DELTA_MODE) -> tuple[ModeSet
     modal = _modal(vals, delta_mode)
     cells = np.flatnonzero(modal[:-1] & modal[1:])
     measure = grid.spacing * cells.size
-    region: list[tuple[float, float]] = []
-    for i in cells:
-        lo, hi = pts[i], pts[i + 1]
-        if region and np.isclose(region[-1][1], lo):
-            region[-1] = (region[-1][0], float(hi))
-        else:
-            region.append((float(lo), float(hi)))
+    runs = np.split(cells, np.flatnonzero(np.diff(cells) != 1) + 1)  # cells of consecutive indices
+    region = tuple((float(pts[r[0]]), float(pts[r[-1] + 1])) for r in runs if r.size)
     return ModeSet(
-        region=tuple(region),
+        region=region,
         measure=float(measure),
         height=vmax,
         argmax=float(pts[int(np.argmax(vals))]),

@@ -339,6 +339,55 @@ def test_gateaux_requires_directions():
         gateaux_check(uniform_grid(), [])
 
 
+def test_gateaux_steps_need_a_richardson_pair():
+    with pytest.raises(InvalidParameterError, match="two steps"):
+        gateaux_check(uniform_grid(), [uniform_grid()], steps=(0.01,))
+
+
+def gateaux_bases(seed=42, samples=50):
+    """The bases and directions of ``run_suite("gateaux", seed=seed)``."""
+    for k in range(min(10, max(1, samples // 5))):
+        rng = np.random.default_rng([seed, 29, k])
+        q = sampling.sample_mixture(rng)
+        yield q, convexity._gateaux_directions(rng, max(4, (2 * samples) // 5))
+
+
+def test_gateaux_derivative_is_the_full_schedule_richardson_pair():
+    # the four rows evaluated give exactly the numbers the whole +-t schedule gave
+    steps = convexity.FD_STEPS
+    for q, directions in gateaux_bases():
+        line = entropy_line("quadratic", q, *directions)
+        for p in directions:
+            values = line.along(q, p, [s for t in steps for s in (t, -t)])
+            quotients = [(a - b) / (2.0 * t) for t, a, b in zip(steps, values[0::2], values[1::2])]
+            r2 = (steps[-2] / steps[-1]) ** 2
+            full = (r2 * quotients[-1] - quotients[-2]) / (r2 - 1.0)
+            assert convexity._symmetric_derivative(line, q, p, steps) == full
+
+
+def test_gateaux_certifies_a_direction_leaving_the_domain_far_from_q():
+    # q - 10q t has negative mass from t = 1/10, far above the steps the derivative reads
+    q = sampling.sample_mixture(np.random.default_rng(3))
+    report = gateaux_check(q, [-10.0 * q])
+    assert report.passed
+
+
+def test_gateaux_evaluates_four_rows_per_field(monkeypatch):
+    rows = []
+    original = convexity._row_entropies
+
+    def counting(rule, w, fv, grad=None):
+        rows.append(len(fv))
+        return original(rule, w, fv, grad)
+
+    monkeypatch.setattr(convexity, "_row_entropies", counting)
+    q, directions = next(gateaux_bases())
+    report = gateaux_check(q, directions)
+    assert report.passed
+    # one field per direction, per adjacent pair's sum, and 2 p0 for homogeneity
+    assert rows == [4] * (2 * len(directions))
+
+
 # ---------------------------------------------------------------------------
 # certificates
 # ---------------------------------------------------------------------------

@@ -148,6 +148,17 @@ def test_mode_set_of_plateau():
     assert (lo, hi) == (pytest.approx(0.25), pytest.approx(0.35))
 
 
+def test_mode_set_keeps_plateaus_apart_on_a_fine_grid():
+    # spacing 1e-3 lies below 1e-5 * |x| here, so comparing cell edges with a
+    # relative tolerance would merge two plateaus one grid point apart
+    vals = np.full(1001, 2.0)
+    vals[500] = 1.0
+    ms = rules.mode_set(GridDensity(1000.0, 1001.0, vals))
+    x = np.linspace(1000.0, 1001.0, 1001)
+    assert ms.region == ((x[0], x[499]), (x[501], x[1000]))
+    assert ms.measure == pytest.approx(0.998, rel=1e-12)
+
+
 def test_mode_set_of_singleton_peak():
     x = np.linspace(0.0, 1.0, 401)
     q = GridDensity(0.0, 1.0, 2.0 - 4.0 * np.abs(x - 0.5) + 1e-12)
