@@ -106,51 +106,37 @@ def entropy_line(rule: str, *fields: Field, scheme: pairing.QuadratureScheme | N
     """Entropy callback discretised on one node set covering ``fields``.
 
     The returned callable evaluates the rule's entropy of any field by
-    restriction to the frozen nodes, where each leaf field is sampled once
-    (values, and gradients for the Hyvarinen rule). Its attribute
+    restriction to the frozen nodes, where the node set samples each leaf
+    field once (values, and gradients for the Hyvarinen rule). Its attribute
     ``along(q, p, ts)`` evaluates a whole step schedule as qs + t ps in
     blocks of steps and returns, per step, a float or the domain error the
     callable would raise (negative values for the positivity-constrained
-    entropies, nonpositive mass); ``sample`` and ``weights`` expose the
-    samples and the quadrature weights.
+    entropies, nonpositive mass); ``nodes`` is that node set, which holds
+    the samples and the quadrature weights.
     """
     rule = rules.canonical_rule(rule)
     cover = fields[0] if len(fields) == 1 else Combination((1.0,) * len(fields), fields)
-    if rule == "supremum":
-        if cover.grid is None:
-            raise InvalidParameterError("supremum entropy lines need grid fields")
-        pts, w = cover.grid.points(), None
-    else:
-        ns = pairing.nodes_for(cover, scheme)
-        pts, w = ns.points, ns.weights
+    if rule == "supremum" and cover.grid is None:
+        raise InvalidParameterError("supremum entropy lines need grid fields")
+    ns = pairing.nodes_for(cover, scheme)
     order = 1 if rule == "hyvarinen" else 0
-    leaves: dict[int, tuple] = {}  # id -> (leaf, samples); holding the leaf keeps its id unique
-
-    def sample(f: Field) -> list[np.ndarray]:
-        total = None  # summed in the order and arithmetic of Combination.sample
-        for c, leaf in f.terms():
-            if id(leaf) not in leaves:
-                leaves[id(leaf)] = (leaf, leaf.sample(pts, order)[: order + 1])
-            part = [c * a for a in leaves[id(leaf)][1]]
-            total = part if total is None else [s + x for s, x in zip(total, part)]
-        return total
 
     def along(q: Field, p: Field, ts: Sequence[float]) -> list:
-        qs, ps, ts = sample(q), sample(p), np.asarray(ts, dtype=float)
-        rows = max(1, _BLOCK_ELEMENTS // len(pts))
+        qs, ps, ts = ns.sample(q, order)[: order + 1], ns.sample(p, order)[: order + 1], np.asarray(ts, dtype=float)
+        rows = max(1, _BLOCK_ELEMENTS // len(ns.points))
         out: list = []
         for i in range(0, ts.size, rows):
             tb = ts[i : i + rows]
-            out += _row_entropies(rule, w, *(a + tb.reshape((-1,) + (1,) * a.ndim) * b for a, b in zip(qs, ps)))
+            out += _row_entropies(rule, ns.weights, *(a + tb.reshape((-1,) + (1,) * a.ndim) * b for a, b in zip(qs, ps)))
         return out
 
     def phi(f: Field) -> float:
-        (value,) = _row_entropies(rule, w, *(a[None] for a in sample(f)))
+        (value,) = _row_entropies(rule, ns.weights, *(a[None] for a in ns.sample(f, order)[: order + 1]))
         if isinstance(value, ConescoreError):
             raise value
         return value
 
-    phi.along, phi.sample, phi.weights = along, sample, w
+    phi.along, phi.nodes = along, ns
     return phi
 
 
@@ -194,8 +180,8 @@ class TwoSidedDerivative:
 
 def _validate_steps(steps: Sequence[float]) -> tuple[float, ...]:
     steps = tuple(float(t) for t in steps)
-    if not steps or any(t <= 0 for t in steps):
-        raise InvalidParameterError("steps must be positive")
+    if not steps or not all(0 < t < np.inf for t in steps):
+        raise InvalidParameterError("steps must be positive and finite")
     if any(a <= b for a, b in zip(steps, steps[1:])):
         raise InvalidParameterError("steps must be strictly decreasing")
     return steps
@@ -321,12 +307,9 @@ def analytic_directional_derivative(
     grid = q.grid
     if grid is None or p.grid != grid:
         raise InvalidParameterError("supremum derivative needs p and q on one grid")
-    pts = grid.points()
-    qv = np.asarray(q.value(pts), dtype=float)
-    pv = np.asarray(p.value(pts), dtype=float)
     ns = pairing.nodes_for(p, None)
-    mp = float(np.sum(ns.weights * pv))
-    return float(np.max(pv[rules._modal(qv)]) / mp)
+    modal = rules._modal(ns.sample(q).value)
+    return float(np.max(ns.sample(p).value[modal]) / ns.mass(p))
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +473,7 @@ def certify_sublinearity(
         cases.append(
             CaseResult(f"{rule}/sublinearity/subadd{i:03d}", margin, tol, margin >= -tol)
         )
-        if strict_rule and sampling.normalized_l1_distance(f, g, scheme) >= 0.1:
+        if strict_rule and sampling._l1_on(line.nodes, f, g) >= 0.1:  # the line's set is nodes_for(f + g)
             cases.append(
                 CaseResult(
                     f"{rule}/sublinearity/strict{i:03d}",
@@ -642,10 +625,9 @@ def gateaux_check(
     if len(steps) < 2:
         raise InvalidParameterError("the Richardson pair needs at least two steps")
     phi = entropy_line("quadratic", q, *directions, scheme=scheme)
-    w = phi.weights
-    qs = Sample(*phi.sample(q))
-    mq = float(np.sum(w * qs.value))
-    grad_values = rules._score("quadratic", qs, mq, rules._self_pairing("quadratic", w, qs))
+    ns = phi.nodes
+    w, qs = ns.weights, ns.sample(q)
+    grad_values = rules._score("quadratic", qs, ns.mass(q), rules._self_pairing("quadratic", w, qs))
     symmetric = functools.partial(_symmetric_derivative, phi, q, steps=steps)
 
     margin = cone_check(q, default_cone_spec("quadratic", q.dim), scheme).worst_residual
@@ -656,7 +638,7 @@ def gateaux_check(
     for i, p in enumerate(directions):
         d = symmetric(p)
         derivs.append(d)
-        expected = float(np.sum(w * grad_values * phi.sample(p)[0]))
+        expected = float(np.sum(w * grad_values * ns.sample(p).value))
         resid = abs(d - expected)
         note = cone_note if i == 0 else None
         cases.append(CaseResult(f"{prefix}/gradient{i:03d}", resid, tol, resid <= tol, note=note))

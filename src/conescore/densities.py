@@ -109,24 +109,27 @@ class Sample(NamedTuple):
 
 
 class Field:
-    """Scalar field on R^d with optional derivatives and decay metadata."""
+    """Scalar field on R^d with optional derivatives and decay metadata.
+
+    Families implement ``sample``, one pass for the values and, when asked, the
+    gradient and Laplacian; ``value``, ``gradient`` and ``laplacian`` read it.
+    """
 
     dim: int = 1
 
     # -- pointwise evaluation -------------------------------------------------
-    def value(self, x):
-        raise NotImplementedError
-
-    def gradient(self, x):
-        raise NotImplementedError
-
-    def laplacian(self, x):
-        raise NotImplementedError
-
     def sample(self, x, order: int = 0) -> Sample:
         """Values at ``x``, with the gradient (order >= 1) and the Laplacian (order 2)."""
-        ops = (self.value, self.gradient, self.laplacian)[: order + 1]
-        return Sample(*(np.asarray(op(x), dtype=float) for op in ops))
+        raise NotImplementedError
+
+    def value(self, x):
+        return self.sample(x).value
+
+    def gradient(self, x):
+        return self.sample(x, 1).gradient
+
+    def laplacian(self, x):
+        return self.sample(x, 2).laplacian
 
     # -- quadrature metadata --------------------------------------------------
     @property
@@ -182,19 +185,6 @@ class Field:
         return cache[key]
 
 
-class _OnePass(Field):
-    """A field whose value, gradient and Laplacian come from its one-pass ``sample``."""
-
-    def value(self, x):
-        return self.sample(x).value
-
-    def gradient(self, x):
-        return self.sample(x, 1).gradient
-
-    def laplacian(self, x):
-        return self.sample(x, 2).laplacian
-
-
 def _gaussian_rows(pts: np.ndarray, mean: np.ndarray, var: np.ndarray, factor: np.ndarray, order: int) -> list:
     """Value, gradient (order >= 1) and Laplacian (order 2) at points (n, d) of m Gaussians, one row each.
 
@@ -223,7 +213,7 @@ def _gaussian_rows(pts: np.ndarray, mean: np.ndarray, var: np.ndarray, factor: n
     return rows
 
 
-class _GaussianSum(_OnePass):
+class _GaussianSum(Field):
     """Weighted diagonal Gaussians, many sampled per pass.
 
     ``_rows`` holds their means and variances (m, d) and their scales over
@@ -245,7 +235,7 @@ class _GaussianSum(_OnePass):
         return Sample(*(_squeeze(a, scalar) for a in out))
 
 
-class Combination(_OnePass):
+class Combination(Field):
     """Finite linear combination of fields (flattened, signed)."""
 
     def __init__(self, coeffs: Sequence[float], fields: Sequence[Field]):
@@ -415,26 +405,18 @@ class PowerLawDensity(Field):
             return math.sqrt(math.pi) * math.gamma((b - 1) / 2) / math.gamma(b / 2)
         return math.exp(0.5 * math.log(math.pi) + math.lgamma((b - 1) / 2) - math.lgamma(b / 2))
 
-    def _values(self, pts: np.ndarray) -> np.ndarray:
-        r2 = (pts**2).sum(axis=1)
-        return (self.scale / self._norm) * (1.0 + r2) ** (-0.5 * self.beta)
-
-    def value(self, x):
-        pts, scalar = _as_points(x, self.dim)
-        return _squeeze(self._values(pts), scalar)
-
-    def gradient(self, x):
-        pts, scalar = _as_points(x, self.dim)
-        r2 = (pts**2).sum(axis=1)
-        g = self._values(pts)[:, None] * (-self.beta * pts / (1.0 + r2)[:, None])
-        return _squeeze(g[:, 0] if self.dim == 1 else g, scalar)
-
-    def laplacian(self, x):
+    def sample(self, x, order: int = 0) -> Sample:
         pts, scalar = _as_points(x, self.dim)
         r2 = (pts**2).sum(axis=1)
         b, d = self.beta, self.dim
-        factor = (b**2 + 2.0 * b) * r2 / (1.0 + r2) ** 2 - b * d / (1.0 + r2)
-        return _squeeze(self._values(pts) * factor, scalar)
+        values = (self.scale / self._norm) * (1.0 + r2) ** (-0.5 * b)
+        out = [values]
+        if order >= 1:
+            g = values[:, None] * (-b * pts / (1.0 + r2)[:, None])
+            out.append(g[:, 0] if d == 1 else g)
+        if order >= 2:
+            out.append(values * ((b**2 + 2.0 * b) * r2 / (1.0 + r2) ** 2 - b * d / (1.0 + r2)))
+        return Sample(*(_squeeze(a, scalar) for a in out))
 
     def core_radius(self) -> float:
         return 8.0
@@ -487,21 +469,17 @@ class GridField(Field):
             bad = float(pts[outside][0])
             raise DomainError(f"point {bad} outside grid domain [{self.lo}, {self.hi}]")
 
-    def value(self, x):
+    def sample(self, x, order: int = 0) -> Sample:
+        if order >= 2:
+            raise UnsupportedFamilyError("grid fields expose no Laplacian")
         pts, scalar = _as_points(x, 1)
         self._check_domain(pts)
-        vals = np.interp(pts[:, 0], self.grid.points(), self.values)
-        return _squeeze(vals, scalar)
-
-    def gradient(self, x):
-        pts, scalar = _as_points(x, 1)
-        self._check_domain(pts)
-        slopes = np.gradient(self.values, self.grid.spacing)
-        vals = np.interp(pts[:, 0], self.grid.points(), slopes)
-        return _squeeze(vals, scalar)
-
-    def laplacian(self, x):
-        raise UnsupportedFamilyError("grid fields expose no Laplacian")
+        grid = self.grid
+        knots = grid.points()
+        out = [np.interp(pts[:, 0], knots, self.values)]
+        if order >= 1:
+            out.append(np.interp(pts[:, 0], knots, np.gradient(self.values, grid.spacing)))
+        return Sample(*(_squeeze(a, scalar) for a in out))
 
     def core_radius(self) -> float:
         return float(max(abs(self.lo), abs(self.hi)))
@@ -546,29 +524,17 @@ class Bump(Field):
     def _u2(self, pts: np.ndarray) -> np.ndarray:
         return ((pts - self.center) ** 2).sum(axis=1) / self.halfwidth**2
 
-    def value(self, x):
+    def sample(self, x, order: int = 0) -> Sample:
         pts, scalar = _as_points(x, self.dim)
         u2 = self._u2(pts)
-        vals = np.where(u2 < 1.0, self.amplitude * (1.0 - u2) ** 2, 0.0)
-        return _squeeze(vals, scalar)
-
-    def gradient(self, x):
-        pts, scalar = _as_points(x, self.dim)
-        u2 = self._u2(pts)
-        inside = (u2 < 1.0)[:, None]
-        g = np.where(
-            inside,
-            -4.0 * self.amplitude * (1.0 - u2)[:, None] * (pts - self.center) / self.halfwidth**2,
-            0.0,
-        )
-        return _squeeze(g[:, 0] if self.dim == 1 else g, scalar)
-
-    def laplacian(self, x):
-        pts, scalar = _as_points(x, self.dim)
-        u2 = self._u2(pts)
-        d = self.dim
-        lap = np.where(u2 < 1.0, -4.0 * self.amplitude / self.halfwidth**2 * (d - (d + 2.0) * u2), 0.0)
-        return _squeeze(lap, scalar)
+        inside, a, h2, d = u2 < 1.0, self.amplitude, self.halfwidth**2, self.dim
+        out = [np.where(inside, a * (1.0 - u2) ** 2, 0.0)]
+        if order >= 1:
+            g = np.where(inside[:, None], -4.0 * a * (1.0 - u2)[:, None] * (pts - self.center) / h2, 0.0)
+            out.append(g[:, 0] if d == 1 else g)
+        if order >= 2:
+            out.append(np.where(inside, -4.0 * a / h2 * (d - (d + 2.0) * u2), 0.0))
+        return Sample(*(_squeeze(v, scalar) for v in out))
 
     def exact_mass(self) -> float:
         """Closed-form integral of the bump over R^d."""

@@ -1,11 +1,14 @@
-"""Deterministic quadrature: node sets, masses, weighted norms, surface terms.
+"""Deterministic quadrature: node sets and their samples, masses, weighted norms, surface terms.
 
 Every integral in the toolkit reduces to a weighted sum over a *node set*
 that is a deterministic function of the quadrature scheme and the field.
 Fixing the nodes first is what makes the discrete convexity identities
 (propriety, Euler, quotient monotonicity) hold to floating-point accuracy
 rather than to quadrature accuracy: once the node set is frozen, the
-toolkit is doing exact convex analysis on a finite measure space.
+toolkit is doing exact convex analysis on a finite measure space. The set
+samples each leaf field on its nodes once (``NodeSet.sample``) and keeps
+the sample as long as it lives, so every caller reads the same arrays
+instead of evaluating the field again.
 
 Analytic families integrate by composite Gauss-Legendre on one ascending
 list of panel edges: the core [-R, R] flanked by dyadic tail shells out to
@@ -23,13 +26,13 @@ information they carry.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
-from .densities import Field
+from .densities import Field, Sample
 from .errors import (
     DivergenceError,
     InvalidParameterError,
@@ -105,11 +108,46 @@ class QuadratureScheme:
 DEFAULT_SCHEME = QuadratureScheme()
 
 
-class NodeSet(NamedTuple):
-    """Quadrature nodes and weights; points have shape (n,) or (n, 2)."""
+class NodeSet:
+    """Quadrature nodes and weights, and the fields sampled on them; points have shape (n,) or (n, 2).
 
-    points: np.ndarray
-    weights: np.ndarray
+    ``points, weights = ns`` unpacks it. ``sample`` evaluates each leaf field
+    once on the nodes, and again only to raise its order: a leaf's sample is
+    kept under its id, with the leaf, so every field built from it reads the
+    same arrays. The samples live as long as the set, never on the leaf.
+    """
+
+    __slots__ = ("points", "weights", "_samples")
+
+    def __init__(self, points: np.ndarray, weights: np.ndarray):
+        self.points, self.weights = points, weights
+        self._samples: dict[int, tuple[Field, tuple]] = {}
+
+    def __iter__(self):
+        return iter((self.points, self.weights))
+
+    def sample(self, f: Field, order: int = 0) -> Sample:
+        """f's values on the nodes, with the gradient (order >= 1) and the Laplacian (order 2).
+
+        Terms are summed in ``Combination.sample``'s order and arithmetic; a lone
+        term of coefficient 1 gives the kept arrays themselves, so never write into them.
+        """
+        terms = f.terms()
+        total = None
+        for c, leaf in terms:
+            kept = self._samples.get(id(leaf))
+            if kept is None or len(kept[1]) <= order:
+                kept = self._samples[id(leaf)] = (leaf, leaf.sample(self.points, order)[: order + 1])
+            arrays = kept[1][: order + 1]
+            if len(terms) == 1 and c == 1.0:
+                return Sample(*arrays)
+            part = [c * a for a in arrays]
+            total = part if total is None else list(map(operator.iadd, total, part))
+        return Sample(*total)
+
+    def mass(self, f: Field) -> float:
+        """f's mass on the nodes: the weighted sum of its sampled values."""
+        return float((self.weights * self.sample(f).value).sum())
 
 
 @lru_cache(maxsize=64)
@@ -226,8 +264,9 @@ def _sized_nodes(field: Field, scheme: QuadratureScheme) -> NodeSet:
     the leaf under the level, core radius, shell count and breakpoints that
     fix that set: every field with the same set, such as a sum and its
     terms when those agree, reads it without sampling again; a level whose
-    masses are all kept builds no set unless it is the one returned. A field
-    that never settles gets the cap; a level over budget raises.
+    masses are all kept builds no set unless it is the one returned. The
+    set returned keeps the samples its masses were read from. A field that
+    never settles gets the cap; a level over budget raises.
     """
     leaves = [leaf for _, leaf in field.terms()]
     coeffs = np.abs([c for c, _ in field.terms()])
@@ -251,7 +290,7 @@ def _sized_nodes(field: Field, scheme: QuadratureScheme) -> NodeSet:
         ns = None if all(key in cache for cache in caches) else nodes_at(level)
         for leaf, cache in zip(leaves, caches):
             if key not in cache:
-                cache[key] = float((ns.weights * leaf.value(ns.points)).sum())
+                cache[key] = ns.mass(leaf)
         masses = np.array([cache[key] for cache in caches])
         if previous is not None and (coeffs * np.abs(masses - previous)).sum() <= scheme.tail_tol * _TAIL_SAFETY:
             return ns if ns is not None else nodes_at(level)
@@ -272,8 +311,9 @@ def nodes_for(field: Field, scheme: QuadratureScheme | None = None) -> NodeSet:
 
     The nodes are a pure function of the scheme, the field's metadata
     (core radius, tail bound, width and breakpoints) and the leaves' masses
-    on the sizing levels, cached on the leaves (``_sized_nodes``). A set
-    over the node budget raises :class:`NodeBudgetError` before it is built.
+    on the sizing levels, cached on the leaves (``_sized_nodes``); the set
+    carries the leaves' samples its sizing took. A set over the node budget
+    raises :class:`NodeBudgetError` before it is built.
     A combination's nodes cover every term, so pairing different fields on
     ``nodes_for(p + q, scheme)`` puts them on one shared discrete measure.
     """
@@ -285,9 +325,7 @@ def nodes_for(field: Field, scheme: QuadratureScheme | None = None) -> NodeSet:
 
 def total_mass(p: Field, scheme: QuadratureScheme | None = None) -> float:
     """Total mass p.1 on p's node set."""
-    ns = nodes_for(p, scheme)
-    pv = np.asarray(p.value(ns.points), dtype=float)
-    return float(np.sum(ns.weights * pv))
+    return nodes_for(p, scheme).mass(p)
 
 
 def _weight_values(points: np.ndarray, m: float) -> np.ndarray:

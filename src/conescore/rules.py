@@ -101,17 +101,13 @@ def _require_grid(q: Field, op: str) -> GridInfo:
     return q.grid
 
 
-def _mass_on(values: np.ndarray, weights: np.ndarray, label: str) -> float:
-    mass = float((weights * values).sum())
+def _sampled(f: Field, ns: pairing.NodeSet, order: int, label: str) -> tuple[Sample, float]:
+    """``f``'s sample on the node set, and its mass there, refused unless positive."""
+    s = ns.sample(f, order)
+    mass = float((ns.weights * s.value).sum())
     if not np.isfinite(mass) or mass <= 0:
         raise ZeroMassError(f"{label} has nonpositive mass {mass!r}")
-    return mass
-
-
-def _sampled(f: Field, ns: pairing.NodeSet, order: int, label: str) -> tuple[Sample, float]:
-    """One sample of ``f`` on the node set, and its mass there."""
-    s = f.sample(ns.points, order)
-    return s, _mass_on(s.value, ns.weights, label)
+    return s, mass
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +197,7 @@ def entropy(rule: str, q: Field, scheme: pairing.QuadratureScheme | None = None)
     rule = canonical_rule(rule)
     if rule == "supremum":
         _require_grid(q, "supremum entropy")
-        ns = pairing.nodes_for(q, scheme)
-        return float(np.max(np.asarray(q.value(ns.points), dtype=float)))
+        return float(np.max(pairing.nodes_for(q, scheme).sample(q).value))
     if rule == "hyvarinen":
         _require_analytic(q, "hyvarinen entropy")
     ns = pairing.nodes_for(q, scheme)
@@ -317,7 +312,9 @@ class ModeIndicator(Field):
     def grid(self) -> GridInfo:
         return self.mode.grid
 
-    def value(self, x):
+    def sample(self, x, order: int = 0) -> Sample:
+        if order >= 1:
+            raise UnsupportedFamilyError("mode indicators have no gradient or Laplacian")
         a = np.asarray(x, dtype=float)
         scalar = a.ndim == 0
         pts = np.atleast_1d(a)
@@ -325,13 +322,7 @@ class ModeIndicator(Field):
         for lo, hi in self.mode.region:
             inside |= (pts >= lo) & (pts <= hi)
         vals = np.where(inside, 1.0 / self.mode.measure, 0.0)
-        return float(vals[0]) if scalar else vals
-
-    def gradient(self, x):
-        raise UnsupportedFamilyError("mode indicators have no gradient")
-
-    def laplacian(self, x):
-        raise UnsupportedFamilyError("mode indicators have no Laplacian")
+        return Sample(float(vals[0]) if scalar else vals)
 
     def core_radius(self) -> float:
         return float(max(abs(self.mode.grid.lo), abs(self.mode.grid.hi)))
@@ -377,18 +368,14 @@ def _plateau_pairing(vals: np.ndarray, mode: ModeSet) -> float:
 # expectations and divergences on shared node sets
 # ---------------------------------------------------------------------------
 
-def _shared_nodes(p: Field, q: Field, scheme) -> pairing.NodeSet:
-    return pairing.nodes_for(p + q, scheme)
-
-
 def _sup_expected(p: Field, q: Field, diagnostics: dict | None, op: str) -> tuple[float, float]:
     """max p-hat and the sup expectation p-hat . S(q-hat): plateau pairing, or Dirac fallback."""
     grid = _require_grid(q, op)
     if _require_grid(p, op) != grid:
         raise InvalidParameterError("p and q live on different grids")
     ns = pairing.nodes_for(p, None)
-    pv = np.asarray(p.value(ns.points), dtype=float)
-    mp = _mass_on(pv, ns.weights, "p")
+    ps, mp = _sampled(p, ns, 0, "p")
+    pv = ps.value
     mode = mode_set(q)
     if mode.measure > 0:
         paired = _plateau_pairing(pv, mode)
@@ -418,7 +405,7 @@ def expected_score(
         return _sup_expected(p, q, diagnostics, "supremum expected score")[1]
     if rule == "hyvarinen":
         _require_analytic(q, "hyvarinen expected score")
-    ns = _shared_nodes(p, q, scheme)
+    ns = pairing.nodes_for(p + q, scheme)
     w = ns.weights
     ps, mp = _sampled(p, ns, 0, "p")
     qs, mq = _sampled(q, ns, _SCORE_ORDER[rule], "q")
@@ -449,7 +436,7 @@ def divergence(
     if rule == "hyvarinen":
         _require_analytic(p, "hyvarinen divergence")
         _require_analytic(q, "hyvarinen divergence")
-    ns = _shared_nodes(p, q, scheme)
+    ns = pairing.nodes_for(p + q, scheme)
     w = ns.weights
     ps, mp = _sampled(p, ns, 1 if rule == "hyvarinen" else 0, "p")
     qs, mq = _sampled(q, ns, _SCORE_ORDER[rule], "q")
@@ -477,9 +464,9 @@ def hyvarinen_divergence_direct(
     """
     _require_analytic(p, "fisher divergence")
     _require_analytic(q, "fisher divergence")
-    ns = _shared_nodes(p, q, scheme)
+    ns = pairing.nodes_for(p + q, scheme)
     ps, mp = _sampled(p, ns, 1, "p")
-    qs = q.sample(ns.points, 1)
+    qs = ns.sample(q, 1)
     live = (ps.value > 0) & (qs.value > 0)
     with np.errstate(divide="ignore", invalid="ignore"):
         diff2 = _norm_sq(Sample(ps.value, _log_gradient(ps).gradient - _log_gradient(qs).gradient))

@@ -139,9 +139,10 @@ def reweighted_mixture(q: MixtureDensity, rng: np.random.Generator, spread: floa
 
 def normalized_l1_distance(p: Field, q: Field, scheme: pairing.QuadratureScheme | None = None) -> float:
     """L1 distance of the normalised densities on a shared node set."""
-    ns = pairing.nodes_for(p + q, scheme)
-    pv = np.asarray(p.value(ns.points), dtype=float)
-    qv = np.asarray(q.value(ns.points), dtype=float)
-    mp = float(np.sum(ns.weights * pv))
-    mq = float(np.sum(ns.weights * qv))
-    return float(np.sum(ns.weights * np.abs(pv / mp - qv / mq)))
+    return _l1_on(pairing.nodes_for(p + q, scheme), p, q)
+
+
+def _l1_on(ns: pairing.NodeSet, p: Field, q: Field) -> float:
+    """normalized_l1_distance on a node set covering p and q."""
+    pv, qv = ns.sample(p).value, ns.sample(q).value
+    return float(np.sum(ns.weights * np.abs(pv / ns.mass(p) - qv / ns.mass(q))))

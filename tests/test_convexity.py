@@ -288,35 +288,36 @@ def test_gateaux_gradient_on_uniform():
 
 
 def test_gateaux_evaluates_each_leaf_once_per_node_set(monkeypatch):
-    # counts calls, not time: every step used to re-evaluate every leaf. Sizing the cover
-    # samples each leaf once per level inside nodes_for, on the final level's set too;
-    # outside it the kernel samples each leaf once, on the cover's set
-    calls = {True: Counter(), False: Counter()}  # inside nodes_for -> (leaf id, points id) -> count
+    # counts calls, not time: sizing the cover inside nodes_for samples each leaf once per
+    # level, and the set it returns keeps those samples for the kernel outside it. Counted
+    # together, inside and outside nodes_for, no leaf is evaluated twice on one node array
+    calls = Counter()  # (leaf id, points id) -> evaluations
     seen = []  # holding the node arrays keeps their ids unique
+    depth = [0]
     kernel_sets = []
-    sizing = [False]
     original_nodes_for = pairing.nodes_for
 
     def recording(field, scheme=None):
-        sizing[0] = True
-        try:
-            ns = original_nodes_for(field, scheme)
-        finally:
-            sizing[0] = False
+        ns = original_nodes_for(field, scheme)
         kernel_sets.append(ns.points)
         return ns
 
     def counting(original):
         def evaluate(self, x, *args):
-            seen.append(x)
-            calls[sizing[0]][id(self), id(x)] += 1
-            return original(self, x, *args)
+            if not depth[0]:  # a value read through sample is one evaluation
+                seen.append(x)
+                calls[id(self), id(x)] += 1
+            depth[0] += 1
+            try:
+                return original(self, x, *args)
+            finally:
+                depth[0] -= 1
 
         return evaluate
 
-    # a mixture's value, gradient and Laplacian all go through its one-pass sample
-    monkeypatch.setattr(MixtureDensity, "sample", counting(MixtureDensity.sample))
-    monkeypatch.setattr(Bump, "value", counting(Bump.value))
+    for cls in (MixtureDensity, Bump):
+        for meth in ("sample", "value", "gradient", "laplacian"):
+            monkeypatch.setattr(cls, meth, counting(getattr(cls, meth)))
     monkeypatch.setattr(pairing, "nodes_for", recording)
     rng = np.random.default_rng(8)
     q = sampling.sample_mixture(rng)
@@ -328,10 +329,10 @@ def test_gateaux_evaluates_each_leaf_once_per_node_set(monkeypatch):
     ]
     report = gateaux_check(q, directions)
     assert report.passed
-    assert max(calls[True].values()) == 1 and max(calls[False].values()) == 1
+    assert max(calls.values()) == 1
     kernel = kernel_sets[0]  # the entropy line's cover, sized before anything else is asked
     leaves = {id(q)} | {id(leaf) for d in directions for _, leaf in d.terms()}
-    assert {leaf for leaf, x in calls[False] if x == id(kernel)} == leaves
+    assert {leaf for leaf, x in calls if x == id(kernel)} == leaves
 
 
 def test_gateaux_requires_directions():
@@ -342,6 +343,24 @@ def test_gateaux_requires_directions():
 def test_gateaux_steps_need_a_richardson_pair():
     with pytest.raises(InvalidParameterError, match="two steps"):
         gateaux_check(uniform_grid(), [uniform_grid()], steps=(0.01,))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_every_derivative_entry_point_refuses_non_finite_steps(bad):
+    # a NaN step used to give a NaN derivative, and NaN residuals that the JSON report wrote as NaN
+    q = sampling.sample_mixture(np.random.default_rng(3))
+    p = sampling.perturbed_mixture(q, np.random.default_rng(4))
+    phi = entropy_line("quadratic", q, p)
+    steps = (0.1, bad)
+    for call in (
+        lambda: right_directional_derivative(phi, q, p, steps),
+        lambda: left_directional_derivative(phi, q, p, steps),
+        lambda: two_sided_derivative(phi, q, p, steps),
+        lambda: gateaux_check(q, [p], steps=(0.01, bad)),
+        lambda: gateaux_check(q, [p], steps=(bad, 0.01)),
+    ):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            call()
 
 
 def gateaux_bases(seed=42, samples=50):

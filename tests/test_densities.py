@@ -209,6 +209,72 @@ def test_mixture_and_combination_sum_leaf_samples_in_term_order():
         np.testing.assert_array_equal(gbump, getattr(bump, op)(x))
 
 
+# The pointwise formulas each family had as separate value / gradient / laplacian
+# methods, written out here as the reference its one-pass sample must reproduce.
+
+def _power_law_reference(q, pts):
+    r2 = (pts**2).sum(axis=1)
+    values = (q.scale / q._norm) * (1.0 + r2) ** (-0.5 * q.beta)
+    g = values[:, None] * (-q.beta * pts / (1.0 + r2)[:, None])
+    b, d = q.beta, q.dim
+    factor = (b**2 + 2.0 * b) * r2 / (1.0 + r2) ** 2 - b * d / (1.0 + r2)
+    return values, g[:, 0] if d == 1 else g, values * factor
+
+
+def _bump_reference(b, pts):
+    u2 = ((pts - b.center) ** 2).sum(axis=1) / b.halfwidth**2
+    d = b.dim
+    value = np.where(u2 < 1.0, b.amplitude * (1.0 - u2) ** 2, 0.0)
+    g = np.where((u2 < 1.0)[:, None], -4.0 * b.amplitude * (1.0 - u2)[:, None] * (pts - b.center) / b.halfwidth**2, 0.0)
+    lap = np.where(u2 < 1.0, -4.0 * b.amplitude / b.halfwidth**2 * (d - (d + 2.0) * u2), 0.0)
+    return value, g[:, 0] if d == 1 else g, lap
+
+
+def _grid_reference(f, pts):
+    slopes = np.gradient(f.values, f.grid.spacing)
+    return np.interp(pts[:, 0], f.grid.points(), f.values), np.interp(pts[:, 0], f.grid.points(), slopes)
+
+
+_RNG = np.random.default_rng(12)
+
+
+@pytest.mark.parametrize("field,reference,pts", [
+    (PowerLawDensity(2.7, scale=1.3), _power_law_reference, np.linspace(-40.0, 40.0, 161)),
+    (PowerLawDensity(3.4, dim=2, scale=0.7), _power_law_reference, _RNG.normal(0.0, 3.0, (129, 2))),
+    (Bump(0.3, 0.8, -0.6), _bump_reference, np.concatenate([np.linspace(-1.0, 1.6, 131), [0.3 - 0.8, 1.1]])),
+    (Bump([0.2, -0.4], 0.9, 1.7), _bump_reference, np.vstack([_RNG.uniform(-1.5, 1.5, (129, 2)), [[1.1, -0.4]]])),
+    (GridField(-1.0, 2.0, _RNG.normal(0.0, 1.0, 31)), _grid_reference, np.concatenate([np.linspace(-1.0, 2.0, 97), [0.55]])),
+], ids=["power-law-1d", "power-law-2d", "bump-1d", "bump-2d", "grid"])
+def test_one_pass_sample_is_bit_identical_to_the_pointwise_formulas(field, reference, pts):
+    x = pts.reshape(len(pts), -1)
+    expected = reference(field, x)
+    ops = ("value", "gradient", "laplacian")[: len(expected)]
+    for order in range(len(expected)):
+        s = field.sample(pts, order)
+        assert all(a is None for a in s[order + 1 :])
+        for got, want, op in zip(s, expected[: order + 1], ops):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert getattr(field, op)(pts).tobytes() == want.tobytes()
+        # one point, given as a scalar in 1-D or as a vector in 2-D
+        s = field.sample(pts[0], order)
+        for got, want in zip(s, expected[: order + 1]):
+            if np.ndim(want[0]) == 0:
+                assert type(got) is float and got == float(want[0])
+            else:
+                assert got.tobytes() == want[0].tobytes()
+
+
+def test_grid_sample_refuses_a_laplacian_and_points_off_the_grid():
+    f = GridField(0.0, 1.0, np.linspace(1.0, 2.0, 11))
+    with pytest.raises(UnsupportedFamilyError):
+        f.sample(np.array([0.5]), 2)
+    with pytest.raises(UnsupportedFamilyError):
+        f.laplacian(0.5)
+    for order in (0, 1):
+        with pytest.raises(DomainError):
+            f.sample(np.array([0.5, 1.2]), order)
+
+
 def test_bump_tail_bound_is_nonnegative_for_negative_amplitudes():
     bound = Bump(0.0, 1.0, -1.0).tail_mass_bound(0.5)
     assert bound >= 0.0

@@ -4,8 +4,16 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conescore import boundary, convexity, rules, sampling
-from conescore.densities import GaussianDensity
+from conescore import boundary, convexity, pairing, rules, sampling
+from conescore.densities import (
+    Bump,
+    Combination,
+    GaussianDensity,
+    GridField,
+    GridInfo,
+    MixtureDensity,
+    PowerLawDensity,
+)
 
 finite = {"allow_nan": False, "allow_infinity": False}
 positive = st.floats(min_value=1e-6, max_value=1e3, **finite)
@@ -78,3 +86,61 @@ def test_plateau_subgradient_pairs_to_the_max(seed):
     assert np.isclose(paired, float(np.max(q.values)), rtol=0, atol=1e-12)
     p = sampling.sample_grid_density(rng)
     assert rules.mode_pairing(p, qstar.mode) <= float(np.max(p.values)) + 1e-12
+
+
+# a coarse scheme with a loose tail keeps the 2-D sets small enough for many examples
+_COARSE = pairing.QuadratureScheme(panels=2, nodes=4, tail_tol=1e-6)
+_GRID = GridInfo(-2.0, 2.0, 41)
+coeff = st.sampled_from([1.0, -1.0, 0.5]) | st.floats(min_value=-3.0, max_value=3.0, **finite)
+
+
+@st.composite
+def _leaf(draw, dim, family):
+    u = st.floats(min_value=-1.5, max_value=1.5, **finite)
+    width = st.floats(min_value=0.3, max_value=2.0, **finite)
+    if family == "gaussian":
+        return GaussianDensity([draw(u) for _ in range(dim)], [draw(width) for _ in range(dim)], scale=draw(width))
+    if family == "mixture":
+        comps = tuple(GaussianDensity([draw(u) for _ in range(dim)], draw(width)) for _ in range(draw(st.integers(1, 3))))
+        return MixtureDensity(comps, tuple(draw(width) for _ in comps))
+    if family == "power_law":
+        return PowerLawDensity(draw(st.floats(min_value=dim + 1.5, max_value=8.0, **finite)), dim=dim)
+    if family == "bump":
+        return Bump([draw(u) for _ in range(dim)], draw(width), draw(st.sampled_from([1.0, -0.4])))
+    values = draw(st.lists(st.floats(min_value=-2.0, max_value=2.0, **finite), min_size=_GRID.n, max_size=_GRID.n))
+    return GridField(_GRID.lo, _GRID.hi, np.array(values))
+
+
+@st.composite
+def _field_sums(draw):
+    """A lone leaf, or a signed sum of three or more leaves (one possibly repeated), and its highest order."""
+    grid = draw(st.booleans())
+    dim = 1 if grid else draw(st.sampled_from([1, 2]))
+    families = ["grid"] if grid else ["gaussian", "mixture", "power_law", "bump"]
+    top = 1 if grid else 2
+    if draw(st.integers(0, 3)) == 0:  # the lone term, read uncopied
+        return draw(_leaf(dim, draw(st.sampled_from(families)))), top
+    # three terms or more, so that summing them in another order changes the rounding
+    leaves = [draw(_leaf(dim, draw(st.sampled_from(families)))) for _ in range(draw(st.integers(3, 4)))]
+    if draw(st.booleans()):
+        leaves.append(leaves[0])
+    return Combination([draw(coeff) for _ in leaves], leaves), top
+
+
+def _same_bits(a, b) -> bool:
+    return (a is None and b is None) or (np.shape(a) == np.shape(b) and np.asarray(a).tobytes() == np.asarray(b).tobytes())
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_field_sums(), orders=st.permutations([0, 1, 2]))
+def test_node_set_samples_are_the_fields_own_samples(case, orders):
+    # in any order of requests, including raises and lowerings on one set
+    f, top = case
+    ns = pairing.nodes_for(f, _COARSE)
+    values = []
+    for k in [k for k in orders if k <= top]:
+        got = ns.sample(f, k)
+        assert all(_same_bits(a, b) for a, b in zip(got, f.sample(ns.points, k)))
+        values.append(got.value)
+    assert all(_same_bits(v, values[0]) for v in values)
+    assert ns.mass(f) == float((ns.weights * f.sample(ns.points).value).sum())

@@ -132,6 +132,12 @@ def test_supremum_score_is_mode_indicator():
     qstar = rules.sup_subgradient(q)
     assert qstar.value(0.3) == pytest.approx(1.0 / 0.1, rel=1e-9)
     assert qstar.value(0.8) == 0.0
+    x = np.linspace(0.0, 1.0, 11)
+    np.testing.assert_array_equal(qstar.sample(x).value, np.where((x >= 0.25) & (x <= 0.35), qstar.value(0.3), 0.0))
+    # a piecewise-constant indicator has no derivatives to sample
+    for call in (lambda: qstar.sample(x, 1), lambda: qstar.gradient(0.3), lambda: qstar.laplacian(0.3)):
+        with pytest.raises(UnsupportedFamilyError):
+            call()
 
 
 # ---------------------------------------------------------------------------
