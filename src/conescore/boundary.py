@@ -126,22 +126,15 @@ class DyadicSequence:
         object.__setattr__(self, "r", r)
 
     @classmethod
-    def geometric(cls, ratio: float = 0.5, size: int = 200, scale: float = 1.0) -> "DyadicSequence":
-        """a_k = scale * ratio^k with exact infinite tails r_k = a_k/(1-ratio)."""
+    def geometric(cls, ratio: float = 0.5, size: int = 200) -> "DyadicSequence":
+        """a_k = ratio^k with exact infinite tails r_k = a_k/(1-ratio)."""
         if not 0 < ratio < 1:
             raise InvalidParameterError("ratio must lie in (0, 1)")
         if size < 1:
             raise InvalidParameterError("size must be positive")
         k = np.arange(size)
-        a = scale * ratio**k
+        a = ratio**k
         return cls(a, a / (1.0 - ratio))
-
-    @classmethod
-    def from_masses(cls, a: Sequence[float], tail_beyond: float = 0.0) -> "DyadicSequence":
-        """Finite truncation: r_k = sum_{i >= k} a_i + tail_beyond."""
-        a = np.asarray(a, dtype=float)
-        r = np.cumsum(a[::-1])[::-1] + float(tail_beyond)
-        return cls(a, r)
 
     @property
     def b(self) -> np.ndarray:

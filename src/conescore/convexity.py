@@ -74,8 +74,6 @@ TOL_FD = 1e-5
 # allowed floating-point slack when counting quotient-monotonicity breaks
 MONOTONE_SLACK = 1e-9
 
-SUITES = ("propriety", "euler", "homogeneity", "derivatives", "gateaux", "all")
-
 
 # ---------------------------------------------------------------------------
 # frozen-node entropy lines
@@ -381,17 +379,14 @@ def _normalized(f: Field, scheme) -> Field:
 def certify_subgradient(
     rule: str,
     pairs: Sequence[tuple[Field, Field]],
-    tol_quad: float = 1e-8,
-    tol_fd: float = 1e-4,
-    steps: Sequence[float] = FD_STEPS,
     scheme: pairing.QuadratureScheme | None = None,
     seed: int | None = None,
 ) -> VerificationReport:
     """Certify that the rule's score is the entropy's subgradient.
 
-    Per pair: (i) the support inequality entropy(p) >= p.S(q) - tol,
-    (ii) the Euler identity at q, (iii) p.S(q) <= FD right derivative
-    + tol, (iv) FD derivative equals the closed form within tol. For the
+    Per pair: (i) the support inequality entropy(p) >= p.S(q) - 1e-8, (ii)
+    the Euler identity at q to 1e-8, (iii) p.S(q) <= FD right derivative +
+    1e-4, (iv) FD derivative equals the closed form within 1e-4. For the
     supremum rule with a measure-zero mode set, (iv) additionally checks
     that no density-integrable subgradient is constructible.
     """
@@ -400,33 +395,33 @@ def certify_subgradient(
     for i, (p, q) in enumerate(pairs):
         base = f"{rule}/subgradient/pair{i:03d}"
         try:
-            cases.extend(_subgradient_cases(rule, base, p, q, tol_quad, tol_fd, steps, scheme))
+            cases.extend(_subgradient_cases(rule, base, p, q, scheme))
         except ConescoreError as exc:
-            cases.append(CaseResult(base, None, tol_fd, False, note=f"{type(exc).__name__}: {exc}"))
+            cases.append(CaseResult(base, None, 1e-4, False, note=f"{type(exc).__name__}: {exc}"))
     return VerificationReport("subgradient", tuple(cases), seed, scheme or pairing.DEFAULT_SCHEME)
 
 
-def _subgradient_cases(rule, base, p, q, tol_quad, tol_fd, steps, scheme) -> list[CaseResult]:
+def _subgradient_cases(rule, base, p, q, scheme) -> list[CaseResult]:
     diagnostics: dict = {}
     div = rules.divergence(rule, p, q, scheme, diagnostics)
     note = diagnostics.get("note")
-    cases = [CaseResult(f"{base}/support", div, tol_quad, div >= -tol_quad, note=note)]
+    cases = [CaseResult(f"{base}/support", div, 1e-8, div >= -1e-8, note=note)]
 
     eul = rules.euler_residual(rule, q, scheme)
-    cases.append(CaseResult(f"{base}/euler", eul, tol_quad, eul <= tol_quad))
+    cases.append(CaseResult(f"{base}/euler", eul, 1e-8, eul <= 1e-8))
 
     ph = _normalized(p, scheme)
     qh = _normalized(q, scheme)
     phi = entropy_line(rule, qh, ph, scheme=scheme)
-    est = right_directional_derivative(phi, qh, ph, steps)
+    est = right_directional_derivative(phi, qh, ph)
     expected = rules.expected_score(rule, p, q, scheme)
     excess = expected - est.value
-    cases.append(CaseResult(f"{base}/score-below-derivative", excess, tol_fd, excess <= tol_fd))
+    cases.append(CaseResult(f"{base}/score-below-derivative", excess, 1e-4, excess <= 1e-4))
 
     analytic = analytic_directional_derivative(rule, q, p, scheme)
     resid = abs(est.value - analytic)
     cert_note = None
-    passed = resid <= tol_fd
+    passed = resid <= 1e-4
     if rule == "supremum":
         mode = rules.mode_set(q)
         if mode.measure == 0:
@@ -436,23 +431,21 @@ def _subgradient_cases(rule, base, p, q, tol_quad, tol_fd, steps, scheme) -> lis
                 cert_note = "subgradient construction unexpectedly succeeded on a measure-zero mode set"
             except ModeMeasureZeroError:
                 cert_note = "measure-zero mode set: Dirac evaluation, no density-integrable subgradient"
-    cases.append(CaseResult(f"{base}/derivative-certificate", resid, tol_fd, passed, note=cert_note))
+    cases.append(CaseResult(f"{base}/derivative-certificate", resid, 1e-4, passed, note=cert_note))
     return cases
 
 
 def certify_sublinearity(
     rule: str,
     samples: Sequence[Field],
-    lambdas: Sequence[float] = (0.5, 2.0, 7.0),
     tol: float = 1e-8,
-    strict_tol: float = 1e-6,
     scheme: pairing.QuadratureScheme | None = None,
-    seed: int | None = None,
 ) -> VerificationReport:
     """Certify homogeneity, subadditivity, and segment convexity of the entropy.
 
-    Strict rules must additionally show a subadditivity margin above
-    ``strict_tol`` on pairs separated in normalised L1 distance.
+    Homogeneity is checked at the scales 0.5, 2 and 7. Strict rules must
+    additionally show a subadditivity margin of at least 1e-6 on pairs
+    separated in normalised L1 distance. The report carries no seed.
     """
     rule = rules.canonical_rule(rule)
     strict_rule = rule in rules.SMOOTH_RULES
@@ -461,7 +454,7 @@ def certify_sublinearity(
         line = entropy_line(rule, f, scheme=scheme)
         phi_f = line(f)
         worst = 0.0
-        for lam in lambdas:
+        for lam in (0.5, 2.0, 7.0):
             resid = abs(line(lam * f) - lam * phi_f) / max(abs(lam * phi_f), 1e-12)
             worst = max(worst, resid)
         cases.append(CaseResult(f"{rule}/sublinearity/scale{i:03d}", worst, tol, worst <= tol))
@@ -478,8 +471,8 @@ def certify_sublinearity(
                 CaseResult(
                     f"{rule}/sublinearity/strict{i:03d}",
                     margin,
-                    strict_tol,
-                    margin >= strict_tol,
+                    1e-6,
+                    margin >= 1e-6,
                     note="pair separated in normalised L1",
                 )
             )
@@ -488,7 +481,7 @@ def certify_sublinearity(
             excess = line((1.0 - t) * f + t * g) - ((1.0 - t) * phi_f + t * phi_g)
             worst = max(worst, excess)
         cases.append(CaseResult(f"{rule}/sublinearity/segment{i:03d}", worst, tol, worst <= tol))
-    return VerificationReport("sublinearity", tuple(cases), seed, scheme or pairing.DEFAULT_SCHEME)
+    return VerificationReport("sublinearity", tuple(cases), None, scheme or pairing.DEFAULT_SCHEME)
 
 
 def certify_directional_derivatives(
@@ -500,7 +493,6 @@ def certify_directional_derivatives(
     tol_fd: float = TOL_FD,
     scheme: pairing.QuadratureScheme | None = None,
     case_prefix: str = "",
-    seed: int | None = None,
 ) -> VerificationReport:
     """Certify the structural properties of the right directional derivative.
 
@@ -583,7 +575,7 @@ def certify_directional_derivatives(
                 note=f"two-sided values did not match: {gaps}",
             )
         )
-    return VerificationReport("derivatives", tuple(cases), seed, scheme or pairing.DEFAULT_SCHEME)
+    return VerificationReport("derivatives", tuple(cases), None, scheme or pairing.DEFAULT_SCHEME)
 
 
 def _symmetric_derivative(phi, q: Field, p: Field, steps: tuple[float, ...]) -> float:
@@ -603,20 +595,18 @@ def gateaux_check(
     directions: Sequence[Field],
     steps: Sequence[float] = FD_STEPS,
     tol: float = TOL_FD,
-    tol_linear: float = 1e-7,
     scheme: pairing.QuadratureScheme | None = None,
     case_prefix: str = "",
-    seed: int | None = None,
 ) -> VerificationReport:
     """Gateaux differentiability of the quadratic entropy at an interior point.
 
     For each direction p (sign-changing allowed, any integral) the
     derivative must equal the pairing of the gradient field
-    2q/(q.1) - (q.q)/(q.1)^2 with p, and be additive and homogeneous in p.
-    The derivative is the Richardson pair of the symmetric quotients at the
-    last two entries of ``steps``, which needs at least two; larger steps
-    are not evaluated, so a direction leaving the domain only far from q
-    is still certified.
+    2q/(q.1) - (q.q)/(q.1)^2 with p within ``tol``, and be additive and
+    homogeneous in p within 1e-7. The derivative is the Richardson pair of
+    the symmetric quotients at the last two entries of ``steps``, which
+    needs at least two; larger steps are not evaluated, so a direction
+    leaving the domain only far from q is still certified.
     """
     if not directions:
         raise InvalidParameterError("need at least one direction")
@@ -645,10 +635,10 @@ def gateaux_check(
     for i in range(len(directions) - 1):
         p, r = directions[i], directions[i + 1]
         resid = abs(symmetric(p + r) - (derivs[i] + derivs[i + 1]))
-        cases.append(CaseResult(f"{prefix}/additivity{i:03d}", resid, tol_linear, resid <= tol_linear))
+        cases.append(CaseResult(f"{prefix}/additivity{i:03d}", resid, 1e-7, resid <= 1e-7))
     resid = abs(symmetric(2.0 * directions[0]) - 2.0 * derivs[0])
-    cases.append(CaseResult(f"{prefix}/homogeneity", resid, tol_linear, resid <= tol_linear))
-    return VerificationReport("gateaux", tuple(cases), seed, scheme or pairing.DEFAULT_SCHEME)
+    cases.append(CaseResult(f"{prefix}/homogeneity", resid, 1e-7, resid <= 1e-7))
+    return VerificationReport("gateaux", tuple(cases), None, scheme or pairing.DEFAULT_SCHEME)
 
 
 # ---------------------------------------------------------------------------
@@ -700,7 +690,7 @@ def _not_strict_witness(seed: int) -> tuple[GridDensity, GridDensity]:
     return GridDensity(q.lo, q.hi, pv), q
 
 
-def _propriety_cases(rule_ids, samples, seed, scheme, tol, strict_tol) -> list[CaseResult]:
+def _propriety_cases(rule_ids, samples, seed, scheme, tol) -> list[CaseResult]:
     cases = []
     mix_pairs = sampling.sample_mixture_pairs(samples, seed)
     # the strict rules are the smooth ones, which share the mixture pairs
@@ -726,7 +716,7 @@ def _propriety_cases(rule_ids, samples, seed, scheme, tol, strict_tol) -> list[C
             )
             if strict_rule and separated(i):
                 cases.append(
-                    CaseResult(f"{rule}/propriety/strict{i:03d}", div, strict_tol, div >= strict_tol)
+                    CaseResult(f"{rule}/propriety/strict{i:03d}", div, 1e-6, div >= 1e-6)
                 )
         for i, (p, _) in enumerate(pair_set[: min(10, len(pair_set))]):
             self_div = rules.divergence(rule, p, p, scheme)
@@ -850,9 +840,9 @@ def _gateaux_directions(rng: np.random.Generator, count: int) -> list[Field]:
     return directions
 
 
-def _gateaux_cases(samples, seed, scheme, tol_fd) -> list[CaseResult]:
+def _gateaux_cases(rule_ids, samples, seed, scheme, tol_fd) -> list[CaseResult]:
     cases = []
-    n_bases = min(10, max(1, samples // 5))
+    n_bases = min(10, max(1, samples // 5)) if "quadratic" in rule_ids else 0
     n_dirs = max(4, (2 * samples) // 5)
     for k in range(n_bases):
         rng = np.random.default_rng([seed, 29, k])
@@ -869,6 +859,17 @@ def _gateaux_cases(samples, seed, scheme, tol_fd) -> list[CaseResult]:
     return cases
 
 
+# each suite's case builder and primary tolerance, in the order "all" runs them
+_SUITE_CASES = {
+    "euler": (_euler_cases, 1e-8),
+    "propriety": (_propriety_cases, 1e-8),
+    "homogeneity": (_homogeneity_cases, 1e-8),
+    "derivatives": (_derivative_cases, TOL_FD),
+    "gateaux": (_gateaux_cases, TOL_FD),
+}
+SUITES = (*_SUITE_CASES, "all")
+
+
 def run_suite(
     suite: str,
     rule: str | None = None,
@@ -879,9 +880,10 @@ def run_suite(
 ) -> VerificationReport:
     """Run a named verification suite and return its report.
 
-    ``suite`` is one of propriety, euler, homogeneity, derivatives,
-    gateaux, or all; ``rule`` restricts to one scoring rule (gateaux is
-    quadratic-only). ``tol`` overrides the suite's primary tolerance.
+    ``suite`` is one of ``SUITES``: a key of the ``_SUITE_CASES`` table, or
+    all, which runs them in the table's order; ``rule`` restricts to one
+    scoring rule (gateaux is quadratic-only). ``tol`` overrides the primary
+    tolerance of a suite run alone.
     """
     suite = str(suite).lower()
     if suite not in SUITES:
@@ -890,29 +892,10 @@ def run_suite(
         raise InvalidParameterError("samples must be positive")
     sampling._checked_seed(seed)
     rule_ids = _rule_list(rule)
-    use_scheme = scheme or pairing.DEFAULT_SCHEME
-
+    if suite == "gateaux" and "quadratic" not in rule_ids:
+        raise InvalidParameterError("the gateaux suite applies to the quadratic rule")
     cases: list[CaseResult] = []
-    if suite in ("euler", "all"):
-        cases.extend(_euler_cases(rule_ids, samples, seed, scheme, tol if suite == "euler" and tol else 1e-8))
-    if suite in ("propriety", "all"):
-        cases.extend(
-            _propriety_cases(
-                rule_ids,
-                samples,
-                seed,
-                scheme,
-                tol if suite == "propriety" and tol else 1e-8,
-                1e-6,
-            )
-        )
-    if suite in ("homogeneity", "all"):
-        cases.extend(_homogeneity_cases(rule_ids, samples, seed, scheme, tol if suite == "homogeneity" and tol else 1e-8))
-    if suite in ("derivatives", "all"):
-        cases.extend(_derivative_cases(rule_ids, samples, seed, scheme, tol if suite == "derivatives" and tol else TOL_FD))
-    if suite in ("gateaux", "all"):
-        if suite == "gateaux" and rule is not None and rules.canonical_rule(rule) != "quadratic":
-            raise InvalidParameterError("the gateaux suite applies to the quadratic rule")
-        if rule is None or rules.canonical_rule(rule) == "quadratic":
-            cases.extend(_gateaux_cases(samples, seed, scheme, tol if suite == "gateaux" and tol else TOL_FD))
-    return VerificationReport(suite, tuple(cases), seed, use_scheme)
+    for name, (build, default_tol) in _SUITE_CASES.items():
+        if suite in (name, "all"):
+            cases.extend(build(rule_ids, samples, seed, scheme, tol if suite == name and tol else default_tol))
+    return VerificationReport(suite, tuple(cases), seed, scheme or pairing.DEFAULT_SCHEME)

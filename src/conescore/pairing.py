@@ -344,12 +344,13 @@ def weighted_norm(f: Field, m: float, scheme: QuadratureScheme | None = None) ->
     if not m > 0:
         raise InvalidParameterError("weight exponent m must be positive")
 
-    def chunk(points: np.ndarray, weights: np.ndarray) -> float:
-        fv = np.asarray(f.value(points), dtype=float)
+    def chunk(points: np.ndarray, weights: np.ndarray, fv=None) -> float:
+        fv = np.asarray(f.value(points), dtype=float) if fv is None else fv
         return float(np.sum(weights * fv**2 * _weight_values(points, m)))
 
     if f.grid is not None or f.dim != 1:
-        return float(np.sqrt(chunk(*nodes_for(f, scheme))))
+        ns = nodes_for(f, scheme)  # it holds the samples the sizer read
+        return float(np.sqrt(chunk(*ns, ns.sample(f).value)))
 
     # the field's tail-mass bound does not bound f^2 (1+|x|)^m, so the shells
     # stop on their own contributions rather than where _shell_edges would

@@ -101,9 +101,11 @@ def _require_grid(q: Field, op: str) -> GridInfo:
     return q.grid
 
 
-def _sampled(f: Field, ns: pairing.NodeSet, order: int, label: str) -> tuple[Sample, float]:
-    """``f``'s sample on the node set, and its mass there, refused unless positive."""
+def _sampled(rule: str | None, f: Field, ns: pairing.NodeSet, order: int, label: str) -> tuple[Sample, float]:
+    """``f``'s sample and mass on the node set: refused at nonpositive mass, or off the cone for the log and Hyvarinen rules."""
     s = ns.sample(f, order)
+    if rule in ("logarithmic", "hyvarinen") and np.any(s.value < 0):
+        raise ZeroDensityError(f"{label} leaves the {rule} rule's nonnegative cone on the node set")
     mass = float((ns.weights * s.value).sum())
     if not np.isfinite(mass) or mass <= 0:
         raise ZeroMassError(f"{label} has nonpositive mass {mass!r}")
@@ -201,7 +203,7 @@ def entropy(rule: str, q: Field, scheme: pairing.QuadratureScheme | None = None)
     if rule == "hyvarinen":
         _require_analytic(q, "hyvarinen entropy")
     ns = pairing.nodes_for(q, scheme)
-    s, mass = _sampled(q, ns, 1 if rule == "hyvarinen" else 0, "q")
+    s, mass = _sampled(rule, q, ns, 1 if rule == "hyvarinen" else 0, "q")
     return float(_entropy(rule, ns.weights, s, mass))
 
 
@@ -231,7 +233,7 @@ def score_at(rule: str, q: Field, x, scheme: pairing.QuadratureScheme | None = N
         mass = q.total_mass(scheme)
     elif rule == "quadratic":
         ns = pairing.nodes_for(q, scheme)
-        qs, mass = _sampled(q, ns, 0, "q")
+        qs, mass = _sampled(rule, q, ns, 0, "q")
         q2 = _self_pairing(rule, ns.weights, qs)
     return np.asarray(_score(rule, s, mass, q2, floor=0.0), dtype=float)[()]
 
@@ -258,27 +260,25 @@ class ModeSet:
     grid: GridInfo
 
 
-def _modal(vals: np.ndarray, delta_mode: float = DELTA_MODE) -> np.ndarray:
-    """Mask of the values within relative tolerance ``delta_mode`` of their maximum."""
-    return vals >= np.max(vals) * (1.0 - delta_mode)
+def _modal(vals: np.ndarray) -> np.ndarray:
+    """Mask of the values within relative tolerance ``DELTA_MODE`` of their maximum."""
+    return vals >= np.max(vals) * (1.0 - DELTA_MODE)
 
 
-def mode_set(q: Field, delta_mode: float = DELTA_MODE) -> ModeSet:
-    """Mode cells of a grid density within relative tolerance ``delta_mode``."""
-    return _sampled_mode_set(q, delta_mode)[0]
+def mode_set(q: Field) -> ModeSet:
+    """Mode cells of a grid density: both cell ends within relative tolerance ``DELTA_MODE`` of the maximum."""
+    return _sampled_mode_set(q)[0]
 
 
-def _sampled_mode_set(q: Field, delta_mode: float = DELTA_MODE) -> tuple[ModeSet, np.ndarray]:
+def _sampled_mode_set(q: Field) -> tuple[ModeSet, np.ndarray]:
     """mode_set, and the grid values of q it was read from."""
     grid = _require_grid(q, "mode_set")
-    if not 0 < delta_mode < 1:
-        raise InvalidParameterError("delta_mode must lie in (0, 1)")
     pts = grid.points()
     vals = np.asarray(q.value(pts), dtype=float)
     vmax = float(np.max(vals))
     if vmax <= 0:
         raise ZeroMassError("grid density has no positive values")
-    modal = _modal(vals, delta_mode)
+    modal = _modal(vals)
     cells = np.flatnonzero(modal[:-1] & modal[1:])
     measure = grid.spacing * cells.size
     runs = np.split(cells, np.flatnonzero(np.diff(cells) != 1) + 1)  # cells of consecutive indices
@@ -331,14 +331,14 @@ class ModeIndicator(Field):
         return 0.0
 
 
-def sup_subgradient(q: Field, delta_mode: float = DELTA_MODE) -> ModeIndicator:
+def sup_subgradient(q: Field) -> ModeIndicator:
     """Subgradient of the supremum entropy at a grid density.
 
     Only exists when the mode set has positive measure; a measure-zero
     mode set raises :class:`ModeMeasureZeroError`, mirroring the
     nonexistence of a density-integrable subgradient in that regime.
     """
-    return ModeIndicator(mode_set(q, delta_mode))
+    return ModeIndicator(mode_set(q))
 
 
 def mode_pairing(p: Field, mode: ModeSet) -> float:
@@ -374,7 +374,7 @@ def _sup_expected(p: Field, q: Field, diagnostics: dict | None, op: str) -> tupl
     if _require_grid(p, op) != grid:
         raise InvalidParameterError("p and q live on different grids")
     ns = pairing.nodes_for(p, None)
-    ps, mp = _sampled(p, ns, 0, "p")
+    ps, mp = _sampled("supremum", p, ns, 0, "p")
     pv = ps.value
     mode = mode_set(q)
     if mode.measure > 0:
@@ -407,8 +407,8 @@ def expected_score(
         _require_analytic(q, "hyvarinen expected score")
     ns = pairing.nodes_for(p + q, scheme)
     w = ns.weights
-    ps, mp = _sampled(p, ns, 0, "p")
-    qs, mq = _sampled(q, ns, _SCORE_ORDER[rule], "q")
+    ps, mp = _sampled(None, p, ns, 0, "p")  # a direction: p may be signed
+    qs, mq = _sampled(rule, q, ns, _SCORE_ORDER[rule], "q")
     pv, support = ps.value, pairing.SUPPORT_THRESHOLD * mp
     if rule == "logarithmic" and diagnostics is not None and bool(np.any((qs.value < LOG_CLAMP) & (np.abs(pv) > support))):
         diagnostics["log_clamped"] = True
@@ -438,8 +438,8 @@ def divergence(
         _require_analytic(q, "hyvarinen divergence")
     ns = pairing.nodes_for(p + q, scheme)
     w = ns.weights
-    ps, mp = _sampled(p, ns, 1 if rule == "hyvarinen" else 0, "p")
-    qs, mq = _sampled(q, ns, _SCORE_ORDER[rule], "q")
+    ps, mp = _sampled(rule, p, ns, 1 if rule == "hyvarinen" else 0, "p")
+    qs, mq = _sampled(rule, q, ns, _SCORE_ORDER[rule], "q")
     if rule == "hyvarinen":
         cross = _pair(rule, w, ps.value, _score(rule, qs, mq), pairing.SUPPORT_THRESHOLD * mp)
         return float(_entropy(rule, w, ps, mp)) / mp - cross / mp
@@ -465,8 +465,8 @@ def hyvarinen_divergence_direct(
     _require_analytic(p, "fisher divergence")
     _require_analytic(q, "fisher divergence")
     ns = pairing.nodes_for(p + q, scheme)
-    ps, mp = _sampled(p, ns, 1, "p")
-    qs = ns.sample(q, 1)
+    ps, mp = _sampled("hyvarinen", p, ns, 1, "p")
+    qs, _ = _sampled("hyvarinen", q, ns, 1, "q")
     live = (ps.value > 0) & (qs.value > 0)
     with np.errstate(divide="ignore", invalid="ignore"):
         diff2 = _norm_sq(Sample(ps.value, _log_gradient(ps).gradient - _log_gradient(qs).gradient))
@@ -496,7 +496,7 @@ def euler_residual(rule: str, q: Field, scheme: pairing.QuadratureScheme | None 
         _require_analytic(q, "hyvarinen entropy")
     ns = pairing.nodes_for(q, scheme)
     w = ns.weights
-    s, mass = _sampled(q, ns, _SCORE_ORDER[rule], "q")
+    s, mass = _sampled(rule, q, ns, _SCORE_ORDER[rule], "q")
     phi = float(_entropy(rule, w, s, mass))
     scores = _score(rule, s, mass, _self_pairing(rule, w, s))
     paired = _pair(rule, w, s.value, scores, pairing.SUPPORT_THRESHOLD * mass)

@@ -40,9 +40,9 @@ def _checked_seed(seed: int) -> int:
     return seed
 
 
-def sample_mixture(rng: np.random.Generator, max_components: int = 3) -> MixtureDensity:
-    """One denormalised Gaussian mixture from the seeded family."""
-    k = int(rng.integers(1, max_components + 1))
+def sample_mixture(rng: np.random.Generator) -> MixtureDensity:
+    """One denormalised Gaussian mixture from the seeded family: one to three components."""
+    k = int(rng.integers(1, 4))
     means = rng.uniform(-2.0, 2.0, size=k)
     variances = rng.uniform(0.25, 4.0, size=k)
     weights = rng.uniform(0.2, 1.0, size=k)
@@ -125,14 +125,14 @@ def sample_plateau_grid(rng: np.random.Generator, grid: GridInfo = DEFAULT_GRID)
     return GridDensity(grid.lo, grid.hi, vals)
 
 
-def reweighted_mixture(q: MixtureDensity, rng: np.random.Generator, spread: float = 0.4) -> MixtureDensity:
-    """Mixture with q's components and perturbed weights.
+def reweighted_mixture(q: MixtureDensity, rng: np.random.Generator) -> MixtureDensity:
+    """Mixture with q's components and each weight scaled by a factor in [0.6, 1.4].
 
     The density ratio to q is bounded by the weight-ratio range, which
     keeps p - q a genuinely two-sided direction at q: q + t(p - q) stays
     positive for every step of the default schedules.
     """
-    factors = rng.uniform(1.0 - spread, 1.0 + spread, size=len(q.weights))
+    factors = rng.uniform(0.6, 1.4, size=len(q.weights))
     weights = tuple(w * f for w, f in zip(q.weights, factors))
     return MixtureDensity(q.components, weights, scale=q.scale)
 

@@ -2,12 +2,14 @@
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
 import pytest
 
 import conescore
+from conescore import boundary, convexity, rules, sampling
 
 MODULES = sorted(f"conescore.{m.name}" for m in pkgutil.iter_modules(conescore.__path__))
 
@@ -36,3 +38,22 @@ LISTING = sorted(name for name in _package_imports() if hasattr(importlib.import
 def test_package_reexports_only_listed_names(name):
     listed = importlib.import_module(name).__all__
     assert [n for n in _package_imports()[name] if n not in listed] == []
+
+
+# options that only one value ever reached, now constants of their functions
+SINGLE_VALUE_OPTIONS = [
+    (rules.mode_set, {"delta_mode"}),
+    (rules.sup_subgradient, {"delta_mode"}),
+    (convexity.gateaux_check, {"tol_linear", "seed"}),
+    (convexity.certify_sublinearity, {"lambdas", "strict_tol", "seed"}),
+    (convexity.certify_directional_derivatives, {"seed"}),
+    (convexity.certify_subgradient, {"tol_quad", "tol_fd", "steps"}),
+    (sampling.sample_mixture, {"max_components"}),
+    (sampling.reweighted_mixture, {"spread"}),
+    (boundary.DyadicSequence.geometric, {"scale"}),
+]
+
+
+@pytest.mark.parametrize(("fn", "removed"), SINGLE_VALUE_OPTIONS, ids=[fn.__qualname__ for fn, _ in SINGLE_VALUE_OPTIONS])
+def test_single_value_options_stay_constants(fn, removed):
+    assert removed.isdisjoint(inspect.signature(fn).parameters)

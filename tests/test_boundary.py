@@ -89,11 +89,6 @@ def test_geometric_sequence_closed_forms():
     assert seq.b_partial_sums()[-1] == pytest.approx(total, rel=1e-12)
 
 
-def test_from_masses_truncation():
-    seq = DyadicSequence.from_masses([1.0, 0.5, 0.25], tail_beyond=0.25)
-    np.testing.assert_allclose(seq.r, [2.0, 1.0, 0.5], rtol=1e-15)
-
-
 @pytest.mark.parametrize("ratio,size", [(0.0, 10), (1.0, 10), (0.5, 0)])
 def test_geometric_validation(ratio, size):
     with pytest.raises(InvalidParameterError):

@@ -441,7 +441,7 @@ def test_certify_sublinearity_mixtures():
     rng = np.random.default_rng(9)
     fields = [sampling.sample_mixture(rng) for _ in range(4)]
     for rule in ("logarithmic", "hyvarinen", "quadratic"):
-        report = certify_sublinearity(rule, fields, seed=9)
+        report = certify_sublinearity(rule, fields)
         assert report.passed
         kinds = {c.case_id.split("/")[-1][:5] for c in report.cases}
         assert {"scale", "subad", "segme"} <= kinds
@@ -460,7 +460,7 @@ def test_certify_directional_derivatives_small():
         Combination((0.2, -0.2), (unit(sampling.perturbed_mixture(q, rng)), qh))
         for _ in range(2)
     ]
-    report = certify_directional_derivatives("logarithmic", q, one_sided, two_sided, seed=2)
+    report = certify_directional_derivatives("logarithmic", q, one_sided, two_sided)
     assert report.passed
     with pytest.raises(InvalidParameterError):
         certify_directional_derivatives("logarithmic", q, one_sided[:1], two_sided)
@@ -486,6 +486,13 @@ def test_seeded_samplers_refuse_a_negative_seed(sampler):
     # numpy's own refusal is a bare ValueError
     with pytest.raises(InvalidParameterError, match="non-negative"):
         sampler(3, seed=-1)
+
+
+def test_all_runs_each_suite_of_the_table_in_order():
+    assert convexity.SUITES == (*convexity._SUITE_CASES, "all")
+    assert list(convexity._SUITE_CASES) == ["euler", "propriety", "homogeneity", "derivatives", "gateaux"]
+    whole = run_suite("all", samples=10, seed=3).cases
+    assert whole == tuple(c for name in convexity._SUITE_CASES for c in run_suite(name, samples=10, seed=3).cases)
 
 
 def test_run_suite_report_shape():

@@ -1,5 +1,6 @@
 """Quadrature schemes, frozen node sets, pairings, and boundary terms."""
 
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -380,6 +381,22 @@ def test_leaf_masses_are_sampled_once_per_square(monkeypatch):
     for leaf in (p, q, wide):
         masses = leaf.__dict__["_sizing_masses"]
         assert masses and all(type(m) is float for m in masses.values())
+
+
+def test_weighted_norm_samples_each_leaf_once_per_node_array(monkeypatch):
+    # the 2-D norm reads the sample the sizer left on the node set it returned
+    sampled = Counter()
+    arrays = []  # holding the arrays keeps their ids unique
+    original = GaussianDensity.sample
+
+    def counting(self, x, order=0):
+        arrays.append(x)
+        sampled[id(self), id(x)] += 1
+        return original(self, x, order)
+
+    monkeypatch.setattr(GaussianDensity, "sample", counting)
+    pairing.weighted_norm(GaussianDensity([0.1, 0.2], [0.5, 0.7]), 3.0)
+    assert sampled and max(sampled.values()) == 1
 
 
 @pytest.mark.parametrize("seed", [0, 7, 42])

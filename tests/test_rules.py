@@ -314,6 +314,45 @@ def test_euler_supremum_dirac_regime():
 
 
 # ---------------------------------------------------------------------------
+# fields off the nonnegative cone
+# ---------------------------------------------------------------------------
+
+def off_cone():
+    """Mass 0.5, and -0.23 at its lowest node: off the cone of the log and Hyvarinen rules."""
+    return GaussianDensity(0.0, 1.0) - 0.5 * GaussianDensity(0.0, 0.1)
+
+
+@pytest.mark.parametrize("rule", ["logarithmic", "hyvarinen"])
+def test_off_cone_fields_are_refused_where_the_rule_reads_a_density(rule):
+    f, p = off_cone(), GaussianDensity(0.0, 1.0)
+    calls = [
+        lambda: rules.entropy(rule, f),
+        lambda: rules.euler_residual(rule, f),
+        lambda: rules.expected_score(rule, p, f),
+        lambda: rules.divergence(rule, f, p),
+        lambda: rules.divergence(rule, p, f),
+    ]
+    if rule == "hyvarinen":
+        calls += [lambda: rules.hyvarinen_divergence_direct(f, p), lambda: rules.hyvarinen_divergence_direct(p, f)]
+    for call in calls:
+        with pytest.raises(ZeroDensityError, match="nonnegative cone"):
+            call()
+    # expected_score's p is a direction, which may be signed
+    assert np.isfinite(rules.expected_score(rule, f, p))
+
+
+def test_off_cone_fields_keep_their_quadratic_answers():
+    # the quadratic entropy is defined on signed densities; these are the answers before the cone check
+    f, p = off_cone(), GaussianDensity(0.0, 1.0)
+    assert rules.entropy("quadratic", f) == pytest.approx(0.24946753332376748, rel=1e-12)
+    assert rules.euler_residual("quadratic", f) <= 1e-15
+    assert rules.expected_score("quadratic", p, f) == pytest.approx(-0.13130897881420453, rel=1e-12)
+    assert rules.expected_score("quadratic", f, p) == pytest.approx(0.08553129605945284, rel=1e-12)
+    assert rules.divergence("quadratic", f, p) == pytest.approx(0.4134037705880834, rel=1e-12)
+    assert rules.divergence("quadratic", p, f) == pytest.approx(0.4134037705880834, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
 # 2-D fields on a coarse scheme
 # ---------------------------------------------------------------------------
 
