@@ -416,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--suite", required=True, choices=convexity.SUITES)
     p_verify.add_argument("--samples", type=int, default=50)
     p_verify.add_argument("--seed", type=int, default=sampling.DEFAULT_SEED)
-    p_verify.add_argument("--tol", type=float, default=None, help="override the suite's primary tolerance")
+    p_verify.add_argument("--tol", type=float, default=None, help="positive; replaces the primary tolerance of every suite run")
     p_verify.add_argument("--out", default=None)
     _add_scheme_flags(p_verify)
     p_verify.set_defaults(func=cmd_verify)
@@ -461,9 +461,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
-    if getattr(args, "tol", None) is not None and args.tol <= 0:
-        _err("--tol must be positive")
-        return EXIT_CONFIG
     try:
         return args.func(args)
     except InvalidParameterError as exc:

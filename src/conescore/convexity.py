@@ -121,7 +121,7 @@ def entropy_line(rule: str, *fields: Field, scheme: pairing.QuadratureScheme | N
 
     def along(q: Field, p: Field, ts: Sequence[float]) -> list:
         qs, ps, ts = ns.sample(q, order)[: order + 1], ns.sample(p, order)[: order + 1], np.asarray(ts, dtype=float)
-        rows = max(1, _BLOCK_ELEMENTS // len(ns.points))
+        rows = max(1, _BLOCK_ELEMENTS // ns.weights.size)
         out: list = []
         for i in range(0, ts.size, rows):
             tb = ts[i : i + rows]
@@ -882,14 +882,16 @@ def run_suite(
 
     ``suite`` is one of ``SUITES``: a key of the ``_SUITE_CASES`` table, or
     all, which runs them in the table's order; ``rule`` restricts to one
-    scoring rule (gateaux is quadratic-only). ``tol`` overrides the primary
-    tolerance of a suite run alone.
+    scoring rule (gateaux is quadratic-only). ``tol``, when given, must be
+    positive; it replaces the primary tolerance of every suite run, all's too.
     """
     suite = str(suite).lower()
     if suite not in SUITES:
         raise InvalidParameterError(f"unknown suite {suite!r}; expected one of {SUITES}")
     if samples < 1:
         raise InvalidParameterError("samples must be positive")
+    if tol is not None and tol <= 0:
+        raise InvalidParameterError(f"tol must be positive, got {tol!r}")
     sampling._checked_seed(seed)
     rule_ids = _rule_list(rule)
     if suite == "gateaux" and "quadratic" not in rule_ids:
@@ -897,5 +899,5 @@ def run_suite(
     cases: list[CaseResult] = []
     for name, (build, default_tol) in _SUITE_CASES.items():
         if suite in (name, "all"):
-            cases.extend(build(rule_ids, samples, seed, scheme, tol if suite == name and tol else default_tol))
+            cases.extend(build(rule_ids, samples, seed, scheme, tol or default_tol))
     return VerificationReport(suite, tuple(cases), seed, scheme or pairing.DEFAULT_SCHEME)

@@ -122,6 +122,10 @@ class Field:
         """Values at ``x``, with the gradient (order >= 1) and the Laplacian (order 2)."""
         raise NotImplementedError
 
+    def sample_on(self, ns, order: int = 0) -> Sample:
+        """``sample`` at the nodes of a ``pairing.NodeSet``; separable families override it."""
+        return self.sample(ns.points, order)
+
     def value(self, x):
         return self.sample(x).value
 
@@ -233,6 +237,27 @@ class _GaussianSum(Field):
         if order >= 1:  # (d, n) as the pointwise gradient: (n,) in 1-D, (n, 2) in 2-D
             out[1] = out[1][0] if self.dim == 1 else out[1].T
         return Sample(*(_squeeze(a, scalar) for a in out))
+
+    def sample_on(self, ns, order: int = 0) -> Sample:
+        """On a tensor square, outer products of 1-D profiles on ``ns.axis``, one ``_gaussian_rows`` pass per axis.
+
+        The x rows carry each Gaussian's factor and weight, the y rows 1. Each Gaussian adds, in order, value
+        v = vx vy, gradient -z v (laid out (2, n)) and Laplacian (|z|^2 - sum 1/var) v, grouped as in ``_gaussian_rows``.
+        """
+        if ns.axis is None:
+            return super().sample_on(ns, order)
+        (mean, var, factor), x, out = self._rows, ns.axis[:, None], None
+        factors = (factor * self._coeffs, np.ones_like(factor))
+        vx, vy = (_gaussian_rows(x, mean[:, [k]], var[:, [k]], f, 0)[0] for k, f in enumerate(factors))
+        z = (ns.axis - mean.T[:, :, None]) / var.T[:, :, None]  # (2, m, n1)
+        for value, zx, zy, precision in zip(map(np.multiply.outer, vx, vy), *z, _axis_sum(1.0 / var.T)):
+            parts = [value]
+            if order >= 1:
+                parts.append(np.stack([value * -zx[:, None], value * -zy]))
+            if order >= 2:
+                parts.append((np.add.outer(np.square(zx), np.square(zy)) - precision) * value)
+            out = parts if out is None else [np.add(total, t, out=total) for total, t in zip(out, parts)]
+        return Sample(*(a.ravel() if a.ndim == 2 else a.reshape(2, -1).T for a in out))
 
 
 class Combination(Field):

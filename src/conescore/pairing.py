@@ -17,8 +17,10 @@ breakpoints (a 1-D bump's c - h and c + h) as panel edges, so that no panel
 straddles a kink. 1-D uses that list, 2-D its tensor square, at the
 coarsest density, up to ``scheme.panels`` (a cap in both dimensions) and no
 coarser than the field's half-maximum width, on which every leaf's mass has
-settled. Each leaf's mass on a sizing level is kept on the leaf, so it is
-sampled once per level whatever fields the leaf is a term of. Every
+settled. A 2-D set keeps the 1-D nodes it squares as its ``axis``, from
+which Gaussians sample it, and builds its (n, 2) points only when read.
+Each leaf's mass on a sizing level is kept on the leaf, so it is sampled
+once per level whatever fields the leaf is a term of. Every
 analytic set is counted before it is built and refused over the node
 budget. Grid families use the trapezoid rule on their native grid, all the
 information they carry.
@@ -115,13 +117,21 @@ class NodeSet:
     once on the nodes, and again only to raise its order: a leaf's sample is
     kept under its id, with the leaf, so every field built from it reads the
     same arrays. The samples live as long as the set, never on the leaf.
+    A 2-D set from ``_cover_nodes`` squares the 1-D nodes in ``axis`` (None
+    on 1-D and grid sets) and builds its points only when they are read.
     """
 
-    __slots__ = ("points", "weights", "_samples")
+    __slots__ = ("_points", "weights", "axis", "_samples")
 
-    def __init__(self, points: np.ndarray, weights: np.ndarray):
-        self.points, self.weights = points, weights
+    def __init__(self, points: np.ndarray | None, weights: np.ndarray):
+        self._points, self.weights, self.axis = points, weights, None
         self._samples: dict[int, tuple[Field, tuple]] = {}
+
+    @property
+    def points(self) -> np.ndarray:
+        if self._points is None:  # the tensor square's, in meshgrid(axis, axis, indexing="ij") order
+            self._points = np.column_stack([np.repeat(self.axis, self.axis.size), np.tile(self.axis, self.axis.size)])
+        return self._points
 
     def __iter__(self):
         return iter((self.points, self.weights))
@@ -137,7 +147,7 @@ class NodeSet:
         for c, leaf in terms:
             kept = self._samples.get(id(leaf))
             if kept is None or len(kept[1]) <= order:
-                kept = self._samples[id(leaf)] = (leaf, leaf.sample(self.points, order)[: order + 1])
+                kept = self._samples[id(leaf)] = (leaf, leaf.sample_on(self, order)[: order + 1])
             arrays = kept[1][: order + 1]
             if len(terms) == 1 and c == 1.0:
                 return Sample(*arrays)
@@ -236,13 +246,9 @@ def _cover_nodes(edges: np.ndarray, nodes: int, dim: int) -> NodeSet:
         return _gauss_nodes(edges, nodes)
     _refuse_over_budget(((edges.size - 1) * nodes) ** 2, "tensor grid")
     pts1, wts1 = _gauss_nodes(edges, nodes)
-    xx, yy = np.meshgrid(pts1, pts1, indexing="ij")
-    return NodeSet(np.column_stack([xx.ravel(), yy.ravel()]), np.outer(wts1, wts1).ravel())
-
-
-def _square_nodes(field: Field, scheme: QuadratureScheme) -> NodeSet:
-    """Tensor square of the 1-D node set on the same edge list."""
-    return _cover_nodes(_line_edges(field, scheme), scheme.nodes, 2)
+    ns = NodeSet(None, np.outer(wts1, wts1).ravel())
+    ns.axis = pts1
+    return ns
 
 
 @lru_cache(maxsize=64)

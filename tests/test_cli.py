@@ -362,6 +362,12 @@ def test_verify_non_finite_report_value_is_a_typed_error(capsys):
     assert err.startswith("configuration error: report value cases[0].tol is not a finite number")
 
 
+@pytest.mark.parametrize("suite", ["euler", "all"])
+def test_verify_refuses_a_nonpositive_tol(capsys, suite):
+    code, out, err = run(capsys, ["verify", "--suite", suite, "--tol", "0"])
+    assert (code, out, err) == (2, "", "configuration error: tol must be positive, got 0.0\n")
+
+
 def test_verify_config_errors_exit_2(capsys):
     assert run(capsys, ["verify", "--suite", "spectra"])[0] == 2
     assert run(capsys, ["verify", "--suite", "euler", "--tol", "-1"])[0] == 2

@@ -495,6 +495,37 @@ def test_all_runs_each_suite_of_the_table_in_order():
     assert whole == tuple(c for name in convexity._SUITE_CASES for c in run_suite(name, samples=10, seed=3).cases)
 
 
+def test_tol_replaces_the_primary_tolerance_of_every_suite_all_runs(monkeypatch):
+    primary = {name: tol for name, (_, tol) in convexity._SUITE_CASES.items()}
+    suite_of = {}
+
+    def tagging(name, build):
+        def cases(*args):
+            built = build(*args)
+            suite_of.update((c.case_id, name) for c in built)
+            return built
+
+        return cases
+
+    monkeypatch.setattr(convexity, "_SUITE_CASES", {n: (tagging(n, b), t) for n, (b, t) in convexity._SUITE_CASES.items()})
+    base, tight = run_suite("all", samples=10, seed=3), run_suite("all", samples=10, seed=3, tol=1e-3)
+    assert set(suite_of.values()) == set(primary)
+    assert [c.case_id for c in tight.cases] == [c.case_id for c in base.cases]
+    takes = [c.tol == primary[suite_of[c.case_id]] for c in base.cases]
+    assert {suite_of[c.case_id] for c, took in zip(base.cases, takes) if took} == set(primary)
+    for b, t, took in zip(base.cases, tight.cases, takes):
+        assert (t.case_id, t.residual, t.tol) == (b.case_id, b.residual, 1e-3 if took else b.tol)
+    # without tol, each suite takes its primary tolerance, as before
+    assert base.cases == tuple(c for n, t in primary.items() for c in run_suite(n, samples=10, seed=3, tol=t).cases)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-3])
+def test_nonpositive_tol_is_refused(tol):
+    for suite in ("euler", "all"):
+        with pytest.raises(InvalidParameterError, match="tol must be positive"):
+            run_suite(suite, samples=2, seed=3, tol=tol)
+
+
 def test_run_suite_report_shape():
     report = run_suite("euler", samples=5, seed=1)
     assert report.passed

@@ -209,6 +209,11 @@ def test_a_radius_near_the_float_maximum_is_over_budget(monkeypatch, dim):
 # 2-D node sets sized by the leaves' masses
 # ---------------------------------------------------------------------------
 
+def _square_nodes(field, scheme):
+    """The tensor square of the 1-D node set on the field's edge list at ``scheme.panels``."""
+    return pairing._cover_nodes(pairing._line_edges(field, scheme), scheme.nodes, 2)
+
+
 def _sized(field, scheme=pairing.DEFAULT_SCHEME):
     """The 2-D node set, and the panels per unit whose tensor square it is."""
     ns = pairing.nodes_for(field, scheme)
@@ -270,7 +275,7 @@ def test_two_dimensional_gaussian_sweep_is_no_worse_than_the_capped_set(mean):
         ns, level = _sized(q)
         error = abs(_mass(q, ns) - 1.0)
         if error > 1e-11:
-            capped = pairing._square_nodes(q, pairing.DEFAULT_SCHEME)
+            capped = _square_nodes(q, pairing.DEFAULT_SCHEME)
             assert error <= abs(_mass(q, capped) - 1.0)
         if sigma < 0.1:
             assert level == 16
@@ -296,7 +301,7 @@ def _cover_wide_nodes(field, scheme=pairing.DEFAULT_SCHEME):
     while k < scheme.panels and k * field.half_max_width() < 1.0:
         k *= 2
     while True:
-        ns = pairing._square_nodes(field, replace(scheme, panels=min(k, scheme.panels)))
+        ns = _square_nodes(field, replace(scheme, panels=min(k, scheme.panels)))
         if k >= scheme.panels:
             return ns
         masses = np.array([np.sum(ns.weights * leaf.value(ns.points)) for _, leaf in field.terms()])
@@ -350,7 +355,7 @@ def test_a_leaf_whose_own_square_is_over_budget_sizes_on_the_field_square():
     level = replace(pairing.DEFAULT_SCHEME, panels=4)
     assert pairing._line_edges(heavy, level).size > pairing._line_edges(field, level).size
     with pytest.raises(NodeBudgetError):
-        pairing._square_nodes(heavy, level)
+        _square_nodes(heavy, level)
     expected = _cover_wide_nodes(field)
     ns = pairing.nodes_for(field)
     assert np.array_equal(ns.points, expected.points) and np.array_equal(ns.weights, expected.weights)
@@ -359,13 +364,13 @@ def test_a_leaf_whose_own_square_is_over_budget_sizes_on_the_field_square():
 
 def test_leaf_masses_are_sampled_once_per_square(monkeypatch):
     sampled = []
-    original = GaussianDensity.sample
+    original = GaussianDensity.sample_on
 
-    def counting(self, x, order=0):
+    def counting(self, ns, order=0):
         sampled.append(id(self))
-        return original(self, x, order)
+        return original(self, ns, order)
 
-    monkeypatch.setattr(GaussianDensity, "sample", counting)
+    monkeypatch.setattr(GaussianDensity, "sample_on", counting)
     p, q = GaussianDensity([0.2, -0.3], [0.6, 0.9]), GaussianDensity([-0.5, 0.1], 0.4)
     wide = GaussianDensity([1.3, -0.4], [1.7**2, 0.5**2])  # core radius 11.5, where q's is 8
     for fields, scheme, sizes in (
@@ -384,19 +389,27 @@ def test_leaf_masses_are_sampled_once_per_square(monkeypatch):
 
 
 def test_weighted_norm_samples_each_leaf_once_per_node_array(monkeypatch):
-    # the 2-D norm reads the sample the sizer left on the node set it returned
+    # the 2-D norm reads the sample the sizer left on the node set it returned,
+    # and a Gaussian on a tensor set is never sampled point by point
     sampled = Counter()
-    arrays = []  # holding the arrays keeps their ids unique
-    original = GaussianDensity.sample
+    sets = []  # holding the sets keeps their ids unique
+    pointwise = []
+    original_on, original = GaussianDensity.sample_on, GaussianDensity.sample
+
+    def counting_on(self, ns, order=0):
+        sets.append(ns)
+        sampled[id(self), id(ns)] += 1
+        return original_on(self, ns, order)
 
     def counting(self, x, order=0):
-        arrays.append(x)
-        sampled[id(self), id(x)] += 1
+        pointwise.append(x)
         return original(self, x, order)
 
+    monkeypatch.setattr(GaussianDensity, "sample_on", counting_on)
     monkeypatch.setattr(GaussianDensity, "sample", counting)
     pairing.weighted_norm(GaussianDensity([0.1, 0.2], [0.5, 0.7]), 3.0)
     assert sampled and max(sampled.values()) == 1
+    assert pointwise == []
 
 
 @pytest.mark.parametrize("seed", [0, 7, 42])

@@ -131,16 +131,56 @@ def _same_bits(a, b) -> bool:
     return (a is None and b is None) or (np.shape(a) == np.shape(b) and np.asarray(a).tobytes() == np.asarray(b).tobytes())
 
 
+def _own_sample(f, ns, k) -> list:
+    """f's sample on ns: c * each term's ``sample_on``, added in term order as ``Combination.sample`` adds."""
+    total = None
+    for c, leaf in f.terms():
+        part = [c * a for a in leaf.sample_on(ns, k)[: k + 1]]
+        total = part if total is None else [t + a for t, a in zip(total, part)]
+    return total
+
+
 @settings(max_examples=60, deadline=None)
 @given(case=_field_sums(), orders=st.permutations([0, 1, 2]))
 def test_node_set_samples_are_the_fields_own_samples(case, orders):
     # in any order of requests, including raises and lowerings on one set
     f, top = case
-    ns = pairing.nodes_for(f, _COARSE)
+    ns, fresh = pairing.nodes_for(f, _COARSE), pairing.nodes_for(f, _COARSE)
     values = []
     for k in [k for k in orders if k <= top]:
         got = ns.sample(f, k)
-        assert all(_same_bits(a, b) for a, b in zip(got, f.sample(ns.points, k)))
+        assert all(_same_bits(a, b) for a, b in zip(got, _own_sample(f, fresh, k)))
+        if ns.axis is None:  # 1-D and grid sets sample point by point
+            assert all(_same_bits(a, b) for a, b in zip(got, f.sample(ns.points, k)))
         values.append(got.value)
     assert all(_same_bits(v, values[0]) for v in values)
-    assert ns.mass(f) == float((ns.weights * f.sample(ns.points).value).sum())
+    assert ns.mass(f) == float((ns.weights * _own_sample(f, fresh, 0)[0]).sum())
+
+
+# fields that are separable on a tensor set, and signed combinations of them with power laws
+_tensor_fields = st.one_of(
+    _leaf(2, "gaussian"),
+    _leaf(2, "mixture"),
+    st.builds(
+        lambda leaves, cs: Combination(cs[: len(leaves)], leaves),
+        st.lists(st.one_of(_leaf(2, "gaussian"), _leaf(2, "mixture"), _leaf(2, "power_law")), min_size=2, max_size=4),
+        st.lists(coeff, min_size=4, max_size=4),
+    ),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(f=_tensor_fields, k=st.integers(0, 2))
+def test_tensor_samples_agree_with_the_pointwise_formula(f, k):
+    # outer products of 1-D profiles round otherwise than one exp per node, by a few ulps
+    # of the largest term, the scale of a sum whose terms may cancel
+    ns = pairing.nodes_for(f, _COARSE)
+    assert ns.axis is not None
+    got, want = ns.sample(f, k), f.sample(ns.points, k)
+    terms = [(abs(c), leaf.sample(ns.points, k)) for c, leaf in f.terms()]
+    for i, (a, b) in enumerate(zip(got[: k + 1], want[: k + 1])):
+        top = max(c * np.max(np.abs(s[i])) for c, s in terms)
+        assert a.shape == b.shape
+        assert np.max(np.abs(a - b)) <= 16 * np.finfo(float).eps * top
+    if k >= 1:
+        assert got.gradient.shape == (ns.weights.size, 2)

@@ -7,7 +7,7 @@ import pytest
 from scipy import integrate
 
 from conescore import pairing, rules, sampling
-from conescore.densities import Bump, GaussianDensity, GridDensity, MixtureDensity
+from conescore.densities import Bump, GaussianDensity, GridDensity, MixtureDensity, PowerLawDensity
 from conescore.errors import (
     InvalidParameterError,
     ModeMeasureZeroError,
@@ -415,24 +415,24 @@ def test_each_gaussian_leaf_is_sampled_once_per_rules_call(monkeypatch):
     # the kernel pairs on; sizing the 2-D node set reads values on coarser
     # levels once, and a repeat call with the same leaves and scheme reads none.
     # A mixture samples its components in one pass, so it is the leaf counted
-    samples = []  # (leaf id, points, order); holding the points keeps their ids unique
+    samples = []  # (leaf id, node set, order); holding the sets keeps their ids unique
     kernel_sets = []
     original_nodes_for = pairing.nodes_for
 
     def counting(original):
-        def sample(self, x, order=0):
-            samples.append((id(self), x, order))
-            return original(self, x, order)
+        def sample_on(self, ns, order=0):
+            samples.append((id(self), ns, order))
+            return original(self, ns, order)
 
-        return sample
+        return sample_on
 
     def recording(field, scheme=None):
         ns = original_nodes_for(field, scheme)
-        kernel_sets.append(ns.points)
+        kernel_sets.append(ns)
         return ns
 
-    monkeypatch.setattr(GaussianDensity, "sample", counting(GaussianDensity.sample))
-    monkeypatch.setattr(MixtureDensity, "sample", counting(MixtureDensity.sample))
+    monkeypatch.setattr(GaussianDensity, "sample_on", counting(GaussianDensity.sample_on))
+    monkeypatch.setattr(MixtureDensity, "sample_on", counting(MixtureDensity.sample_on))
     monkeypatch.setattr(pairing, "nodes_for", recording)
     calls = (
         lambda m, q: rules.divergence("hyvarinen", m, q, COARSE),
@@ -451,6 +451,33 @@ def test_each_gaussian_leaf_is_sampled_once_per_rules_call(monkeypatch):
             assert set(on_kernel) == leaves and max(on_kernel.values()) == 1
             sizing = [(x, order) for _, x, order in samples if x is not kernel]
             if first:
-                assert sizing and all(order == 0 and len(x) < len(kernel) for x, order in sizing)
+                assert sizing and all(order == 0 and x.weights.size < kernel.weights.size for x, order in sizing)
             else:
                 assert sizing == []
+
+
+def test_gaussian_fields_in_2d_never_build_the_node_points(monkeypatch):
+    # Gaussians sample a tensor set from its axis, so nothing reads its (n, 2) points
+    read = []
+    points = pairing.NodeSet.points
+
+    def reading(ns):
+        if ns.axis is not None:
+            read.append(ns)
+        return points.fget(ns)
+
+    monkeypatch.setattr(pairing.NodeSet, "points", property(reading))
+    p, m = GaussianDensity([0.2, 0.1], [0.9, 1.1], scale=0.7), mixture_2d()
+    for rule in ("logarithmic", "hyvarinen", "quadratic"):
+        for value in (rules.divergence(rule, p, m), rules.entropy(rule, m), rules.euler_residual(rule, m)):
+            assert np.isfinite(value)
+    assert read == []
+
+
+def test_a_power_law_in_2d_still_gets_its_node_points():
+    f = PowerLawDensity(8.0, dim=2) + GaussianDensity([0.3, -0.2], [0.6, 0.9], scale=0.8)
+    ns = pairing.nodes_for(f)
+    xx, yy = np.meshgrid(ns.axis, ns.axis, indexing="ij")
+    assert np.array_equal(ns.points, np.column_stack([xx.ravel(), yy.ravel()]))
+    assert ns.points is ns.points  # built once, then kept
+    assert abs(ns.mass(f) - 1.8) <= 1e-12
