@@ -288,10 +288,7 @@ def cmd_deriv(args) -> int:
     scheme = _scheme_from_args(args)
     _maybe_require_cone(q, cone_q, rule, args.strict_cone, scheme)
 
-    qh, ph = convexity._normalized(q, scheme), convexity._normalized(p, scheme)
-    phi = convexity.entropy_line(rule, qh, ph, scheme=scheme)
-    est = convexity.right_directional_derivative(phi, qh, ph)
-    analytic = convexity.analytic_directional_derivative(rule, q, p, scheme)
+    est, analytic = convexity.derivative_against_closed_form(rule, q, p, scheme)
     payload = {
         "rule": rule,
         "fd_value": est.value,
@@ -416,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--suite", required=True, choices=convexity.SUITES)
     p_verify.add_argument("--samples", type=int, default=50)
     p_verify.add_argument("--seed", type=int, default=sampling.DEFAULT_SEED)
-    p_verify.add_argument("--tol", type=float, default=None, help="positive; replaces the primary tolerance of every suite run")
+    p_verify.add_argument("--tol", type=float, default=None, help="positive and finite; replaces the primary tolerance of every suite run")
     p_verify.add_argument("--out", default=None)
     _add_scheme_flags(p_verify)
     p_verify.set_defaults(func=cmd_verify)

@@ -3,9 +3,11 @@
 The finite-difference engine works on a *frozen* node set: the entropy
 callbacks produced by :func:`entropy_line` discretise the entropy once,
 on nodes covering every field the caller will touch, sample each field
-there once, and evaluate a step schedule on that fixed discrete measure
-in one pass, as blocks of (steps x nodes) rows: the one-sided estimators
-read the whole schedule, the Gateaux check its last two steps. The
+there once, and evaluate ``FD_STEPS`` (2^-3 ... 2^-18), the only step
+schedule, in one pass as blocks of (steps x nodes) rows: one quotient
+routine, given the side's sign, reads the whole schedule for both
+one-sided estimators (Richardson order k = 1), the Gateaux check the
+symmetric quotients at its last two steps (k = 2). The
 discretised entropy is genuinely convex and homogeneous on that measure,
 so right difference quotients are nonincreasing to floating point,
 Richardson extrapolation is safe, and the quotient trace doubles as a
@@ -57,6 +59,7 @@ __all__ = [
     "left_directional_derivative",
     "two_sided_derivative",
     "analytic_directional_derivative",
+    "derivative_against_closed_form",
     "certify_subgradient",
     "certify_sublinearity",
     "certify_directional_derivatives",
@@ -65,8 +68,8 @@ __all__ = [
     "SUITES",
 ]
 
-# step schedule t_j = 2^-j, j = 3..18; halving steps make the Richardson
-# combination 2*Q(t) - Q(2t) exact through the linear error term
+# the step schedule of every estimator, t_j = 2^-j, j = 3..18; halving steps
+# make the Richardson step 2*Q(t) - Q(2t) exact through the linear error term
 FD_STEPS = tuple(2.0**-j for j in range(3, 19))
 
 TOL_FD = 1e-5
@@ -176,21 +179,13 @@ class TwoSidedDerivative:
     matched: bool
 
 
-def _validate_steps(steps: Sequence[float]) -> tuple[float, ...]:
-    steps = tuple(float(t) for t in steps)
-    if not steps or not all(0 < t < np.inf for t in steps):
-        raise InvalidParameterError("steps must be positive and finite")
-    if any(a <= b for a, b in zip(steps, steps[1:])):
-        raise InvalidParameterError("steps must be strictly decreasing")
-    return steps
-
-
-def _richardson(trace: list[tuple[float, float]]) -> float:
+def _richardson(trace: list[tuple[float, float]], k: int) -> float:
+    """Richardson step (r^k Q_last - Q_prev) / (r^k - 1), r = t_prev / t_last, exact for Q(t) = D + c t^k; or Q_last alone."""
     if len(trace) == 1:
         return trace[-1][1]
     (t_prev, q_prev), (t_last, q_last) = trace[-2], trace[-1]
-    r = t_prev / t_last
-    return (r * q_last - q_prev) / (r - 1.0)
+    rk = (t_prev / t_last) ** k
+    return (rk * q_last - q_prev) / (rk - 1.0)
 
 
 def _entropy_along(phi: Callable[[Field], float], q: Field, p: Field, ts: Sequence[float]) -> list:
@@ -212,66 +207,66 @@ def _attempt(phi: Callable[[Field], float], f: Field):
 
 def _checked(value, t: float) -> float:
     """The entropy at step ``t`` (0 for the base point), or InfeasibleStepError naming the step."""
+    if not isinstance(value, ConescoreError) and np.isfinite(value):
+        return value
     where = "the base point" if t == 0 else f"step t={t:g}"
     if isinstance(value, ConescoreError):
         why = f"entropy undefined at {where}" if t == 0 else f"{where} leaves the entropy's domain"
         raise InfeasibleStepError(f"{why}: {value}", step=t) from value
-    if not np.isfinite(value):
-        raise InfeasibleStepError(f"entropy not finite at {where}", step=t)
-    return value
+    raise InfeasibleStepError(f"entropy not finite at {where}", step=t)
+
+
+def _one_sided(phi: Callable[[Field], float], q: Field, p: Field, sign: float, tol_fd: float) -> DerivativeEstimate:
+    """Quotients (sign v - sign phi(q)) / t at v = phi(q + sign t p) over FD_STEPS: the right side at sign 1, the left at -1.
+
+    Consecutive quotients a, b break monotonicity when sign b > sign a + MONOTONE_SLACK; the value is their k = 1
+    Richardson step. An infeasible right step raises; infeasible left steps are skipped.
+    """
+    base, *values = _entropy_along(phi, q, p, (0.0, *(sign * t for t in FD_STEPS)))
+    phi_q = _checked(base, 0.0)
+    kept = [(t, v) for t, v in zip(FD_STEPS, values) if sign > 0 or not isinstance(v, ConescoreError) and np.isfinite(v)]
+    trace = [(t, (sign * _checked(v, t) - sign * phi_q) / t) for t, v in kept]
+    if not trace:
+        raise OneSidedOnlyError("the reversed direction leaves the cone at every scheduled step")
+    violations = sum(1 for (_, a), (_, b) in zip(trace, trace[1:]) if sign * b > sign * a + MONOTONE_SLACK)
+    converged = len(trace) >= 2 and abs(trace[-1][1] - trace[-2][1]) < tol_fd
+    return DerivativeEstimate(_richardson(trace, 1), tuple(trace), "right" if sign > 0 else "left", converged, violations)
 
 
 def right_directional_derivative(
     phi: Callable[[Field], float],
     q: Field,
     p: Field,
-    steps: Sequence[float] = FD_STEPS,
     tol_fd: float = TOL_FD,
 ) -> DerivativeEstimate:
-    """Right derivative of ``phi`` at ``q`` along ``p`` by monotone quotients.
+    """Right derivative of ``phi`` at ``q`` along ``p`` by monotone quotients over ``FD_STEPS``.
 
     For a convex ``phi`` the quotient trace is nonincreasing down the
     schedule; an entropy failure at some step raises
     :class:`InfeasibleStepError` naming it.
     """
-    steps = _validate_steps(steps)
-    base, *values = _entropy_along(phi, q, p, (0.0, *steps))
-    phi_q = _checked(base, 0.0)
-    trace = [(t, (_checked(v, t) - phi_q) / t) for t, v in zip(steps, values)]
-    violations = sum(1 for (_, a), (_, b) in zip(trace, trace[1:]) if b > a + MONOTONE_SLACK)
-    converged = len(trace) >= 2 and abs(trace[-1][1] - trace[-2][1]) < tol_fd
-    return DerivativeEstimate(_richardson(trace), tuple(trace), "right", converged, violations)
+    return _one_sided(phi, q, p, 1.0, tol_fd)
 
 
 def left_directional_derivative(
     phi: Callable[[Field], float],
     q: Field,
     p: Field,
-    steps: Sequence[float] = FD_STEPS,
     tol_fd: float = TOL_FD,
 ) -> DerivativeEstimate:
-    """Left derivative: quotients of q - t p, skipping steps that exit the cone.
+    """Left derivative: quotients of q - t p over ``FD_STEPS``, skipping steps that exit the cone.
 
     Large steps may be infeasible even when the direction is two-sided;
     those are skipped. If every step fails, the direction is one-sided and
     :class:`OneSidedOnlyError` is raised.
     """
-    steps = _validate_steps(steps)
-    base, *values = _entropy_along(phi, q, p, (0.0, *(-t for t in steps)))
-    phi_q = _checked(base, 0.0)
-    trace = [(t, (phi_q - v) / t) for t, v in zip(steps, values) if not isinstance(v, ConescoreError) and np.isfinite(v)]
-    if not trace:
-        raise OneSidedOnlyError("the reversed direction leaves the cone at every scheduled step")
-    violations = sum(1 for (_, a), (_, b) in zip(trace, trace[1:]) if b < a - MONOTONE_SLACK)
-    converged = len(trace) >= 2 and abs(trace[-1][1] - trace[-2][1]) < tol_fd
-    return DerivativeEstimate(_richardson(trace), tuple(trace), "left", converged, violations)
+    return _one_sided(phi, q, p, -1.0, tol_fd)
 
 
 def two_sided_derivative(
     phi: Callable[[Field], float],
     q: Field,
     p: Field,
-    steps: Sequence[float] = FD_STEPS,
     tol_fd: float = TOL_FD,
 ) -> TwoSidedDerivative:
     """Both one-sided derivatives; the two-sided value exists when they agree.
@@ -279,8 +274,8 @@ def two_sided_derivative(
     Raises :class:`OneSidedOnlyError` when the reversed direction never
     enters the domain, i.e. the direction is not two-sided at ``q``.
     """
-    right = right_directional_derivative(phi, q, p, steps, tol_fd)
-    left = left_directional_derivative(phi, q, p, steps, tol_fd)
+    right = right_directional_derivative(phi, q, p, tol_fd)
+    left = left_directional_derivative(phi, q, p, tol_fd)
     gap = abs(right.value - left.value)
     matched = gap < tol_fd
     value = 0.5 * (right.value + left.value) if matched else None
@@ -372,6 +367,13 @@ def _normalized(f: Field, scheme) -> Field:
     return f * (1.0 / mass)
 
 
+def derivative_against_closed_form(rule: str, q: Field, p: Field, scheme=None) -> tuple[DerivativeEstimate, float]:
+    """FD right derivative of the entropy at q-hat along p-hat on their line, and its closed form at q along p."""
+    qh, ph = _normalized(q, scheme), _normalized(p, scheme)
+    est = right_directional_derivative(entropy_line(rule, qh, ph, scheme=scheme), qh, ph)
+    return est, analytic_directional_derivative(rule, q, p, scheme)
+
+
 # ---------------------------------------------------------------------------
 # certificates
 # ---------------------------------------------------------------------------
@@ -410,15 +412,12 @@ def _subgradient_cases(rule, base, p, q, scheme) -> list[CaseResult]:
     eul = rules.euler_residual(rule, q, scheme)
     cases.append(CaseResult(f"{base}/euler", eul, 1e-8, eul <= 1e-8))
 
-    ph = _normalized(p, scheme)
-    qh = _normalized(q, scheme)
-    phi = entropy_line(rule, qh, ph, scheme=scheme)
-    est = right_directional_derivative(phi, qh, ph)
-    expected = rules.expected_score(rule, p, q, scheme)
+    est, analytic = derivative_against_closed_form(rule, q, p, scheme)
+    # the closed form is the expected score for the smooth rules, a modal maximum for the supremum rule
+    expected = analytic if rule != "supremum" else rules.expected_score(rule, p, q, scheme)
     excess = expected - est.value
     cases.append(CaseResult(f"{base}/score-below-derivative", excess, 1e-4, excess <= 1e-4))
 
-    analytic = analytic_directional_derivative(rule, q, p, scheme)
     resid = abs(est.value - analytic)
     cert_note = None
     passed = resid <= 1e-4
@@ -489,7 +488,6 @@ def certify_directional_derivatives(
     q: Field,
     one_sided: Sequence[Field],
     two_sided: Sequence[Field],
-    steps: Sequence[float] = FD_STEPS,
     tol_fd: float = TOL_FD,
     scheme: pairing.QuadratureScheme | None = None,
     case_prefix: str = "",
@@ -510,9 +508,7 @@ def certify_directional_derivatives(
     qh = _normalized(q, scheme)
     phi = entropy_line(rule, qh, *one_sided, *two_sided, scheme=scheme)
 
-    def right(base: Field, direction: Field) -> DerivativeEstimate:
-        return right_directional_derivative(phi, base, direction, steps, tol_fd)
-
+    right = functools.partial(right_directional_derivative, phi, tol_fd=tol_fd)
     cases: list[CaseResult] = []
 
     ests = [right(qh, d) for d in one_sided]
@@ -524,7 +520,7 @@ def certify_directional_derivatives(
             worst_excess,
             MONOTONE_SLACK,
             total_violations == 0,
-            note=f"{len(ests)} traces, {len(steps)} steps each",
+            note=f"{len(ests)} traces, {len(FD_STEPS)} steps each",
         )
     )
 
@@ -554,13 +550,13 @@ def certify_directional_derivatives(
         )
     )
 
-    two = [two_sided_derivative(phi, qh, d, steps, tol_fd) for d in two_sided]
+    two = [two_sided_derivative(phi, qh, d, tol_fd) for d in two_sided]
     order_excess = max(t.left.value - t.right.value for t in two)
     cases.append(CaseResult(f"{prefix}/left-right-order", order_excess, 1e-6, order_excess <= 1e-6))
 
     r0, r1 = two_sided[0], two_sided[1]
     t0, t1 = two[0], two[1]
-    tsum = two_sided_derivative(phi, qh, r0 + r1, steps, tol_fd)
+    tsum = two_sided_derivative(phi, qh, r0 + r1, tol_fd)
     if t0.matched and t1.matched and tsum.matched:
         resid = abs(tsum.value - (t0.value + t1.value))
         cases.append(CaseResult(f"{prefix}/two-sided-additivity", resid, tol_fd, resid <= tol_fd))
@@ -578,22 +574,16 @@ def certify_directional_derivatives(
     return VerificationReport("derivatives", tuple(cases), None, scheme or pairing.DEFAULT_SCHEME)
 
 
-def _symmetric_derivative(phi, q: Field, p: Field, steps: tuple[float, ...]) -> float:
-    """Richardson pair of the symmetric quotients at the last two steps, the only four rows evaluated."""
-    tp, tl = steps[-2:]
-    values = phi.along(q, p, (tp, -tp, tl, -tl))
-    for val in values:
-        if isinstance(val, ConescoreError):
-            raise val
-    qp, ql = ((a - b) / (2.0 * t) for t, a, b in zip((tp, tl), values[0::2], values[1::2]))
-    r2 = (tp / tl) ** 2
-    return (r2 * ql - qp) / (r2 - 1.0)
+def _symmetric_derivative(phi, q: Field, p: Field) -> float:
+    """k = 2 Richardson step on the symmetric quotients at the last two steps of FD_STEPS, the only four rows evaluated."""
+    ts = [s for t in FD_STEPS[-2:] for s in (t, -t)]
+    values = [_checked(v, t) for t, v in zip(ts, _entropy_along(phi, q, p, ts))]
+    return _richardson([(t, (a - b) / (2.0 * t)) for t, a, b in zip(FD_STEPS[-2:], values[0::2], values[1::2])], 2)
 
 
 def gateaux_check(
     q: Field,
     directions: Sequence[Field],
-    steps: Sequence[float] = FD_STEPS,
     tol: float = TOL_FD,
     scheme: pairing.QuadratureScheme | None = None,
     case_prefix: str = "",
@@ -603,22 +593,20 @@ def gateaux_check(
     For each direction p (sign-changing allowed, any integral) the
     derivative must equal the pairing of the gradient field
     2q/(q.1) - (q.q)/(q.1)^2 with p within ``tol``, and be additive and
-    homogeneous in p within 1e-7. The derivative is the Richardson pair of
-    the symmetric quotients at the last two entries of ``steps``, which
-    needs at least two; larger steps are not evaluated, so a direction
-    leaving the domain only far from q is still certified.
+    homogeneous in p within 1e-7. The derivative is the k = 2 Richardson
+    step on the symmetric quotients at the last two entries of ``FD_STEPS``;
+    larger steps are not evaluated, so a direction leaving the domain only
+    far from q is still certified, and an infeasible row raises
+    :class:`InfeasibleStepError` naming its step.
     """
     if not directions:
         raise InvalidParameterError("need at least one direction")
     prefix = case_prefix or "quadratic/gateaux"
-    steps = _validate_steps(steps)
-    if len(steps) < 2:
-        raise InvalidParameterError("the Richardson pair needs at least two steps")
     phi = entropy_line("quadratic", q, *directions, scheme=scheme)
     ns = phi.nodes
     w, qs = ns.weights, ns.sample(q)
     grad_values = rules._score("quadratic", qs, ns.mass(q), rules._self_pairing("quadratic", w, qs))
-    symmetric = functools.partial(_symmetric_derivative, phi, q, steps=steps)
+    symmetric = functools.partial(_symmetric_derivative, phi, q)
 
     margin = cone_check(q, default_cone_spec("quadratic", q.dim), scheme).worst_residual
     cone_note = f"cone margin {margin:.3e}"
@@ -883,15 +871,16 @@ def run_suite(
     ``suite`` is one of ``SUITES``: a key of the ``_SUITE_CASES`` table, or
     all, which runs them in the table's order; ``rule`` restricts to one
     scoring rule (gateaux is quadratic-only). ``tol``, when given, must be
-    positive; it replaces the primary tolerance of every suite run, all's too.
+    positive and finite; it replaces the primary tolerance of every suite
+    run, all's too.
     """
     suite = str(suite).lower()
     if suite not in SUITES:
         raise InvalidParameterError(f"unknown suite {suite!r}; expected one of {SUITES}")
     if samples < 1:
         raise InvalidParameterError("samples must be positive")
-    if tol is not None and tol <= 0:
-        raise InvalidParameterError(f"tol must be positive, got {tol!r}")
+    if tol is not None and not 0 < tol < np.inf:
+        raise InvalidParameterError(f"tol must be {'positive' if tol <= 0 else 'finite'}, got {tol!r}")
     sampling._checked_seed(seed)
     rule_ids = _rule_list(rule)
     if suite == "gateaux" and "quadratic" not in rule_ids:

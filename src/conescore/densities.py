@@ -189,12 +189,11 @@ class Field:
         return cache[key]
 
 
-def _gaussian_rows(pts: np.ndarray, mean: np.ndarray, var: np.ndarray, factor: np.ndarray, order: int) -> list:
-    """Value, gradient (order >= 1) and Laplacian (order 2) at points (n, d) of m Gaussians, one row each.
+def _gaussian_values(pts: np.ndarray, mean: np.ndarray, var: np.ndarray, factor: np.ndarray) -> tuple:
+    """Values (m, n) at points (n, d) of m Gaussians, with their offsets x - mean (d, m, n) and variances (d, m, 1).
 
     ``mean`` and ``var`` are (m, d), ``factor`` (m,) each scale over its
-    normaliser. Values and Laplacians come back (m, n), gradients (m, d, n).
-    One exp per point and Gaussian, reused by the gradient and Laplacian.
+    normaliser. One exp per point and Gaussian.
     """
     var = var.T[:, :, None]
     d = pts.T[:, None, :] - mean.T[:, :, None]  # (d, m, n)
@@ -202,17 +201,22 @@ def _gaussian_rows(pts: np.ndarray, mean: np.ndarray, var: np.ndarray, factor: n
     value *= -0.5
     np.exp(value, out=value)
     value *= factor[:, None]
+    return value, d, var
+
+
+def _gaussian_rows(value: np.ndarray, offsets, var, order: int) -> list:
+    """Values v (m, ...) of m Gaussians, gradients -z v (m, d, ...) at order >= 1, Laplacians (|z|^2 - sum 1/var) v at 2.
+
+    ``offsets`` x - mean and ``var`` hold one entry per axis, broadcasting against v; z is offset / var.
+    """
     rows = [value]
     if order >= 1:
-        z = np.divide(d, var, out=d)
-    if order >= 2:  # before the gradient overwrites z
-        laplacian = _axis_sum(np.square(z))
+        z = [a / -s for a, s in zip(offsets, var)]  # -z: the gradient's sign, with z's squares
+        rows.append(np.array([a * value for a in z]).swapaxes(0, 1))
+    if order >= 2:
+        laplacian = _axis_sum([np.square(a) for a in z])
         laplacian -= _axis_sum(1.0 / var)
         laplacian *= value
-    if order >= 1:
-        z *= -value
-        rows.append(z.swapaxes(0, 1))
-    if order >= 2:
         rows.append(laplacian)
     return rows
 
@@ -230,7 +234,7 @@ class _GaussianSum(Field):
         out = None
         step = max(1, 2**14 // pts.size)  # Gaussians per pass: all on small sets, one where temporaries pass 128 KiB
         for i in range(0, len(self._coeffs), step):
-            rows = _gaussian_rows(pts, *(a[i : i + step] for a in self._rows), order)
+            rows = _gaussian_rows(*_gaussian_values(pts, *(a[i : i + step] for a in self._rows)), order)
             for c, *terms in zip(self._coeffs[i : i + step], *rows):
                 terms = terms if c == 1.0 else [c * t for t in terms]  # 1 * t is t
                 out = terms if out is None else [np.add(total, t, out=total) for total, t in zip(out, terms)]
@@ -239,24 +243,19 @@ class _GaussianSum(Field):
         return Sample(*(_squeeze(a, scalar) for a in out))
 
     def sample_on(self, ns, order: int = 0) -> Sample:
-        """On a tensor square, outer products of 1-D profiles on ``ns.axis``, one ``_gaussian_rows`` pass per axis.
+        """On a tensor square, outer products of 1-D profiles on ``ns.axis``, one ``_gaussian_values`` pass per axis.
 
-        The x rows carry each Gaussian's factor and weight, the y rows 1. Each Gaussian adds, in order, value
-        v = vx vy, gradient -z v (laid out (2, n)) and Laplacian (|z|^2 - sum 1/var) v, grouped as in ``_gaussian_rows``.
+        The x profiles carry each Gaussian's factor and weight, the y profiles 1. Each Gaussian adds, in order,
+        the ``_gaussian_rows`` of its value v = vx vy, with its offsets shaped along their axes.
         """
         if ns.axis is None:
             return super().sample_on(ns, order)
         (mean, var, factor), x, out = self._rows, ns.axis[:, None], None
         factors = (factor * self._coeffs, np.ones_like(factor))
-        vx, vy = (_gaussian_rows(x, mean[:, [k]], var[:, [k]], f, 0)[0] for k, f in enumerate(factors))
-        z = (ns.axis - mean.T[:, :, None]) / var.T[:, :, None]  # (2, m, n1)
-        for value, zx, zy, precision in zip(map(np.multiply.outer, vx, vy), *z, _axis_sum(1.0 / var.T)):
-            parts = [value]
-            if order >= 1:
-                parts.append(np.stack([value * -zx[:, None], value * -zy]))
-            if order >= 2:
-                parts.append((np.add.outer(np.square(zx), np.square(zy)) - precision) * value)
-            out = parts if out is None else [np.add(total, t, out=total) for total, t in zip(out, parts)]
+        (vx, dx, _), (vy, dy, _) = (_gaussian_values(x, mean[:, [k]], var[:, [k]], f) for k, f in enumerate(factors))
+        for j, value in enumerate(map(np.multiply.outer, vx, vy)):
+            rows = _gaussian_rows(value[None], (dx[0, [j], :, None], dy[0, [j], None, :]), var[j], order)
+            out = [r[0] for r in rows] if out is None else [np.add(total, r[0], out=total) for total, r in zip(out, rows)]
         return Sample(*(a.ravel() if a.ndim == 2 else a.reshape(2, -1).T for a in out))
 
 

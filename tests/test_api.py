@@ -44,10 +44,13 @@ def test_package_reexports_only_listed_names(name):
 SINGLE_VALUE_OPTIONS = [
     (rules.mode_set, {"delta_mode"}),
     (rules.sup_subgradient, {"delta_mode"}),
-    (convexity.gateaux_check, {"tol_linear", "seed"}),
+    (convexity.gateaux_check, {"tol_linear", "seed", "steps"}),
     (convexity.certify_sublinearity, {"lambdas", "strict_tol", "seed"}),
-    (convexity.certify_directional_derivatives, {"seed"}),
+    (convexity.certify_directional_derivatives, {"seed", "steps"}),
     (convexity.certify_subgradient, {"tol_quad", "tol_fd", "steps"}),
+    (convexity.right_directional_derivative, {"steps"}),
+    (convexity.left_directional_derivative, {"steps"}),
+    (convexity.two_sided_derivative, {"steps"}),
     (sampling.sample_mixture, {"max_components"}),
     (sampling.reweighted_mixture, {"spread"}),
     (boundary.DyadicSequence.geometric, {"scale"}),

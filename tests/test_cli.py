@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import conescore
-from conescore import cli, pairing, rules
+from conescore import cli, convexity, pairing, rules
 from conescore.cli import main
 from conescore.densities import density_from_config
 
@@ -356,10 +356,25 @@ def test_verify_seed_with_far_tail_hyvarinen_cases_passes(capsys):
     assert summary["pass"] == summary["total"] > 0
 
 
-def test_verify_non_finite_report_value_is_a_typed_error(capsys):
-    code, out, err = run(capsys, ["verify", "--suite", "euler", "--samples", "2", "--tol", "nan"])
+def test_verify_non_finite_report_value_is_a_typed_error(capsys, monkeypatch):
+    # run_suite refuses a non-finite --tol, so a case builder puts the NaN in the report
+    def nan_tol(rule_ids, samples, seed, scheme, tol):
+        return [convexity.CaseResult("euler/nan", 0.0, float("nan"), False)]
+
+    monkeypatch.setitem(convexity._SUITE_CASES, "euler", (nan_tol, 1e-8))
+    code, out, err = run(capsys, ["verify", "--suite", "euler", "--samples", "2"])
     assert (code, out) == (2, "")
     assert err.startswith("configuration error: report value cases[0].tol is not a finite number")
+
+
+@pytest.mark.parametrize("tol, message", [("nan", "finite, got nan"), ("inf", "finite, got inf"), ("-inf", "positive, got -inf")])
+def test_verify_refuses_a_non_finite_tol_before_any_case_runs(capsys, monkeypatch, tol, message):
+    def never(*args):
+        raise AssertionError("a case ran")
+
+    monkeypatch.setattr(convexity, "_SUITE_CASES", {n: (never, t) for n, (_, t) in convexity._SUITE_CASES.items()})
+    code, out, err = run(capsys, ["verify", "--suite", "all", "--seed", "3", "--samples", "10", f"--tol={tol}"])
+    assert (code, out, err) == (2, "", f"configuration error: tol must be {message}\n")
 
 
 @pytest.mark.parametrize("suite", ["euler", "all"])

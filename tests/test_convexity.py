@@ -156,15 +156,26 @@ def test_right_quotients_nonincreasing():
     assert all(b <= a + 1e-12 for a, b in zip(quotients, quotients[1:]))
 
 
-def test_step_schedule_validation():
+@pytest.mark.parametrize("k", [1, 2])
+def test_richardson_step_is_exact_for_an_error_term_of_order_k(k):
+    # Q(t) = D + c t^k at the last two steps: every operation here is exact in floating point
+    for d, c in [(0.75, 3.0), (-1.5, -0.375), (0.0, 1.0)]:
+        trace = [(t, d + c * t**k) for t in convexity.FD_STEPS[-2:]]
+        assert convexity._richardson(trace, k) == d
+    assert convexity._richardson([(0.5, 0.25)], k) == 0.25
+
+
+def test_both_sides_are_one_quotient_routine():
+    # the left estimate is the right estimate along -p with its quotients negated
     q = uniform_grid()
     phi = entropy_line("quadratic", q)
-    with pytest.raises(InvalidParameterError):
-        right_directional_derivative(phi, q, q, steps=[0.1, 0.2])
-    with pytest.raises(InvalidParameterError):
-        right_directional_derivative(phi, q, q, steps=[])
-    with pytest.raises(InvalidParameterError):
-        right_directional_derivative(phi, q, q, steps=[0.1, -0.05])
+    right = right_directional_derivative(phi, q, -1.0 * bump_field(amp=0.5))
+    left = left_directional_derivative(phi, q, bump_field(amp=0.5))
+    assert [(t, -qt) for t, qt in right.trace] == list(left.trace)
+    assert (left.value, left.side, left.monotonicity_violations) == (-right.value, "left", 0)
+    # at the supremum's kink the left quotients are phi(q) - phi(q - t p) = 1 - 1: +0.0, not -0.0
+    kink = left_directional_derivative(entropy_line("supremum", q), q, bump_field(amp=1.0))
+    assert [str(qt) for _, qt in kink.trace] == ["0.0"] * len(convexity.FD_STEPS)
 
 
 def test_infeasible_step_names_the_step():
@@ -340,27 +351,13 @@ def test_gateaux_requires_directions():
         gateaux_check(uniform_grid(), [])
 
 
-def test_gateaux_steps_need_a_richardson_pair():
-    with pytest.raises(InvalidParameterError, match="two steps"):
-        gateaux_check(uniform_grid(), [uniform_grid()], steps=(0.01,))
-
-
-@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-def test_every_derivative_entry_point_refuses_non_finite_steps(bad):
-    # a NaN step used to give a NaN derivative, and NaN residuals that the JSON report wrote as NaN
+def test_infeasible_gateaux_row_names_its_step():
+    # q - 1e6 q t has negative mass at the first row the derivative reads, t = 2^-17
     q = sampling.sample_mixture(np.random.default_rng(3))
-    p = sampling.perturbed_mixture(q, np.random.default_rng(4))
-    phi = entropy_line("quadratic", q, p)
-    steps = (0.1, bad)
-    for call in (
-        lambda: right_directional_derivative(phi, q, p, steps),
-        lambda: left_directional_derivative(phi, q, p, steps),
-        lambda: two_sided_derivative(phi, q, p, steps),
-        lambda: gateaux_check(q, [p], steps=(0.01, bad)),
-        lambda: gateaux_check(q, [p], steps=(bad, 0.01)),
-    ):
-        with pytest.raises(InvalidParameterError, match="finite"):
-            call()
+    with pytest.raises(InfeasibleStepError) as err:
+        gateaux_check(q, [-1e6 * q])
+    assert err.value.step == convexity.FD_STEPS[-2]
+    assert isinstance(err.value.__cause__, ZeroMassError)
 
 
 def gateaux_bases(seed=42, samples=50):
@@ -381,7 +378,7 @@ def test_gateaux_derivative_is_the_full_schedule_richardson_pair():
             quotients = [(a - b) / (2.0 * t) for t, a, b in zip(steps, values[0::2], values[1::2])]
             r2 = (steps[-2] / steps[-1]) ** 2
             full = (r2 * quotients[-1] - quotients[-2]) / (r2 - 1.0)
-            assert convexity._symmetric_derivative(line, q, p, steps) == full
+            assert convexity._symmetric_derivative(line, q, p) == full
 
 
 def test_gateaux_certifies_a_direction_leaving_the_domain_far_from_q():
@@ -523,6 +520,17 @@ def test_tol_replaces_the_primary_tolerance_of_every_suite_all_runs(monkeypatch)
 def test_nonpositive_tol_is_refused(tol):
     for suite in ("euler", "all"):
         with pytest.raises(InvalidParameterError, match="tol must be positive"):
+            run_suite(suite, samples=2, seed=3, tol=tol)
+
+
+@pytest.mark.parametrize("tol, why", [(float("nan"), "finite"), (float("inf"), "finite"), (float("-inf"), "positive")])
+def test_non_finite_tol_is_refused_before_any_case_runs(monkeypatch, tol, why):
+    def never(*args):
+        raise AssertionError("a case ran")
+
+    monkeypatch.setattr(convexity, "_SUITE_CASES", {n: (never, t) for n, (_, t) in convexity._SUITE_CASES.items()})
+    for suite in ("euler", "all"):
+        with pytest.raises(InvalidParameterError, match=f"tol must be {why}, got {tol!r}"):
             run_suite(suite, samples=2, seed=3, tol=tol)
 
 
