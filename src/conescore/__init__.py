@@ -5,7 +5,16 @@ entropies are 1-homogeneous convex functionals of those fields; scores
 are their subgradients. Everything downstream (divergences, directional
 derivatives, Euler identities, propriety certificates) is evaluated on
 frozen quadrature node sets so that repeated runs agree byte for byte.
+
+Importing the package allocates and frees one 4 MB array, so that glibc
+keeps up to 8 MB of freed heap (its malloc raises the mmap threshold to the
+largest mmapped chunk freed and trims the heap top past twice that) and
+node-set temporaries stop paging; elsewhere this is a no-op.
 """
+
+import numpy as _np
+
+_np.empty(1 << 19)
 
 from .densities import (
     Bump,

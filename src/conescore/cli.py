@@ -438,21 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _keep_freed_heap() -> None:
-    """Allocate and free one 4 MB array, so that glibc keeps up to 8 MB of freed heap.
-
-    glibc's malloc raises its mmap threshold to the largest mmapped chunk
-    freed so far and returns the heap top to the system past twice that.
-    At the default 128 KB, the certifier's block kernels (temporaries of up
-    to 2**15 floats, made and freed thousands of times) give their pages
-    back and fault them in again: about 280,000 minor faults and 0.4 s of
-    system time per ``verify --suite all``. Elsewhere this costs nothing.
-    """
-    np.empty(1 << 19)
-
-
 def main(argv=None) -> int:
-    _keep_freed_heap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

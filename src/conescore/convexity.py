@@ -83,7 +83,7 @@ MONOTONE_SLACK = 1e-9
 # ---------------------------------------------------------------------------
 
 # elements (steps x nodes) per evaluated block: bounds the temporaries of
-# one pass, so a 4M-node 2-D line runs one step at a time
+# one pass, so a 65,536-node 2-D line runs one step at a time
 _BLOCK_ELEMENTS = 2**15
 
 

@@ -197,7 +197,7 @@ def _gaussian_values(pts: np.ndarray, mean: np.ndarray, var: np.ndarray, factor:
     """
     var = var.T[:, :, None]
     d = pts.T[:, None, :] - mean.T[:, :, None]  # (d, m, n)
-    value = _axis_sum(d**2 / var)  # in place from here on: on a 2-D set each temporary is megabytes
+    value = _axis_sum(d**2 / var)  # in place from here on: no further (m, n) temporaries
     value *= -0.5
     np.exp(value, out=value)
     value *= factor[:, None]
@@ -232,7 +232,7 @@ class _GaussianSum(Field):
         """Each Gaussian's weighted sample, added in order."""
         pts, scalar = _as_points(x, self.dim)
         out = None
-        step = max(1, 2**14 // pts.size)  # Gaussians per pass: all on small sets, one where temporaries pass 128 KiB
+        step = max(1, 2**14 // pts.size)  # Gaussians per pass: (d, step, n) temporaries within 2**14 floats, or one
         for i in range(0, len(self._coeffs), step):
             rows = _gaussian_rows(*_gaussian_values(pts, *(a[i : i + step] for a in self._rows)), order)
             for c, *terms in zip(self._coeffs[i : i + step], *rows):

@@ -1,6 +1,10 @@
 """Scoring rules: entropies, scores, divergences, Euler identities, modes."""
 
+import platform
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -481,3 +485,29 @@ def test_a_power_law_in_2d_still_gets_its_node_points():
     assert np.array_equal(ns.points, np.column_stack([xx.ravel(), yy.ravel()]))
     assert ns.points is ns.points  # built once, then kept
     assert abs(ns.mass(f) - 1.8) <= 1e-12
+
+
+# minor page faults of the second 2-D divergence per smooth rule, in an interpreter that imports the package only
+FAULT_PROBE = """
+import resource, sys
+from conescore import rules
+from conescore.densities import GaussianDensity
+p, q = GaussianDensity([0.3, -0.2], [0.6, 0.9]), GaussianDensity([-0.1, 0.4], [1.1, 0.7])
+for rule in rules.SMOOTH_RULES:
+    for _ in range(2):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        rules.divergence(rule, p, q)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    print(rule, faults)
+print("cli", "conescore.cli" in sys.modules)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the freed-heap setting acts on glibc's malloc only")
+def test_library_2d_divergences_keep_their_heap():
+    src = str(Path(rules.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", FAULT_PROBE], capture_output=True, text=True, env={"PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    counts = dict(line.split() for line in proc.stdout.splitlines())
+    assert counts.pop("cli") == "False"
+    assert {rule: int(n) for rule, n in counts.items() if int(n) > 64} == {}
