@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -87,22 +87,6 @@ MONOTONE_SLACK = 1e-9
 _BLOCK_ELEMENTS = 2**15
 
 
-def _row_entropies(rule: str, w, fv, grad=None) -> list:
-    """Entropy of each row of sampled values: a float, or the domain error refusing the row."""
-    if rule == "supremum":
-        return [float(v) for v in np.max(fv, axis=1)]
-    mass = (w * fv).sum(axis=1)
-    values = rules._entropy(rule, w, Sample(fv, grad), mass)
-    negative = np.any(fv < 0, axis=1).tolist() if rule != "quadratic" else [False] * len(fv)
-    massless = (mass <= 0) & (rule != "hyvarinen")
-    return [
-        rules.ZeroDensityError("field leaves the nonnegative cone on the node set") if neg
-        else rules.ZeroMassError("nonpositive mass on the node set") if empty
-        else float(value)
-        for value, neg, empty in zip(values.tolist(), negative, massless.tolist())
-    ]
-
-
 def entropy_line(rule: str, *fields: Field, scheme: pairing.QuadratureScheme | None = None) -> Callable[[Field], float]:
     """Entropy callback discretised on one node set covering ``fields``.
 
@@ -111,16 +95,16 @@ def entropy_line(rule: str, *fields: Field, scheme: pairing.QuadratureScheme | N
     field once (values, and gradients for the Hyvarinen rule). Its attribute
     ``along(q, p, ts)`` evaluates a whole step schedule as qs + t ps in
     blocks of steps and returns, per step, a float or the domain error the
-    callable would raise (negative values for the positivity-constrained
-    entropies, nonpositive mass); ``nodes`` is that node set, which holds
-    the samples and the quadrature weights.
+    callable would raise, refused as the rules refuse it; ``nodes`` is that
+    node set, which holds the samples and the quadrature weights.
     """
     rule = rules.canonical_rule(rule)
     cover = fields[0] if len(fields) == 1 else Combination((1.0,) * len(fields), fields)
     if rule == "supremum" and cover.grid is None:
         raise InvalidParameterError("supremum entropy lines need grid fields")
+    rules._require_exact(rule, cover, "the line's fields")
     ns = pairing.nodes_for(cover, scheme)
-    order = 1 if rule == "hyvarinen" else 0
+    order = rules._ENTROPY_ORDER[rule]
 
     def along(q: Field, p: Field, ts: Sequence[float]) -> list:
         qs, ps, ts = ns.sample(q, order)[: order + 1], ns.sample(p, order)[: order + 1], np.asarray(ts, dtype=float)
@@ -128,15 +112,11 @@ def entropy_line(rule: str, *fields: Field, scheme: pairing.QuadratureScheme | N
         out: list = []
         for i in range(0, ts.size, rows):
             tb = ts[i : i + rows]
-            out += _row_entropies(rule, ns.weights, *(a + tb.reshape((-1,) + (1,) * a.ndim) * b for a, b in zip(qs, ps)))
+            block = Sample(*(a + tb.reshape((-1,) + (1,) * a.ndim) * b for a, b in zip(qs, ps)))
+            out += rules._row_entropies(rule, ns.weights, block)
         return out
 
-    def phi(f: Field) -> float:
-        (value,) = _row_entropies(rule, ns.weights, *(a[None] for a in ns.sample(f, order)[: order + 1]))
-        if isinstance(value, ConescoreError):
-            raise value
-        return value
-
+    phi = functools.partial(rules._entropy_of, rule, ns)
     phi.along, phi.nodes = along, ns
     return phi
 
@@ -346,12 +326,7 @@ class VerificationReport:
         return {
             "suite": self.suite,
             "seed": self.seed,
-            "scheme": {
-                "panels": self.scheme.panels,
-                "nodes": self.scheme.nodes,
-                "radius": self.scheme.radius,
-                "tail_tol": self.scheme.tail_tol,
-            },
+            "scheme": asdict(self.scheme),
             "cases": cases,
             "summary": {"pass": sum(1 for c in self.cases if c.passed), "total": len(self.cases)},
         }
@@ -604,8 +579,7 @@ def gateaux_check(
     prefix = case_prefix or "quadratic/gateaux"
     phi = entropy_line("quadratic", q, *directions, scheme=scheme)
     ns = phi.nodes
-    w, qs = ns.weights, ns.sample(q)
-    grad_values = rules._score("quadratic", qs, ns.mass(q), rules._self_pairing("quadratic", w, qs))
+    grad_values = rules._score("quadratic", *rules._scored("quadratic", q, ns))
     symmetric = functools.partial(_symmetric_derivative, phi, q)
 
     margin = cone_check(q, default_cone_spec("quadratic", q.dim), scheme).worst_residual
@@ -616,7 +590,7 @@ def gateaux_check(
     for i, p in enumerate(directions):
         d = symmetric(p)
         derivs.append(d)
-        expected = float(np.sum(w * grad_values * ns.sample(p).value))
+        expected = float(np.sum(ns.weights * grad_values * ns.sample(p).value))
         resid = abs(d - expected)
         note = cone_note if i == 0 else None
         cases.append(CaseResult(f"{prefix}/gradient{i:03d}", resid, tol, resid <= tol, note=note))
@@ -683,10 +657,7 @@ def _propriety_cases(rule_ids, samples, seed, scheme, tol) -> list[CaseResult]:
     mix_pairs = sampling.sample_mixture_pairs(samples, seed)
     # the strict rules are the smooth ones, which share the mixture pairs
     separated = functools.cache(lambda i: sampling.normalized_l1_distance(*mix_pairs[i], scheme) >= 0.1)
-    grid_pairs = [
-        (a, b)
-        for a, b in zip(_grid_samples(samples, seed + 1), _grid_samples(samples, seed + 2))
-    ]
+    grid_pairs = list(zip(_grid_samples(samples, seed + 1), _grid_samples(samples, seed + 2)))
     for rule in rule_ids:
         pair_set = mix_pairs if rule in rules.SMOOTH_RULES else grid_pairs
         strict_rule = rule != "supremum"

@@ -344,19 +344,26 @@ def weighted_norm(f: Field, m: float, scheme: QuadratureScheme | None = None) ->
 
     Grid and 2-D fields integrate on their node set. On the line the core
     integral extends through dyadic shells until contributions are
-    negligible; shells that keep growing raise :class:`DivergenceError`.
+    negligible; shells that keep growing, or a 2-D outermost shell that is
+    not negligible, raise :class:`DivergenceError`.
     """
     scheme = scheme or DEFAULT_SCHEME
     if not m > 0:
         raise InvalidParameterError("weight exponent m must be positive")
 
-    def chunk(points: np.ndarray, weights: np.ndarray, fv=None) -> float:
-        fv = np.asarray(f.value(points), dtype=float) if fv is None else fv
-        return float(np.sum(weights * fv**2 * _weight_values(points, m)))
+    def chunk(points: np.ndarray, weights: np.ndarray) -> float:
+        return float(np.sum(weights * np.asarray(f.value(points), dtype=float) ** 2 * _weight_values(points, m)))
 
     if f.grid is not None or f.dim != 1:
         ns = nodes_for(f, scheme)  # it holds the samples the sizer read
-        return float(np.sqrt(chunk(*ns, ns.sample(f).value)))
+        terms = ns.weights * ns.sample(f).value ** 2 * _weight_values(ns.points, m)
+        total = float(np.sum(terms))
+        if f.grid is None:
+            radii = _shell_edges(f, _core_radius(f, scheme), scheme.tail_tol)
+            outer = float(np.sum(terms[np.max(np.abs(ns.points), axis=1) > radii[max(len(radii) - 2, 0)]]))
+            if outer > scheme.tail_tol * max(total, scheme.tail_tol):
+                raise DivergenceError(f"weighted norm's outermost dyadic shell contributed {outer:.3e} of {total:.3e}")
+        return float(np.sqrt(total))
 
     # the field's tail-mass bound does not bound f^2 (1+|x|)^m, so the shells
     # stop on their own contributions rather than where _shell_edges would

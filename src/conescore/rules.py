@@ -6,14 +6,15 @@ the score is 0-homogeneous, and the divergence of the normalised pair is
     D(p, q) = entropy(p-hat) - expected_score(p-hat, q-hat),
 
 which is nonnegative exactly when the score is a subgradient of the
-entropy. Each call builds one node set, samples each field there once,
-and evaluates one per-rule kernel on the samples: ``_entropy``,
-``_score`` and the pairing ``_pair`` are the only places a smooth rule's
-formulas are written, so the Euler identity and propriety are checked on
-one discrete measure. The logarithmic and quadratic divergences reduce to
-discrete Jensen (or a discrete squared distance) and are nonnegative to
-floating point, while the Hyvarinen case leans on the integration-by-parts
-identity and the tail design of :mod:`conescore.pairing`.
+entropy. Each call builds one node set, samples each field there once to
+the order ``_ENTROPY_ORDER`` or ``_SCORE_ORDER`` names, refuses it by the
+one policy ``_refusals``, and evaluates one kernel: ``_entropy`` (per row
+too, for the entropy lines of :mod:`conescore.convexity`), ``_score`` on
+the inputs ``_scored`` gathers, and the pairing ``_pair`` write each
+formula once, on one discrete measure. The logarithmic and quadratic
+divergences reduce to discrete Jensen (or a discrete squared distance) and
+are nonnegative to floating point, while the Hyvarinen case leans on the
+integration-by-parts identity and the tail design of :mod:`conescore.pairing`.
 
 The supremum rule lives on grid densities. Its mode set, plateau
 subgradient, and Dirac fallback follow the dichotomy between positive-
@@ -90,25 +91,42 @@ def canonical_rule(name: str) -> str:
     return _ALIASES[key]
 
 
-def _require_analytic(q: Field, op: str):
-    if q.grid is not None:
-        raise UnsupportedFamilyError(f"{op} needs exact derivatives; grid families do not provide them")
-
-
 def _require_grid(q: Field, op: str) -> GridInfo:
     if q.grid is None:
         raise UnsupportedFamilyError(f"{op} is defined for grid densities")
     return q.grid
 
 
+def _require_exact(rule: str | None, f: Field, label: str) -> None:
+    """Refuse a grid field for the Hyvarinen rule: its entropy and score read exact derivatives."""
+    if rule == "hyvarinen" and f.grid is not None:
+        raise UnsupportedFamilyError(f"the hyvarinen rule needs exact derivatives of {label}; grid families do not provide them")
+
+
+def _refusals(rule: str | None, values: np.ndarray, mass: np.ndarray, label: str = "the field") -> list:
+    """Per row of sampled ``values`` and its ``mass``: the domain error refusing it, or None.
+
+    The log and Hyvarinen rules refuse negative values. All rules but the supremum, and None
+    (a field that is only normalised), refuse a nonpositive or non-finite mass.
+    """
+    negative = np.any(values < 0, axis=-1) if rule in ("logarithmic", "hyvarinen") else np.zeros(mass.shape, bool)
+    massless = ~(np.isfinite(mass) & (mass > 0)) & (rule != "supremum")
+    return [
+        ZeroDensityError(f"{label} leaves the {rule} rule's nonnegative cone on the node set") if neg
+        else ZeroMassError(f"{label} has nonpositive mass {m!r}") if empty
+        else None
+        for neg, empty, m in zip(negative.tolist(), massless.tolist(), mass.tolist())
+    ]
+
+
 def _sampled(rule: str | None, f: Field, ns: pairing.NodeSet, order: int, label: str) -> tuple[Sample, float]:
-    """``f``'s sample and mass on the node set: refused at nonpositive mass, or off the cone for the log and Hyvarinen rules."""
+    """``f``'s sample and mass on the node set, refused as ``_require_exact`` and ``_refusals`` say."""
+    _require_exact(rule, f, label)
     s = ns.sample(f, order)
-    if rule in ("logarithmic", "hyvarinen") and np.any(s.value < 0):
-        raise ZeroDensityError(f"{label} leaves the {rule} rule's nonnegative cone on the node set")
     mass = float((ns.weights * s.value).sum())
-    if not np.isfinite(mass) or mass <= 0:
-        raise ZeroMassError(f"{label} has nonpositive mass {mass!r}")
+    (refusal,) = _refusals(rule, s.value[None], np.array([mass]), label)
+    if refusal is not None:
+        raise refusal
     return s, mass
 
 
@@ -116,7 +134,8 @@ def _sampled(rule: str | None, f: Field, ns: pairing.NodeSet, order: int, label:
 # the rule core: entropy, score and pairing on sampled arrays
 # ---------------------------------------------------------------------------
 
-# derivatives of q that each smooth rule's score reads
+# derivatives of q that each rule's entropy, and each smooth rule's score, reads
+_ENTROPY_ORDER = {"logarithmic": 0, "hyvarinen": 1, "quadratic": 0, "supremum": 0}
 _SCORE_ORDER = {"logarithmic": 0, "hyvarinen": 2, "quadratic": 0}
 
 
@@ -136,9 +155,10 @@ def _log_gradient(s: Sample, floor: float = LOG_CLAMP) -> Sample:
     return Sample(s.value, g / (qf if np.ndim(g) == np.ndim(qf) else np.expand_dims(qf, -1)))
 
 
-def _self_pairing(rule: str, w, s: Sample) -> float | None:
-    """q.q on the node set, which the quadratic score reads; None for the other rules."""
-    return float(np.sum(w * s.value**2)) if rule == "quadratic" else None
+def _scored(rule: str, q: Field, ns: pairing.NodeSet) -> tuple[Sample, float, float | None]:
+    """What ``_score`` reads of q on the node set: its sample, its mass, and q.q for the quadratic rule (else None)."""
+    s, mass = _sampled(rule, q, ns, _SCORE_ORDER[rule], "q")
+    return s, mass, float(np.sum(ns.weights * s.value**2)) if rule == "quadratic" else None
 
 
 def _entropy(rule: str, w, s: Sample, mass):
@@ -147,6 +167,8 @@ def _entropy(rule: str, w, s: Sample, mass):
     ``mass`` has the shape of the result: a float, or one mass per row.
     """
     qv = s.value
+    if rule == "supremum":
+        return np.max(qv, axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         if rule == "logarithmic":
             terms = np.where(qv > 0, qv * _score(rule, s, np.expand_dims(mass, -1)), 0.0)
@@ -185,6 +207,19 @@ def _pair(rule: str, w, pv, scores, support: float) -> float:
     return float(np.sum(w * np.where(live & (pv != 0), pv * np.where(live, scores, 0.0), 0.0)))
 
 
+def _entropy_of(rule: str, ns: pairing.NodeSet, f: Field) -> float:
+    """Entropy of one field on the node set, or the domain error refusing it."""
+    s, mass = _sampled(rule, f, ns, _ENTROPY_ORDER[rule], "the field")
+    return float(_entropy(rule, ns.weights, s, mass))
+
+
+def _row_entropies(rule: str, w, s: Sample) -> list:
+    """Entropy of each row of a sample's rows: a float, or the domain error refusing the row."""
+    mass = (w * s.value).sum(axis=-1)
+    values = _entropy(rule, w, s, mass).tolist()
+    return [v if refusal is None else refusal for v, refusal in zip(values, _refusals(rule, s.value, mass))]
+
+
 # ---------------------------------------------------------------------------
 # entropies
 # ---------------------------------------------------------------------------
@@ -199,12 +234,7 @@ def entropy(rule: str, q: Field, scheme: pairing.QuadratureScheme | None = None)
     rule = canonical_rule(rule)
     if rule == "supremum":
         _require_grid(q, "supremum entropy")
-        return float(np.max(pairing.nodes_for(q, scheme).sample(q).value))
-    if rule == "hyvarinen":
-        _require_analytic(q, "hyvarinen entropy")
-    ns = pairing.nodes_for(q, scheme)
-    s, mass = _sampled(rule, q, ns, 1 if rule == "hyvarinen" else 0, "q")
-    return float(_entropy(rule, ns.weights, s, mass))
+    return _entropy_of(rule, pairing.nodes_for(q, scheme), q)
 
 
 # ---------------------------------------------------------------------------
@@ -223,18 +253,12 @@ def score_at(rule: str, q: Field, x, scheme: pairing.QuadratureScheme | None = N
     rule = canonical_rule(rule)
     if rule == "supremum":
         return sup_subgradient(q).value(x)
-    if rule == "hyvarinen":
-        _require_analytic(q, "hyvarinen score")
-    s = q.sample(x, _SCORE_ORDER[rule])
+    s = q.sample(x, _SCORE_ORDER[rule])  # order 2: grid fields refuse it
     if strict and rule != "quadratic" and np.any(np.asarray(s.value) <= 0):
         raise ZeroDensityError(f"{rule} score undefined where q vanishes")
     mass = q2 = None
-    if rule == "logarithmic":
-        mass = q.total_mass(scheme)
-    elif rule == "quadratic":
-        ns = pairing.nodes_for(q, scheme)
-        qs, mass = _sampled(rule, q, ns, 0, "q")
-        q2 = _self_pairing(rule, ns.weights, qs)
+    if rule != "hyvarinen":
+        _, mass, q2 = _scored(rule, q, pairing.nodes_for(q, scheme))
     return np.asarray(_score(rule, s, mass, q2, floor=0.0), dtype=float)[()]
 
 
@@ -374,7 +398,7 @@ def _sup_expected(p: Field, q: Field, diagnostics: dict | None, op: str) -> tupl
     if _require_grid(p, op) != grid:
         raise InvalidParameterError("p and q live on different grids")
     ns = pairing.nodes_for(p, None)
-    ps, mp = _sampled("supremum", p, ns, 0, "p")
+    ps, mp = _sampled(None, p, ns, 0, "p")
     pv = ps.value
     mode = mode_set(q)
     if mode.measure > 0:
@@ -403,16 +427,13 @@ def expected_score(
     rule = canonical_rule(rule)
     if rule == "supremum":
         return _sup_expected(p, q, diagnostics, "supremum expected score")[1]
-    if rule == "hyvarinen":
-        _require_analytic(q, "hyvarinen expected score")
     ns = pairing.nodes_for(p + q, scheme)
-    w = ns.weights
     ps, mp = _sampled(None, p, ns, 0, "p")  # a direction: p may be signed
-    qs, mq = _sampled(rule, q, ns, _SCORE_ORDER[rule], "q")
+    qs, mq, q2 = _scored(rule, q, ns)
     pv, support = ps.value, pairing.SUPPORT_THRESHOLD * mp
     if rule == "logarithmic" and diagnostics is not None and bool(np.any((qs.value < LOG_CLAMP) & (np.abs(pv) > support))):
         diagnostics["log_clamped"] = True
-    return _pair(rule, w, pv, _score(rule, qs, mq, _self_pairing(rule, w, qs)), support) / mp
+    return _pair(rule, ns.weights, pv, _score(rule, qs, mq, q2), support) / mp
 
 
 def divergence(
@@ -433,12 +454,9 @@ def divergence(
     if rule == "supremum":
         top, paired = _sup_expected(p, q, diagnostics, "supremum divergence")
         return top - paired
-    if rule == "hyvarinen":
-        _require_analytic(p, "hyvarinen divergence")
-        _require_analytic(q, "hyvarinen divergence")
     ns = pairing.nodes_for(p + q, scheme)
     w = ns.weights
-    ps, mp = _sampled(rule, p, ns, 1 if rule == "hyvarinen" else 0, "p")
+    ps, mp = _sampled(rule, p, ns, _ENTROPY_ORDER[rule], "p")
     qs, mq = _sampled(rule, q, ns, _SCORE_ORDER[rule], "q")
     if rule == "hyvarinen":
         cross = _pair(rule, w, ps.value, _score(rule, qs, mq), pairing.SUPPORT_THRESHOLD * mp)
@@ -462,8 +480,6 @@ def hyvarinen_divergence_direct(
     Must agree with divergence('hyvarinen', p, q) up to the surface term;
     the agreement is the integration-by-parts identity.
     """
-    _require_analytic(p, "fisher divergence")
-    _require_analytic(q, "fisher divergence")
     ns = pairing.nodes_for(p + q, scheme)
     ps, mp = _sampled("hyvarinen", p, ns, 1, "p")
     qs, _ = _sampled("hyvarinen", q, ns, 1, "q")
@@ -492,13 +508,10 @@ def euler_residual(rule: str, q: Field, scheme: pairing.QuadratureScheme | None 
         mode, vals = _sampled_mode_set(q)  # its height is the entropy max q; the Dirac evaluation q(x0) is that height
         paired = _plateau_pairing(vals, mode) if mode.measure > 0 else mode.height
         return abs(paired - mode.height) / abs(mode.height)
-    if rule == "hyvarinen":
-        _require_analytic(q, "hyvarinen entropy")
     ns = pairing.nodes_for(q, scheme)
-    w = ns.weights
-    s, mass = _sampled(rule, q, ns, _SCORE_ORDER[rule], "q")
-    phi = float(_entropy(rule, w, s, mass))
-    scores = _score(rule, s, mass, _self_pairing(rule, w, s))
-    paired = _pair(rule, w, s.value, scores, pairing.SUPPORT_THRESHOLD * mass)
+    s, mass, q2 = _scored(rule, q, ns)
+    phi = float(_entropy(rule, ns.weights, s, mass))
+    scores = _score(rule, s, mass, q2)
+    paired = _pair(rule, ns.weights, s.value, scores, pairing.SUPPORT_THRESHOLD * mass)
     denom = abs(phi) if abs(phi) > 0 else 1.0
     return abs(paired - phi) / denom

@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conescore import convexity, pairing, sampling
+from conescore import convexity, pairing, rules, sampling
 from conescore.convexity import (
     analytic_directional_derivative,
     certify_directional_derivatives,
@@ -390,13 +390,13 @@ def test_gateaux_certifies_a_direction_leaving_the_domain_far_from_q():
 
 def test_gateaux_evaluates_four_rows_per_field(monkeypatch):
     rows = []
-    original = convexity._row_entropies
+    original = rules._row_entropies
 
-    def counting(rule, w, fv, grad=None):
-        rows.append(len(fv))
-        return original(rule, w, fv, grad)
+    def counting(rule, w, s):
+        rows.append(len(s.value))
+        return original(rule, w, s)
 
-    monkeypatch.setattr(convexity, "_row_entropies", counting)
+    monkeypatch.setattr(rules, "_row_entropies", counting)
     q, directions = next(gateaux_bases())
     report = gateaux_check(q, directions)
     assert report.passed

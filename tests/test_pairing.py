@@ -124,6 +124,18 @@ def test_weighted_norm_diverges_beyond_decay():
         pairing.weighted_norm(_poly_field(), 2.0)
 
 
+def test_2d_weighted_norm_refuses_a_divergent_outer_shell():
+    # 2 beta - m = 1.8 < d = 2: the integral diverges, and the outermost shell holds 13% of the sum
+    with pytest.raises(DivergenceError):
+        pairing.weighted_norm(PowerLawDensity(2.4, dim=2), 3.0, pairing.QuadratureScheme(panels=1))
+
+
+def test_2d_weighted_norm_keeps_a_negligible_outer_shell():
+    # beta = 3: the outermost shell holds 3e-12 of the sum, so the value is the node set's sum as before
+    norm = pairing.weighted_norm(PowerLawDensity(3.0, dim=2), 3.0, pairing.QuadratureScheme(panels=1))
+    assert norm == pytest.approx(0.5887736940767183, rel=1e-12)
+
+
 def test_boundary_term_decays_like_gaussian_tail():
     p = GaussianDensity(0.0, 1.0)
     q = GaussianDensity(0.0, 1.0)

@@ -11,8 +11,10 @@ import pytest
 from scipy import integrate
 
 from conescore import pairing, rules, sampling
-from conescore.densities import Bump, GaussianDensity, GridDensity, MixtureDensity, PowerLawDensity
+from conescore.convexity import entropy_line
+from conescore.densities import Bump, GaussianDensity, GridDensity, GridField, MixtureDensity, PowerLawDensity
 from conescore.errors import (
+    ConescoreError,
     InvalidParameterError,
     ModeMeasureZeroError,
     UnsupportedFamilyError,
@@ -354,6 +356,48 @@ def test_off_cone_fields_keep_their_quadratic_answers():
     assert rules.expected_score("quadratic", f, p) == pytest.approx(0.08553129605945284, rel=1e-12)
     assert rules.divergence("quadratic", f, p) == pytest.approx(0.4134037705880834, rel=1e-12)
     assert rules.divergence("quadratic", p, f) == pytest.approx(0.4134037705880834, rel=1e-12)
+
+
+def test_log_score_refuses_forecasts_off_the_cone():
+    # the score's mass comes from the same refused sample as divergence's
+    with pytest.raises(ZeroDensityError, match="nonnegative cone"):
+        rules.score_at("logarithmic", off_cone(), 0.0, strict=False)
+
+
+def _g_minus_g():
+    g = GaussianDensity(0.0, 1.0)
+    return g - g
+
+
+# fields on the edge of, or off, each rule's domain
+POLICY_FIELDS = {
+    "signed-grid": lambda: GridField(0.0, 1.0, np.array([1.0, -0.5, 2.0, 0.5])),
+    "zero-grid": lambda: GridField(0.0, 1.0, np.zeros(5)),
+    "negative-bump": lambda: -Bump(0.0, 0.5),
+    "g-minus-g": _g_minus_g,
+    "grid-density": lambda: GridDensity(0.0, 1.0, 1.0 + np.linspace(0.0, 1.0, 401) ** 2),
+}
+
+
+def _outcome(call):
+    """The call's float, or the type of the ConescoreError it raises or returns."""
+    try:
+        value = call()
+    except ConescoreError as exc:
+        return type(exc)
+    return type(value) if isinstance(value, ConescoreError) else value
+
+
+@pytest.mark.parametrize(
+    "rule, name",
+    # the supremum rule lives on grid fields: its lines refuse the others at build
+    [(rule, name) for rule in rules.RULE_IDS for name in POLICY_FIELDS if rule != "supremum" or "grid" in name],
+)
+def test_entropy_and_its_lines_share_one_refusal_policy(rule, name):
+    f = POLICY_FIELDS[name]()
+    direct = _outcome(lambda: rules.entropy(rule, f))
+    assert _outcome(lambda: entropy_line(rule, f)(f)) == direct
+    assert _outcome(lambda: entropy_line(rule, f).along(f, f, [0.0])[0]) == direct
 
 
 # ---------------------------------------------------------------------------
