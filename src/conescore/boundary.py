@@ -223,20 +223,16 @@ def _probe_densities(grid, count: int, seed: int) -> list[GridDensity]:
     return probes
 
 
-def _dirac_candidates(q: Field, mode: rules.ModeSet) -> list[tuple[str, np.ndarray]]:
-    """Integrable subgradient candidates to defeat in the Dirac regime."""
+def _dirac_candidates(qv: np.ndarray, w: np.ndarray, mode: rules.ModeSet) -> list[tuple[str, np.ndarray]]:
+    """Integrable subgradient candidates to defeat in the Dirac regime, from q's grid values and weights.
+
+    A candidate of zero mass has nothing to defeat and is left out: the off-mode
+    indicator on a grid with no node more than 4 spacings from the argmax.
+    """
     grid = mode.grid
-    pts = grid.points()
-    qv = np.asarray(q.value(pts), dtype=float)
-    trap = pairing._grid_nodes(q).weights
-    uniform = np.ones(grid.n)
-    candidates = [
-        ("uniform", uniform / float(np.sum(trap * uniform))),
-        ("proportional-to-q", qv / float(np.sum(trap * qv))),
-    ]
-    off = (np.abs(pts - mode.argmax) > 4 * grid.spacing).astype(float)
-    candidates.append(("off-mode-indicator", off / float(np.sum(trap * off))))
-    return candidates
+    off = (np.abs(grid.points() - mode.argmax) > 4 * grid.spacing).astype(float)
+    shapes = [("uniform", np.ones(grid.n)), ("proportional-to-q", qv), ("off-mode-indicator", off)]
+    return [(label, g / mass) for label, g in shapes if (mass := float(np.sum(w * g))) > 0]
 
 
 def sup_dichotomy_demo(q: Field, n_probes: int = 20, seed: int = 42) -> SupDichotomyReport:
@@ -248,12 +244,11 @@ def sup_dichotomy_demo(q: Field, n_probes: int = 20, seed: int = 42) -> SupDicho
     g by a probe concentrated where g carries mass away from the mode,
     violating the subgradient inequality p.g <= derivative along p.
     """
-    mode = rules.mode_set(q)
-    grid = mode.grid
+    mode, qv = rules._mode(q)
+    grid, ns = mode.grid, pairing.nodes_for(q)
     checks: list[DichotomyCheck] = []
     if mode.measure > 0:
-        qstar = rules.sup_subgradient(q)
-        paired = rules.mode_pairing(q, qstar.mode)
+        paired = rules._sup_pair(qv, mode)
         checks.append(
             DichotomyCheck(
                 "euler-pairing",
@@ -263,13 +258,13 @@ def sup_dichotomy_demo(q: Field, n_probes: int = 20, seed: int = 42) -> SupDicho
             )
         )
         for i, p in enumerate(_probe_densities(grid, n_probes, seed)):
-            lhs = rules.mode_pairing(p, qstar.mode)
-            rhs = float(np.max(np.asarray(p.value(grid.points()), dtype=float)))
+            pv = ns.sample(p).value
+            lhs, rhs = rules._sup_pair(pv, mode), float(np.max(pv))
             checks.append(DichotomyCheck(f"probe{i:02d}-support", lhs, rhs, lhs <= rhs + 1e-12))
         return SupDichotomyReport("integrable-subgradient", mode.measure, mode.height, tuple(checks))
 
     try:
-        rules.sup_subgradient(q)
+        rules.ModeIndicator(mode)
         checks.append(DichotomyCheck("no-subgradient", 0.0, 0.0, False, note="construction unexpectedly succeeded"))
     except ModeMeasureZeroError:
         checks.append(
@@ -281,19 +276,18 @@ def sup_dichotomy_demo(q: Field, n_probes: int = 20, seed: int = 42) -> SupDicho
                 note="measure-zero mode set: subgradient construction refused",
             )
         )
-    pts = grid.points()
-    trap = pairing._grid_nodes(q).weights
+    pts, w = ns.points, ns.weights
     width = max(4 * grid.spacing, 0.02 * (grid.hi - grid.lo))
-    for label, gvals in _dirac_candidates(q, mode):
+    for label, gvals in _dirac_candidates(qv, w, mode):
         # probe centered where the candidate carries mass, supported strictly
         # off the mode so its derivative along the sup entropy vanishes
         allowed = np.abs(pts - mode.argmax) > width + 2 * grid.spacing
         center = pts[int(np.argmax(np.where(allowed, gvals, -np.inf)))]
         u = np.clip(np.abs(pts - center) / width, 0.0, 1.0)
         pv = (1.0 - u) ** 2
-        mp = float(np.sum(trap * pv))
-        lhs = float(np.sum(trap * pv * gvals)) / mp
-        rhs = float(np.interp(mode.argmax, pts, pv)) / mp
+        mp = float(np.sum(w * pv))
+        lhs = float(np.sum(w * pv * gvals)) / mp
+        rhs = rules._sup_pair(pv, mode) / mp
         checks.append(
             DichotomyCheck(
                 f"defeats-{label}",

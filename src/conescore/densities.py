@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import (
     ConeMembershipError,
+    DivergenceError,
     DomainError,
     InvalidParameterError,
     UnsupportedFamilyError,
@@ -832,9 +833,9 @@ def cone_check(q: Field, spec: ConeSpec, scheme=None) -> ConeReport:
     if isinstance(spec, GridPositive):
         if q.grid is None:
             raise InvalidParameterError("grid_positive cone applies to grid fields")
-        vals = np.asarray(q.value(q.grid.points()))
-        slack = vals.copy()
-        worst, witnesses = _collect(slack, q.grid.points(), "nonnegative", vals, np.zeros_like(vals))
+        ns = pairing.nodes_for(q)
+        vals = ns.sample(q).value
+        worst, witnesses = _collect(vals, ns.points, "nonnegative", vals, np.zeros_like(vals))
         member = worst >= 0 and bool(np.any(vals > 0))
         if not np.any(vals > 0):
             witnesses = list(witnesses) + [ConeWitness((q.grid.lo,), "somewhere_positive", 0.0, 0.0)]
@@ -846,8 +847,11 @@ def cone_check(q: Field, spec: ConeSpec, scheme=None) -> ConeReport:
         return ConeReport(False, -float("inf"), (ConeWitness((), "positive_mass", mass, 0.0),), 0)
 
     if isinstance(spec, QuadraticNorm):
-        norm = pairing.weighted_norm(q.scaled(1.0 / mass), spec.dim + 1, scheme=scheme)
         lo, hi = spec.k1 - spec.eps, spec.k2 + spec.eps
+        try:
+            norm = pairing.weighted_norm(q.scaled(1.0 / mass), spec.dim + 1, scheme=scheme)
+        except DivergenceError:  # a norm not shown finite is never a member
+            return ConeReport(False, -float("inf"), (ConeWitness((), "norm_finite", float("inf"), hi),), 0)
         tol = _CONE_RTOL * (abs(norm) + max(abs(lo), abs(hi)))
         slack = np.array([norm - lo + tol, hi - norm + tol])
         witnesses = []

@@ -16,12 +16,13 @@ divergences reduce to discrete Jensen (or a discrete squared distance) and
 are nonnegative to floating point, while the Hyvarinen case leans on the
 integration-by-parts identity and the tail design of :mod:`conescore.pairing`.
 
-The supremum rule lives on grid densities. Its mode set, plateau
-subgradient, and Dirac fallback follow the dichotomy between positive-
-and zero-measure mode sets; the cell-restricted pairing below is exact
-for piecewise-linear densities against the piecewise-constant subgradient,
-which is what makes the plateau identities hold to 1e-12 rather than to
-grid resolution.
+The supremum rule lives on grid densities: ``_require_family`` refuses any
+other field for it where it refuses grids for the Hyvarinen rule. ``_mode``
+reads q once, on its grid node set, into the mode set; ``_sup_pair`` pairs
+grid values with the subgradient, cell-restricted on a plateau (exact for
+piecewise-linear densities against the piecewise-constant 1_M / mu(M), so
+the plateau identities hold to 1e-12, not to grid resolution) and the value
+at the argmax in the Dirac regime, which has no integrable subgradient.
 """
 
 from __future__ import annotations
@@ -91,16 +92,12 @@ def canonical_rule(name: str) -> str:
     return _ALIASES[key]
 
 
-def _require_grid(q: Field, op: str) -> GridInfo:
-    if q.grid is None:
-        raise UnsupportedFamilyError(f"{op} is defined for grid densities")
-    return q.grid
-
-
-def _require_exact(rule: str | None, f: Field, label: str) -> None:
-    """Refuse a grid field for the Hyvarinen rule: its entropy and score read exact derivatives."""
+def _require_family(rule: str | None, f: Field, label: str) -> None:
+    """Refuse what a rule cannot read: grids for the Hyvarinen rule's exact derivatives, non-grids for the supremum's mode cells."""
     if rule == "hyvarinen" and f.grid is not None:
         raise UnsupportedFamilyError(f"the hyvarinen rule needs exact derivatives of {label}; grid families do not provide them")
+    if rule == "supremum" and f.grid is None:
+        raise UnsupportedFamilyError(f"the supremum rule needs {label} on a grid; only grid families provide mode cells")
 
 
 def _refusals(rule: str | None, values: np.ndarray, mass: np.ndarray, label: str = "the field") -> list:
@@ -120,8 +117,8 @@ def _refusals(rule: str | None, values: np.ndarray, mass: np.ndarray, label: str
 
 
 def _sampled(rule: str | None, f: Field, ns: pairing.NodeSet, order: int, label: str) -> tuple[Sample, float]:
-    """``f``'s sample and mass on the node set, refused as ``_require_exact`` and ``_refusals`` say."""
-    _require_exact(rule, f, label)
+    """``f``'s sample and mass on the node set, refused as ``_require_family`` and ``_refusals`` say."""
+    _require_family(rule, f, label)
     s = ns.sample(f, order)
     mass = float((ns.weights * s.value).sum())
     (refusal,) = _refusals(rule, s.value[None], np.array([mass]), label)
@@ -231,10 +228,7 @@ def entropy(rule: str, q: Field, scheme: pairing.QuadratureScheme | None = None)
     |grad q|^2/q; quadratic: (q.1)^{-1} integral of q^2; supremum: max q
     on the grid.
     """
-    rule = canonical_rule(rule)
-    if rule == "supremum":
-        _require_grid(q, "supremum entropy")
-    return _entropy_of(rule, pairing.nodes_for(q, scheme), q)
+    return _entropy_of(canonical_rule(rule), pairing.nodes_for(q, scheme), q)
 
 
 # ---------------------------------------------------------------------------
@@ -252,13 +246,11 @@ def score_at(rule: str, q: Field, x, scheme: pairing.QuadratureScheme | None = N
     """
     rule = canonical_rule(rule)
     if rule == "supremum":
-        return sup_subgradient(q).value(x)
+        return sup_subgradient(q).sample(x).value
     s = q.sample(x, _SCORE_ORDER[rule])  # order 2: grid fields refuse it
     if strict and rule != "quadratic" and np.any(np.asarray(s.value) <= 0):
         raise ZeroDensityError(f"{rule} score undefined where q vanishes")
-    mass = q2 = None
-    if rule != "hyvarinen":
-        _, mass, q2 = _scored(rule, q, pairing.nodes_for(q, scheme))
+    _, mass, q2 = _scored(rule, q, pairing.nodes_for(q, scheme))
     return np.asarray(_score(rule, s, mass, q2, floor=0.0), dtype=float)[()]
 
 
@@ -291,14 +283,14 @@ def _modal(vals: np.ndarray) -> np.ndarray:
 
 def mode_set(q: Field) -> ModeSet:
     """Mode cells of a grid density: both cell ends within relative tolerance ``DELTA_MODE`` of the maximum."""
-    return _sampled_mode_set(q)[0]
+    return _mode(q)[0]
 
 
-def _sampled_mode_set(q: Field) -> tuple[ModeSet, np.ndarray]:
-    """mode_set, and the grid values of q it was read from."""
-    grid = _require_grid(q, "mode_set")
-    pts = grid.points()
-    vals = np.asarray(q.value(pts), dtype=float)
+def _mode(q: Field) -> tuple[ModeSet, np.ndarray]:
+    """mode_set, and q's values on its grid node set, from which it was read: the one read of q."""
+    _require_family("supremum", q, "q")
+    grid, ns = q.grid, pairing.nodes_for(q)
+    pts, vals = ns.points, ns.sample(q).value
     vmax = float(np.max(vals))
     if vmax <= 0:
         raise ZeroMassError("grid density has no positive values")
@@ -375,16 +367,24 @@ def mode_pairing(p: Field, mode: ModeSet) -> float:
     """
     if mode.measure <= 0:
         raise ModeMeasureZeroError("mode set has measure zero; no pairing is defined")
-    grid = _require_grid(p, "mode_pairing")
-    if grid != mode.grid:
-        raise InvalidParameterError("p and the mode set live on different grids")
-    return _plateau_pairing(np.asarray(p.value(grid.points()), dtype=float), mode)
+    return _sup_pair(_one_grid(p, mode).sample(p).value, mode)
 
 
-def _plateau_pairing(vals: np.ndarray, mode: ModeSet) -> float:
-    """mode_pairing on grid values already sampled."""
+def _one_grid(p: Field, q) -> pairing.NodeSet:
+    """p's grid node set, which q (a field or a mode set) must share; a field off a grid is refused as the supremum rule refuses it."""
+    for f, label in ((q, "q"), (p, "p")):
+        _require_family("supremum", f, label)
+    if p.grid != q.grid:
+        raise InvalidParameterError("p and q live on different grids")
+    return pairing.nodes_for(p)
+
+
+def _sup_pair(values: np.ndarray, mode: ModeSet) -> float:
+    """Raw pairing of grid values with the sup subgradient: cell-restricted on a plateau, the argmax's value in the Dirac regime."""
+    if mode.measure <= 0:
+        return float(np.interp(mode.argmax, mode.grid.points(), values))  # the argmax is a node: its value, exactly
     cells = np.asarray(mode.cells, dtype=int)
-    cell_means = 0.5 * (vals[cells] + vals[cells + 1])
+    cell_means = 0.5 * (values[cells] + values[cells + 1])
     return float(mode.grid.spacing * np.sum(cell_means) / mode.measure)
 
 
@@ -392,23 +392,14 @@ def _plateau_pairing(vals: np.ndarray, mode: ModeSet) -> float:
 # expectations and divergences on shared node sets
 # ---------------------------------------------------------------------------
 
-def _sup_expected(p: Field, q: Field, diagnostics: dict | None, op: str) -> tuple[float, float]:
-    """max p-hat and the sup expectation p-hat . S(q-hat): plateau pairing, or Dirac fallback."""
-    grid = _require_grid(q, op)
-    if _require_grid(p, op) != grid:
-        raise InvalidParameterError("p and q live on different grids")
-    ns = pairing.nodes_for(p, None)
-    ps, mp = _sampled(None, p, ns, 0, "p")
-    pv = ps.value
-    mode = mode_set(q)
-    if mode.measure > 0:
-        paired = _plateau_pairing(pv, mode)
-    else:
-        if diagnostics is not None:
-            diagnostics["dirac"] = True
-            diagnostics["note"] = "measure-zero mode set: point evaluation p(x0), not P-integrable"
-        paired = float(np.interp(mode.argmax, ns.points, pv))
-    return float(np.max(pv) / mp), paired / mp
+def _sup_expected(p: Field, q: Field, diagnostics: dict | None) -> tuple[float, float]:
+    """max p-hat and the sup expectation p-hat . S(q-hat): plateau pairing, or Dirac evaluation."""
+    ps, mp = _sampled(None, p, _one_grid(p, q), 0, "p")
+    mode, _ = _mode(q)
+    if mode.measure <= 0 and diagnostics is not None:
+        diagnostics["dirac"] = True
+        diagnostics["note"] = "measure-zero mode set: point evaluation p(x0), not P-integrable"
+    return float(np.max(ps.value) / mp), _sup_pair(ps.value, mode) / mp
 
 
 def expected_score(
@@ -426,7 +417,7 @@ def expected_score(
     """
     rule = canonical_rule(rule)
     if rule == "supremum":
-        return _sup_expected(p, q, diagnostics, "supremum expected score")[1]
+        return _sup_expected(p, q, diagnostics)[1]
     ns = pairing.nodes_for(p + q, scheme)
     ps, mp = _sampled(None, p, ns, 0, "p")  # a direction: p may be signed
     qs, mq, q2 = _scored(rule, q, ns)
@@ -452,7 +443,7 @@ def divergence(
     """
     rule = canonical_rule(rule)
     if rule == "supremum":
-        top, paired = _sup_expected(p, q, diagnostics, "supremum divergence")
+        top, paired = _sup_expected(p, q, diagnostics)
         return top - paired
     ns = pairing.nodes_for(p + q, scheme)
     w = ns.weights
@@ -505,9 +496,8 @@ def euler_residual(rule: str, q: Field, scheme: pairing.QuadratureScheme | None 
     """
     rule = canonical_rule(rule)
     if rule == "supremum":
-        mode, vals = _sampled_mode_set(q)  # its height is the entropy max q; the Dirac evaluation q(x0) is that height
-        paired = _plateau_pairing(vals, mode) if mode.measure > 0 else mode.height
-        return abs(paired - mode.height) / abs(mode.height)
+        mode, vals = _mode(q)  # its height is the entropy max q
+        return abs(_sup_pair(vals, mode) - mode.height) / abs(mode.height)
     ns = pairing.nodes_for(q, scheme)
     s, mass, q2 = _scored(rule, q, ns)
     phi = float(_entropy(rule, ns.weights, s, mass))

@@ -153,6 +153,15 @@ def test_dichotomy_dirac_regime():
     }
 
 
+def test_dichotomy_dirac_regime_on_a_coarse_grid():
+    # no node of a 7-point triangle lies off the mode: the off-mode candidate has no mass to defeat
+    report = sup_dichotomy_demo(triangle_grid(7), n_probes=20, seed=42)
+    assert report.regime == "dirac"
+    assert report.passed
+    assert all(math.isfinite(c.lhs) and math.isfinite(c.rhs) for c in report.checks)
+    assert "defeats-off-mode-indicator" not in {c.label for c in report.checks}
+
+
 def test_dichotomy_report_round_trip():
     report = sup_dichotomy_demo(plateau_grid(), n_probes=5, seed=1)
     d = report.to_dict()

@@ -246,10 +246,15 @@ def test_score_loader_matches_the_row_by_row_reference(capsys, files, n01, conte
 
 
 def test_score_non_finite_score_is_a_domain_error(capsys, files):
-    # the Laplacian of so narrow a Gaussian overflows at its mean: the score is +inf
-    spike = files("spike.json", json.dumps({"family": "gaussian", "mean": 0.0, "var": 1e-305}))
+    # so narrow a Gaussian falls between the nodes: its mass there is 0, refused as every rule refuses it
+    spike = {"family": "gaussian", "mean": 0.0, "var": 1e-305}
     obs = files("obs.csv", "0.0\n")
-    code, out, err = run(capsys, ["score", "--rule", "hyv", "--forecast", spike, "--obs", obs])
+    code, out, err = run(capsys, ["score", "--rule", "hyv", "--forecast", files("spike.json", json.dumps(spike)), "--obs", obs])
+    assert (code, out) == (3, "")
+    assert "q has nonpositive mass 0.0" in err
+    # beside N(0, 1) it has mass, and its Laplacian overflows at its mean: the score is +inf
+    mixture = {"family": "mixture", "components": [{"mean": 0.0, "var": 1.0}, spike], "weights": [1.0, 1.0]}
+    code, out, err = run(capsys, ["score", "--rule", "hyv", "--forecast", files("mix.json", json.dumps(mixture)), "--obs", obs])
     assert (code, out) == (3, "")
     assert "hyvarinen score of observation 1 (x = 0.0) is inf" in err
 
@@ -415,6 +420,14 @@ def test_deriv_unsupported_family_exits_3(capsys, uniform, n01):
     code, _, err = run(capsys, ["deriv", "--rule", "hyv", "--q", uniform, "--p", uniform])
     assert code == 3
     assert "domain" in err
+
+
+def test_deriv_and_score_refuse_the_supremum_rule_off_a_grid_alike(capsys, files, n01):
+    obs = files("obs.csv", "0.0\n")
+    for argv in (["deriv", "--rule", "sup", "--q", n01, "--p", n01], ["score", "--rule", "sup", "--forecast", n01, "--obs", obs]):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (3, "")
+        assert "domain error: the supremum rule needs" in err
 
 
 def test_deriv_zero_mass_is_a_typed_error(capsys, files, n01):

@@ -24,6 +24,7 @@ from conescore.errors import (
     InfeasibleStepError,
     InvalidParameterError,
     OneSidedOnlyError,
+    UnsupportedFamilyError,
     ZeroDensityError,
     ZeroMassError,
 )
@@ -58,7 +59,8 @@ def test_quadratic_line_on_uniform():
 
 
 def test_supremum_line_needs_grid():
-    with pytest.raises(InvalidParameterError):
+    # refused as rules.entropy refuses it: the supremum rule's family is the grid
+    with pytest.raises(UnsupportedFamilyError):
         entropy_line("supremum", GaussianDensity(0.0, 1.0))
 
 
@@ -276,8 +278,11 @@ def test_analytic_derivative_smooth_and_sup():
     assert analytic_directional_derivative("supremum", qg, pg) == pytest.approx(
         1.35 / 1.5, rel=1e-9
     )
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(UnsupportedFamilyError):
         analytic_directional_derivative("supremum", qg, p)
+    # two grids are not one
+    with pytest.raises(InvalidParameterError):
+        analytic_directional_derivative("supremum", qg, GridDensity(0.0, 1.0, np.ones(201)))
 
 
 # ---------------------------------------------------------------------------

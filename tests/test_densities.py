@@ -492,6 +492,16 @@ def test_require_cone_raises_with_witness():
         require_cone(GaussianDensity(0.0, 1.0), default_cone_spec("logarithmic", 1))
 
 
+@pytest.mark.parametrize("q", [PowerLawDensity(2.6, dim=2), PowerLawDensity(1.4)], ids=["2d", "1d"])
+def test_quadratic_cone_check_of_a_norm_not_shown_finite_is_a_verdict(q):
+    spec, coarse = default_cone_spec("quadratic", q.dim), pairing.QuadratureScheme(panels=1)
+    report = cone_check(q, spec, coarse)
+    assert (report.member, report.worst_residual) == (False, -np.inf)
+    assert [w.constraint for w in report.witnesses] == ["norm_finite"]
+    with pytest.raises(ConeMembershipError, match="norm_finite"):
+        require_cone(q, spec, coarse)
+
+
 def test_grid_positive_cone():
     spec = default_cone_spec("supremum", 1)
     assert cone_check(GridDensity(0.0, 1.0, np.ones(9)), spec).member

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from conescore import pairing, rules, sampling
+from conescore import boundary, pairing, rules, sampling
 from conescore.convexity import entropy_line
 from conescore.densities import Bump, GaussianDensity, GridDensity, GridField, MixtureDensity, PowerLawDensity
 from conescore.errors import (
@@ -285,11 +285,11 @@ def test_euler_residual_mixtures(rule):
 
 
 class _CountingGrid(GridDensity):
-    """A grid density that counts its value calls."""
+    """A grid density that counts its sample calls, through which every value is read."""
 
-    def value(self, x):
+    def sample(self, x, order=0):
         self.__dict__.setdefault("calls", []).append(1)
-        return super().value(x)
+        return super().sample(x, order)
 
 
 @pytest.mark.parametrize("plateau", [True, False], ids=["plateau", "dirac"])
@@ -303,6 +303,20 @@ def test_sup_euler_residual_samples_the_grid_once(plateau):
     assert (mode.measure > 0) == plateau
     paired = rules.mode_pairing(q, mode) if plateau else mode.height
     assert resid == abs(paired - mode.height) / abs(mode.height)
+
+
+@pytest.mark.parametrize("plateau", [True, False], ids=["plateau", "dirac"])
+def test_sup_expectation_and_dichotomy_demo_sample_q_once(plateau):
+    x = np.linspace(0.0, 1.0, 201)
+    vals = np.where(np.abs(x - 0.4) < 0.1, 2.0, 1.0 + x) if plateau else 2.0 - np.abs(x - 0.4)
+    q, p = _CountingGrid(0.0, 1.0, vals), _CountingGrid(0.0, 1.0, 1.0 + x)
+    diagnostics = {}
+    rules.expected_score("supremum", p, q, diagnostics=diagnostics)
+    assert (len(q.calls), len(p.calls)) == (1, 1)
+    assert diagnostics.get("dirac", False) != plateau
+    q.calls.clear()
+    assert boundary.sup_dichotomy_demo(q, n_probes=3).passed
+    assert len(q.calls) == 1
 
 
 @pytest.mark.parametrize("rule", ["logarithmic", "quadratic", "supremum"])
@@ -337,6 +351,7 @@ def test_off_cone_fields_are_refused_where_the_rule_reads_a_density(rule):
         lambda: rules.expected_score(rule, p, f),
         lambda: rules.divergence(rule, f, p),
         lambda: rules.divergence(rule, p, f),
+        lambda: rules.score_at(rule, f, [2.0, 3.0]),  # positive at both points: refused on q's node set
     ]
     if rule == "hyvarinen":
         calls += [lambda: rules.hyvarinen_divergence_direct(f, p), lambda: rules.hyvarinen_divergence_direct(p, f)]
@@ -388,11 +403,7 @@ def _outcome(call):
     return type(value) if isinstance(value, ConescoreError) else value
 
 
-@pytest.mark.parametrize(
-    "rule, name",
-    # the supremum rule lives on grid fields: its lines refuse the others at build
-    [(rule, name) for rule in rules.RULE_IDS for name in POLICY_FIELDS if rule != "supremum" or "grid" in name],
-)
+@pytest.mark.parametrize("rule, name", [(rule, name) for rule in rules.RULE_IDS for name in POLICY_FIELDS])
 def test_entropy_and_its_lines_share_one_refusal_policy(rule, name):
     f = POLICY_FIELDS[name]()
     direct = _outcome(lambda: rules.entropy(rule, f))
