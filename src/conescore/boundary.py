@@ -224,15 +224,11 @@ def _probe_densities(grid, count: int, seed: int) -> list[GridDensity]:
 
 
 def _dirac_candidates(qv: np.ndarray, w: np.ndarray, mode: rules.ModeSet) -> list[tuple[str, np.ndarray]]:
-    """Integrable subgradient candidates to defeat in the Dirac regime, from q's grid values and weights.
-
-    A candidate of zero mass has nothing to defeat and is left out: the off-mode
-    indicator on a grid with no node more than 4 spacings from the argmax.
-    """
+    """Integrable subgradient candidates to defeat in the Dirac regime, from q's grid values and weights."""
     grid = mode.grid
     off = (np.abs(grid.points() - mode.argmax) > 4 * grid.spacing).astype(float)
     shapes = [("uniform", np.ones(grid.n)), ("proportional-to-q", qv), ("off-mode-indicator", off)]
-    return [(label, g / mass) for label, g in shapes if (mass := float(np.sum(w * g))) > 0]
+    return [(label, g / float(np.sum(w * g))) for label, g in shapes]
 
 
 def sup_dichotomy_demo(q: Field, n_probes: int = 20, seed: int = 42) -> SupDichotomyReport:
@@ -278,10 +274,10 @@ def sup_dichotomy_demo(q: Field, n_probes: int = 20, seed: int = 42) -> SupDicho
         )
     pts, w = ns.points, ns.weights
     width = max(4 * grid.spacing, 0.02 * (grid.hi - grid.lo))
-    for label, gvals in _dirac_candidates(qv, w, mode):
-        # probe centered where the candidate carries mass, supported strictly
-        # off the mode so its derivative along the sup entropy vanishes
-        allowed = np.abs(pts - mode.argmax) > width + 2 * grid.spacing
+    # probes are centered where their candidate carries mass, strictly off the mode so that their derivative along
+    # the sup entropy vanishes; a grid with no node that far out has no such probe, and one that has gives every candidate mass
+    allowed = np.abs(pts - mode.argmax) > width + 2 * grid.spacing
+    for label, gvals in _dirac_candidates(qv, w, mode) if allowed.any() else ():
         center = pts[int(np.argmax(np.where(allowed, gvals, -np.inf)))]
         u = np.clip(np.abs(pts - center) / width, 0.0, 1.0)
         pv = (1.0 - u) ** 2

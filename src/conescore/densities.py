@@ -198,7 +198,8 @@ def _gaussian_values(pts: np.ndarray, mean: np.ndarray, var: np.ndarray, factor:
     """
     var = var.T[:, :, None]
     d = pts.T[:, None, :] - mean.T[:, :, None]  # (d, m, n)
-    value = _axis_sum(d**2 / var)  # in place from here on: no further (m, n) temporaries
+    with np.errstate(over="ignore"):  # a z-score that overflows gives the value 0, as exp(-inf)
+        value = _axis_sum(d**2 / var)  # in place from here on: no further (m, n) temporaries
     value *= -0.5
     np.exp(value, out=value)
     value *= factor[:, None]
@@ -212,13 +213,14 @@ def _gaussian_rows(value: np.ndarray, offsets, var, order: int) -> list:
     """
     rows = [value]
     if order >= 1:
-        z = [a / -s for a, s in zip(offsets, var)]  # -z: the gradient's sign, with z's squares
-        rows.append(np.array([a * value for a in z]).swapaxes(0, 1))
-    if order >= 2:
-        laplacian = _axis_sum([np.square(a) for a in z])
-        laplacian -= _axis_sum(1.0 / var)
-        laplacian *= value
-        rows.append(laplacian)
+        with np.errstate(over="ignore", invalid="ignore"):  # overflowing z-scores give non-finite rows, refused downstream
+            z = [a / -s for a, s in zip(offsets, var)]  # -z: the gradient's sign, with z's squares
+            rows.append(np.array([a * value for a in z]).swapaxes(0, 1))
+            if order >= 2:
+                laplacian = _axis_sum([np.square(a) for a in z])
+                laplacian -= _axis_sum(1.0 / var)
+                laplacian *= value
+                rows.append(laplacian)
     return rows
 
 

@@ -162,6 +162,17 @@ def test_dichotomy_dirac_regime_on_a_coarse_grid():
     assert "defeats-off-mode-indicator" not in {c.label for c in report.checks}
 
 
+@pytest.mark.parametrize("n", [5, 7, 9, 11, 13, 15, 21, 41, 401])
+def test_dichotomy_dirac_probes_lie_off_the_mode(n):
+    # a probe is kept only where the grid has a node far enough off the mode to support it: its rhs is 0
+    report = sup_dichotomy_demo(triangle_grid(n), n_probes=20, seed=42)
+    defeats = [c for c in report.checks if c.label.startswith("defeats-")]
+    assert report.regime == "dirac"
+    assert report.passed
+    assert len(defeats) == (3 if n >= 15 else 0)
+    assert all(c.rhs == 0.0 for c in defeats)
+
+
 def test_dichotomy_report_round_trip():
     report = sup_dichotomy_demo(plateau_grid(), n_probes=5, seed=1)
     d = report.to_dict()

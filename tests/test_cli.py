@@ -259,6 +259,17 @@ def test_score_non_finite_score_is_a_domain_error(capsys, files):
     assert "hyvarinen score of observation 1 (x = 0.0) is inf" in err
 
 
+def test_score_of_an_overflowing_gaussian_prints_only_its_domain_error(files):
+    # its z-scores overflow in the order-2 sample: NumPy warnings must not reach stderr before the error
+    spike = files("spike.json", json.dumps({"family": "gaussian", "mean": 0.0, "var": 1e-305}))
+    obs = files("obs.csv", "0.0\n1.0\n")
+    src = str(Path(conescore.__file__).resolve().parents[1])
+    argv = [sys.executable, "-m", "conescore.cli", "score", "--rule", "hyv", "--forecast", spike, "--obs", obs]
+    proc = subprocess.run(argv, capture_output=True, text=True, env={"PYTHONPATH": src}, timeout=60)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == "domain error: hyvarinen score undefined where q vanishes\n"
+
+
 def test_score_out_of_domain_exits_3(capsys, files, uniform):
     obs = files("obs.csv", "2.0\n")
     code, _, err = run(capsys, ["score", "--rule", "quadratic", "--forecast", uniform, "--obs", obs])
@@ -359,6 +370,16 @@ def test_verify_seed_with_far_tail_hyvarinen_cases_passes(capsys):
     assert code == 0
     summary = json.loads(out)["summary"]
     assert summary["pass"] == summary["total"] > 0
+
+
+def test_verify_report_is_the_same_on_one_cpu_and_two(capsys, monkeypatch):
+    outs = []
+    for w in (1, 2):
+        monkeypatch.setattr(convexity, "_workers", lambda n_jobs, w=w: min(w, n_jobs))
+        code, out, _ = run(capsys, ["verify", "--suite", "all", "--seed", "42"])
+        outs.append((code, out))
+    assert outs[0] == outs[1]
+    assert outs[0][0] == 0
 
 
 def test_verify_non_finite_report_value_is_a_typed_error(capsys, monkeypatch):

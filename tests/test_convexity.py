@@ -1,6 +1,8 @@
 """Convex-analysis certificates: derivatives, subgradients, suite reports."""
 
 import functools
+import os
+import time
 from collections import Counter
 
 import numpy as np
@@ -497,6 +499,100 @@ def test_all_runs_each_suite_of_the_table_in_order():
     assert whole == tuple(c for name in convexity._SUITE_CASES for c in run_suite(name, samples=10, seed=3).cases)
 
 
+def _force_workers(monkeypatch, w):
+    monkeypatch.setattr(convexity, "_workers", lambda n_jobs: min(w, n_jobs))
+
+
+def _raising(exc):
+    def build(*args):
+        raise exc
+
+    return build
+
+
+@pytest.mark.parametrize("options", [{}, {"rule": "hyvarinen"}, {"samples": 10}, {"tol": 1e-6}])
+def test_suite_workers_give_the_one_cpu_report(monkeypatch, options):
+    reports = {}
+    for w in (1, 2, 5):
+        _force_workers(monkeypatch, w)
+        reports[w] = [run_suite("all", seed=seed, **options).to_json() for seed in range(3)]
+    assert reports[2] == reports[1]
+    assert reports[5] == reports[1]
+
+
+def test_suite_workers_raise_the_first_exception_in_table_order(monkeypatch):
+    _force_workers(monkeypatch, 2)  # the caller runs euler, homogeneity and gateaux; a child propriety and derivatives
+    monkeypatch.setitem(convexity._SUITE_CASES, "propriety", (_raising(InfeasibleStepError("b", step=0.125)), 1e-8))
+    with pytest.raises(InfeasibleStepError, match="^b$") as caught:
+        run_suite("all", samples=2, seed=3)
+    assert caught.value.step == 0.125
+    # a later suite of the caller's raising too does not hide the child's earlier one
+    monkeypatch.setitem(convexity._SUITE_CASES, "homogeneity", (_raising(ZeroMassError("c")), 1e-8))
+    with pytest.raises(InfeasibleStepError, match="^b$"):
+        run_suite("all", samples=2, seed=3)
+    monkeypatch.setitem(convexity._SUITE_CASES, "euler", (_raising(ZeroDensityError("a")), 1e-8))
+    with pytest.raises(ZeroDensityError, match="^a$"):
+        run_suite("all", samples=2, seed=3)
+
+
+def test_no_suite_worker_outlives_run_suite(monkeypatch):
+    pids, fork = [], os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    def stalling(*args):
+        time.sleep(60)
+        return []
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    _force_workers(monkeypatch, 3)
+    run_suite("all", samples=2, seed=3)
+    monkeypatch.setitem(convexity._SUITE_CASES, "derivatives", (_raising(ZeroMassError("c")), 1e-8))
+    with pytest.raises(ZeroMassError):
+        run_suite("all", samples=2, seed=3)
+    # an interrupt in the caller's own suites kills the children, which are not waited out
+    monkeypatch.setitem(convexity._SUITE_CASES, "propriety", (stalling, 1e-8))
+    monkeypatch.setitem(convexity._SUITE_CASES, "euler", (_raising(KeyboardInterrupt()), 1e-8))
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        run_suite("all", samples=2, seed=3)
+    assert time.perf_counter() - start < 30
+    assert len(pids) == 6
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def test_a_suite_worker_that_dies_is_an_error_naming_its_suites(monkeypatch):
+    me = os.getpid()
+
+    def dying(*args):
+        if os.getpid() != me:
+            os._exit(3)
+        return []
+
+    _force_workers(monkeypatch, 2)
+    monkeypatch.setitem(convexity._SUITE_CASES, "propriety", (dying, 1e-8))
+    with pytest.raises(RuntimeError, match=r"'propriety', 'derivatives'.*wait status 768"):
+        run_suite("all", samples=2, seed=3)
+
+
+def test_a_failed_fork_runs_its_share_in_the_caller(monkeypatch):
+    _force_workers(monkeypatch, 1)
+    serial = run_suite("all", samples=10, seed=3).to_json()
+
+    def failing_fork():
+        raise OSError("no fork")
+
+    monkeypatch.setattr(os, "fork", failing_fork)
+    _force_workers(monkeypatch, 3)
+    assert run_suite("all", samples=10, seed=3).to_json() == serial
+
+
 def test_tol_replaces_the_primary_tolerance_of_every_suite_all_runs(monkeypatch):
     primary = {name: tol for name, (_, tol) in convexity._SUITE_CASES.items()}
     suite_of = {}
@@ -510,6 +606,7 @@ def test_tol_replaces_the_primary_tolerance_of_every_suite_all_runs(monkeypatch)
         return cases
 
     monkeypatch.setattr(convexity, "_SUITE_CASES", {n: (tagging(n, b), t) for n, (b, t) in convexity._SUITE_CASES.items()})
+    monkeypatch.setattr(convexity, "_workers", lambda n_jobs: 1)  # the tags are recorded in this process
     base, tight = run_suite("all", samples=10, seed=3), run_suite("all", samples=10, seed=3, tol=1e-3)
     assert set(suite_of.values()) == set(primary)
     assert [c.case_id for c in tight.cases] == [c.case_id for c in base.cases]
