@@ -75,30 +75,36 @@ def _err(message: str) -> None:
 
 
 class _Records(NamedTuple):
-    """Non-empty score records as two columns of pre-formatted numbers.
+    """Non-empty score records: the observations and their scores, as float arrays.
 
-    Each entry is ``repr`` of a float, which is the token ``json`` and
-    ``csv`` write for it; ``"-inf"`` is the logarithmic score's sentinel.
+    ``float.__repr__`` writes each number's ``json`` and ``csv`` token; the
+    logarithmic score's sentinel -inf is ``"-inf"`` in JSON, -inf in CSV.
     """
 
-    x: list[str]
-    score: list[str]
+    obs: np.ndarray
+    values: np.ndarray
 
-    def to_json(self) -> str:
-        """The records as ``json.dumps(..., sort_keys=True, indent=2)`` lays out a top-level key's value."""
-        scores = self.score
-        if _SENTINEL in scores:
-            scores = [f'"{s}"' if s == _SENTINEL else s for s in scores]
-        body = "\n    },\n    {\n      ".join([f'"score": {s},\n      "x": {x}' for x, s in zip(self.x, scores)])
-        return "[\n    {\n      " + body + "\n    }\n  ]"
+    def text(self, start: int, csv_tail: str | None) -> tuple[str, str | None]:
+        """Records ``start:start + _CHUNK`` as ``json.dumps(..., sort_keys=True, indent=2)`` lays them out in a
+        top-level key's list, after its separator unless ``start`` is 0, and, given ``csv_tail``, as ``csv.writer`` rows."""
+        xs = list(map(float.__repr__, self.obs[start : start + _CHUNK].tolist()))
+        scores = list(map(float.__repr__, self.values[start : start + _CHUNK].tolist()))
+        quoted = [f'"{s}"' if s == _SENTINEL else s for s in scores] if _SENTINEL in scores else scores
+        body = "\n    },\n    {\n      ".join([f'"score": {s},\n      "x": {x}' for x, s in zip(xs, quoted)])
+        rows = "".join([f"{x},{s}{csv_tail}" for x, s in zip(xs, scores)]) if csv_tail else None
+        return (",\n" if start else "") + "    {\n      " + body + "\n    }", rows
 
-    def to_csv(self, rule: str, digest: str) -> str:
-        """What ``csv.writer`` writes for the records: a header, then rows of x, score, rule, digest."""
-        tail = f",{rule},{digest}\r\n"
-        return "x,score,rule,forecast_digest\r\n" + "".join([f"{x},{s}{tail}" for x, s in zip(self.x, self.score)])
+    def chunks(self, csv_tail: str | None) -> list[tuple[str, str | None]]:
+        """Every chunk's ``text`` in order, formatted over every CPU this process may use by :func:`convexity.forked`."""
+        n = len(self.obs)
+        starts = range(0, n, _CHUNK)
+        jobs = [lambda start=start: self.text(start, csv_tail) for start in starts]
+        return convexity.forked(jobs, [f"records {start + 1}-{min(start + _CHUNK, n)}" for start in starts])
 
 
 _SENTINEL = "-inf"
+# records per formatting job: 2e5 records deal evenly over a few CPUs, and a job's own cost is noise
+_CHUNK = 1 << 14
 # stands in for a _Records value while json lays out the rest of the report
 _SPLICE = "\u0000records"
 _SPLICE_JSON = json.dumps(_SPLICE)
@@ -122,7 +128,7 @@ def _non_finite_at(value, path: str = "") -> str | None:
 
 
 def _emit(payload: dict, out: str | None) -> None:
-    """Print the report as JSON and write it to ``out``; a ``.csv`` path gets the score records."""
+    """Print the report as JSON and write it to ``out``; a ``.csv`` path gets the score records, all formatted before the first byte."""
     records = payload.get("records")
     spliced = isinstance(records, _Records)
     doc = {**payload, "records": _SPLICE} if spliced else payload
@@ -133,22 +139,28 @@ def _emit(payload: dict, out: str | None) -> None:
         if path is None:
             raise
         raise DomainError(f"report value {path} is not a finite number") from exc
+    to_csv = bool(out) and out.endswith(".csv")
+    if to_csv and not spliced:
+        raise InvalidParameterError("CSV output is only defined for score records")
+    pieces = [text + "\n"]
     if spliced:
-        text = text.replace(_SPLICE_JSON, records.to_json(), 1)
-    if out and out.endswith(".csv"):
-        if not spliced:
-            raise InvalidParameterError("CSV output is only defined for score records")
+        chunks = records.chunks(f",{payload['rule']},{payload['forecast_digest']}\r\n" if to_csv else None)
+        head, _, tail = text.partition(_SPLICE_JSON)
+        pieces = [head + "[\n", *(json_text for json_text, _ in chunks), "\n  ]" + tail + "\n"]
+    if to_csv:
         with open(out, "w", newline="") as fh:
-            fh.write(records.to_csv(payload["rule"], payload["forecast_digest"]))
+            fh.write("x,score,rule,forecast_digest\r\n")
+            fh.writelines(rows for _, rows in chunks)
     elif out:
-        Path(out).write_text(text + "\n")
-    print(text)
+        with open(out, "w") as fh:
+            fh.writelines(pieces)
+    sys.stdout.writelines(pieces)
 
 
-def _read(path: str, parse: Callable[[TextIO], Any]) -> Any:
+def _read(path: str, parse: Callable[[TextIO], Any], encoding: str | None = None) -> Any:
     """``parse`` of the open text file; a file that cannot be opened, read or decoded is a configuration error."""
     try:
-        with Path(path).open() as fh:
+        with Path(path).open(encoding=encoding) as fh:
             return parse(fh)
     except FileNotFoundError as exc:
         raise InvalidParameterError(f"file not found: {path}") from exc
@@ -178,8 +190,8 @@ def _load_density(path: str):
 
 
 def _load_observations(path: str) -> np.ndarray:
-    """First column of a CSV file; a header on line 1 and blank rows are skipped."""
-    cells = _read(path, lambda fh: [row[0] if row else "" for row in csv.reader(fh)])
+    """First column of a UTF-8 CSV file; a byte-order mark, a header on line 1 and blank rows are skipped."""
+    cells = _read(path, lambda fh: [row[0] if row else "" for row in csv.reader(fh)], "utf-8-sig")
     if cells and not _is_number(cells[0]):
         cells[0] = ""  # header line
     try:
@@ -254,8 +266,7 @@ def cmd_score(args) -> int:
     payload = {
         "rule": rule,
         "forecast_digest": _digest(cfg),
-        # float.__repr__ writes json's token for a finite float, and "-inf" for the sentinel
-        "records": _Records(list(map(float.__repr__, obs.tolist())), list(map(float.__repr__, values.tolist()))),
+        "records": _Records(obs, values),
         "summary": {"mean": mean, "count": len(values), "clamped": clamped},
     }
     _emit(payload, args.out)

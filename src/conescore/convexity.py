@@ -828,19 +828,63 @@ SUITES = (*_SUITE_CASES, "all")
 
 
 def _workers(n_jobs: int) -> int:
-    """Processes for ``n_jobs`` suites: one per CPU this process may run on, at most one per suite; 1 without fork."""
-    return min(n_jobs, len(os.sched_getaffinity(0))) if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1
+    """Processes for ``n_jobs`` jobs: one per CPU this process may run on, at most one per job; 1 where CPU affinity or memfd is missing."""
+    return min(n_jobs, len(os.sched_getaffinity(0))) if hasattr(os, "sched_getaffinity") and hasattr(os, "memfd_create") else 1
 
 
 def _outcomes(jobs) -> list:
-    """Each (name, build) job's cases in order; the first exception stands in its job's place and every later one's."""
+    """Each job's result in order; the first exception stands in its job's place and every later one's."""
     out = []
-    for _, build in jobs:
+    for job in jobs:
         try:
-            out.append(build())
+            out.append(job())
         except Exception as exc:
             return out + [exc] * (len(jobs) - len(out))
     return out
+
+
+def forked(jobs: Sequence[Callable[[], object]], names: Sequence[str]) -> list:
+    """Each zero-argument job's result, in job order, from W = ``_workers(len(jobs))`` processes.
+
+    Jobs are dealt round-robin over the caller and W - 1 forked children, which
+    hand their results back in memfds and so never wait on the caller. The first
+    exception in job order is raised, a dead child's as a RuntimeError naming its
+    jobs' ``names``, once every child is reaped. W = 1 (``taskset -c 0``) forks none.
+    """
+    w = _workers(len(jobs))
+    shares, children, results = [jobs[k::w] for k in range(w)], {}, {}
+    try:
+        for k in range(1, w):
+            fd = os.memfd_create("conescore-results")
+            try:
+                pid = os.fork()
+            except OSError:  # this share runs in the caller
+                os.close(fd)
+                continue
+            if pid == 0:  # the child never returns into the caller's code, nor flushes its stdio buffers
+                try:
+                    with open(fd, "wb") as out:
+                        pickle.dump(_outcomes(shares[k]), out, pickle.HIGHEST_PROTOCOL)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            children[k] = pid, fd
+        results.update((k, _outcomes(shares[k])) for k in range(w) if k not in children)
+    except BaseException:
+        for pid, _ in children.values():
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:  # every child reaped and every file closed, on every path
+        for k, (pid, fd) in children.items():
+            status = os.waitpid(pid, 0)[1]
+            with open(fd, "rb") as out:
+                out.seek(0)  # the child's writes moved the offset the two share
+                lost = RuntimeError(f"the worker for {list(names[k::w])} exited without its results (wait status {status})")
+                results[k] = pickle.load(out) if status == 0 else [lost] * len(shares[k])
+    ordered = [results[i % w][i // w] for i in range(len(jobs))]  # job order
+    if failed := [out for out in ordered if isinstance(out, Exception)]:
+        raise failed[0]
+    return ordered
 
 
 def run_suite(
@@ -857,9 +901,9 @@ def run_suite(
     all, which runs them in the table's order; ``rule`` restricts to one
     scoring rule (gateaux is quadratic-only). ``tol``, when given, must be
     positive and finite; it replaces the primary tolerance of every suite
-    run, all's too. Suites are dealt round-robin over W = min(suites, CPUs in
-    ``os.sched_getaffinity(0)``) workers, the caller and forked children, then
-    merged in table order: the serial one-CPU run (``taskset -c 0``) gives the same report or error.
+    run, all's too. The suites run through :func:`forked`, over every CPU this
+    process may use, and are merged in table order: the serial one-CPU run
+    (``taskset -c 0``) gives the same report or error.
     """
     suite = str(suite).lower()
     if suite not in SUITES:
@@ -872,39 +916,7 @@ def run_suite(
     rule_ids = _rule_list(rule)
     if suite == "gateaux" and "quadratic" not in rule_ids:
         raise InvalidParameterError("the gateaux suite applies to the quadratic rule")
-    jobs = [(name, functools.partial(build, rule_ids, samples, seed, scheme, tol or default_tol))
-            for name, (build, default_tol) in _SUITE_CASES.items() if suite in (name, "all")]
-    w = _workers(len(jobs))
-    shares, children, results = [jobs[k::w] for k in range(w)], {}, {}
-    try:
-        for k in range(1, w):
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:  # this share runs in the caller
-                os.close(read), os.close(write)
-                continue
-            if pid == 0:  # the child never returns into the caller's code, nor flushes its stdio buffers
-                try:
-                    with open(write, "wb") as pipe:
-                        pickle.dump(_outcomes(shares[k]), pipe)
-                    os._exit(0)
-                finally:
-                    os._exit(1)
-            os.close(write)
-            children[k] = pid, read
-        results.update((k, _outcomes(shares[k])) for k in range(w) if k not in children)
-    except BaseException:
-        for pid, _ in children.values():
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:  # every pipe read to EOF and every child reaped, on every path
-        for k, (pid, read) in children.items():
-            with open(read, "rb") as pipe:
-                payload, status = pipe.read(), os.waitpid(pid, 0)[1]
-            lost = RuntimeError(f"the worker for suites {[n for n, _ in shares[k]]} exited without its cases (wait status {status})")
-            results[k] = pickle.loads(payload) if status == 0 else [lost] * len(shares[k])
-    ordered = [results[i % w][i // w] for i in range(len(jobs))]  # table order
-    if failed := [out for out in ordered if isinstance(out, Exception)]:
-        raise failed[0]
+    names = [name for name in _SUITE_CASES if suite in (name, "all")]
+    jobs = [functools.partial(build, rule_ids, samples, seed, scheme, tol or default_tol) for build, default_tol in map(_SUITE_CASES.get, names)]
+    ordered = forked(jobs, names)
     return VerificationReport(suite, tuple(c for out in ordered for c in out), seed, scheme or pairing.DEFAULT_SCHEME)

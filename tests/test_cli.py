@@ -5,8 +5,10 @@ import hashlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +18,7 @@ import conescore
 from conescore import cli, convexity, pairing, rules
 from conescore.cli import main
 from conescore.densities import density_from_config
+from conescore.errors import ZeroDensityError
 
 
 @pytest.fixture
@@ -194,6 +197,133 @@ def test_score_outputs_match_json_dumps_and_csv_writer(capsys, files, tmp_path, 
     assert (tmp_path / "r.json").read_bytes() == out.encode()
     assert run(capsys, argv + ["--out", str(tmp_path / "r.csv")])[:2] == (0, out)
     assert (tmp_path / "r.csv").read_bytes() == table.encode()
+
+
+def _score_outputs(capsys, argv, tmp_path):
+    """stdout of ``argv``, then the --out .csv and --out .json files, which must print the same stdout."""
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    for name in ("r.csv", "r.json"):
+        assert run(capsys, argv + ["--out", str(tmp_path / name)])[:2] == (0, out)
+    return out, (tmp_path / "r.csv").read_bytes(), (tmp_path / "r.json").read_bytes()
+
+
+def _force_workers(monkeypatch, w):
+    monkeypatch.setattr(convexity, "_workers", lambda n_jobs: min(w, n_jobs))
+
+
+def _recording_fork(monkeypatch):
+    pids, fork = [], os.fork
+
+    def recording():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording)
+    return pids
+
+
+_IN, _OUT = 0.6, 0.1  # _HALF_ZERO is positive at 0.6 and vanishes at 0.1: log scores it "-inf"
+
+
+@pytest.mark.parametrize(
+    "rule, xs",
+    [
+        ("logarithmic", [_OUT] + [_IN] * 12),  # the sentinel in the first of four chunks
+        ("logarithmic", [_IN] * 6 + [_OUT] + [_IN] * 6),  # in a middle one
+        ("logarithmic", [_IN] * 12 + [_OUT]),  # in the last one, a chunk of one record
+        ("quadratic", [0.05 * k for k in range(1, 4)]),  # one chunk - 1 records
+        ("quadratic", [0.05 * k for k in range(1, 5)]),  # one chunk
+        ("quadratic", [0.05 * k for k in range(1, 6)]),  # one chunk + 1
+        ("logarithmic", [0.05 * k for k in range(1, 10)]),
+    ],
+)
+def test_score_chunks_give_the_same_bytes_on_any_number_of_workers(capsys, monkeypatch, files, tmp_path, rule, xs):
+    monkeypatch.setattr(cli, "_CHUNK", 4)
+    argv = ["score", "--rule", rule, "--forecast", files("q.json", json.dumps(_HALF_ZERO)), "--obs", files("obs.csv", "".join(f"{x!r}\n" for x in xs))]
+    text, table = _reference_outputs(rule, _HALF_ZERO, xs)
+    assert ('"-inf"' in text) == (rule == "logarithmic")
+    for w in (1, 2, 5):
+        _force_workers(monkeypatch, w)
+        assert _score_outputs(capsys, argv, tmp_path) == (text + "\n", table.encode(), (text + "\n").encode())
+
+
+@pytest.mark.parametrize("extra, forks", [(-1, 0), (0, 0), (1, 1)])
+def test_score_records_around_one_chunk_match_json_dumps_and_csv_writer(capsys, monkeypatch, files, tmp_path, extra, forks):
+    xs = np.random.default_rng(5).normal(0.0, 2.0, cli._CHUNK + extra).tolist()
+    argv = ["score", "--rule", "quad", "--forecast", files("q.json", json.dumps(_GAUSSIAN)), "--obs", files("obs.csv", "".join(f"{x!r}\n" for x in xs))]
+    text, table = _reference_outputs("quadratic", _GAUSSIAN, xs)
+    _force_workers(monkeypatch, 2)
+    pids = _recording_fork(monkeypatch)
+    assert _score_outputs(capsys, argv, tmp_path) == (text + "\n", table.encode(), (text + "\n").encode())
+    assert len(pids) == 3 * forks  # records that fit in one chunk start no child
+
+
+def test_no_score_worker_outlives_score(capsys, monkeypatch, files, tmp_path):
+    monkeypatch.setattr(cli, "_CHUNK", 4)
+    _force_workers(monkeypatch, 3)
+    pids = _recording_fork(monkeypatch)
+    csv_out = tmp_path / "r.csv"
+    argv = ["score", "--rule", "log", "--forecast", files("q.json", json.dumps(_GAUSSIAN)), "--obs", files("obs.csv", "1.0\n" * 13)]
+    argv += ["--out", str(csv_out)]
+    assert run(capsys, argv)[0] == 0
+    me, text = os.getpid(), cli._Records.text
+
+    def refusing(self, start, csv_tail):
+        if os.getpid() != me:
+            raise ZeroDensityError("in a worker")
+        return text(self, start, csv_tail)
+
+    def interrupted(self, start, csv_tail):
+        if os.getpid() != me:
+            time.sleep(60)
+        raise KeyboardInterrupt
+
+    csv_out.unlink()
+    monkeypatch.setattr(cli._Records, "text", refusing)
+    assert run(capsys, argv) == (3, "", "domain error: in a worker\n")  # a worker's refusal is the report's
+    # an interrupt in the caller's own chunks kills the children, which are not waited out
+    monkeypatch.setattr(cli._Records, "text", interrupted)
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        main(argv)
+    assert time.perf_counter() - start < 30
+    assert capsys.readouterr().out == "" and not csv_out.exists()
+    assert len(pids) == 6
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def test_a_score_worker_that_dies_leaves_stdout_empty_and_writes_no_csv(capsys, monkeypatch, files, tmp_path):
+    monkeypatch.setattr(cli, "_CHUNK", 4)
+    _force_workers(monkeypatch, 2)
+    me, text = os.getpid(), cli._Records.text
+
+    def dying(self, start, csv_tail):
+        if os.getpid() != me:
+            os._exit(3)
+        return text(self, start, csv_tail)
+
+    monkeypatch.setattr(cli._Records, "text", dying)
+    csv_out = tmp_path / "r.csv"
+    argv = ["score", "--rule", "quad", "--forecast", files("q.json", json.dumps(_GAUSSIAN)), "--obs", files("obs.csv", "1.0\n" * 13)]
+    with pytest.raises(RuntimeError, match=r"'records 5-8', 'records 13-13'\].*wait status 768"):
+        main(argv + ["--out", str(csv_out)])
+    assert capsys.readouterr().out == ""
+    assert not csv_out.exists()
+
+
+@pytest.mark.parametrize("content", ["1.5\n2.0\n", "x\n1.5\n2.0\n"])
+def test_score_skips_a_utf8_byte_order_mark(capsys, n01, tmp_path, content):
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(content.encode())
+    marked.write_bytes(b"\xef\xbb\xbf" + content.encode())
+    outs = [run(capsys, ["score", "--rule", "quad", "--forecast", n01, "--obs", str(path)]) for path in (plain, marked)]
+    assert outs[0] == outs[1]
+    assert outs[0][0] == 0 and json.loads(outs[0][1])["summary"]["count"] == 2
 
 
 def _reference_load(path: str):

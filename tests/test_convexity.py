@@ -593,6 +593,38 @@ def test_a_failed_fork_runs_its_share_in_the_caller(monkeypatch):
     assert run_suite("all", samples=10, seed=3).to_json() == serial
 
 
+def test_forked_returns_each_job_result_in_job_order(monkeypatch):
+    jobs = [lambda k=k: (k, os.getpid()) for k in range(7)]
+    for w in (1, 2, 5):
+        _force_workers(monkeypatch, w)
+        results = convexity.forked(jobs, [str(k) for k in range(7)])
+        assert [k for k, _ in results] == list(range(7))
+        assert len({pid for _, pid in results}) == w  # the caller and w - 1 children
+
+
+def test_a_worker_hands_back_a_large_result_without_waiting_on_the_caller(monkeypatch):
+    pids, fork = [], os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    def child_exited():  # the caller's job, run while the child holds 16 MB of result
+        deadline = time.monotonic() + 20
+        while time.monotonic() < deadline:
+            if os.waitid(os.P_PID, pids[0], os.WEXITED | os.WNOHANG | os.WNOWAIT) is not None:
+                return True
+            time.sleep(0.01)
+        return False
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    _force_workers(monkeypatch, 2)
+    big = b"x" * (16 << 20)
+    assert convexity.forked([child_exited, lambda: big], ["caller", "child"]) == [True, big]
+
+
 def test_tol_replaces_the_primary_tolerance_of_every_suite_all_runs(monkeypatch):
     primary = {name: tol for name, (_, tol) in convexity._SUITE_CASES.items()}
     suite_of = {}
