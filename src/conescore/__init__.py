@@ -61,7 +61,6 @@ from .convexity import (
     VerificationReport,
     analytic_directional_derivative,
     certify_directional_derivatives,
-    certify_subgradient,
     certify_sublinearity,
     entropy_line,
     gateaux_check,

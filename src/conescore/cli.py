@@ -147,13 +147,16 @@ def _emit(payload: dict, out: str | None) -> None:
         chunks = records.chunks(f",{payload['rule']},{payload['forecast_digest']}\r\n" if to_csv else None)
         head, _, tail = text.partition(_SPLICE_JSON)
         pieces = [head + "[\n", *(json_text for json_text, _ in chunks), "\n  ]" + tail + "\n"]
-    if to_csv:
-        with open(out, "w", newline="") as fh:
-            fh.write("x,score,rule,forecast_digest\r\n")
-            fh.writelines(rows for _, rows in chunks)
-    elif out:
-        with open(out, "w") as fh:
-            fh.writelines(pieces)
+    try:
+        if to_csv:
+            with open(out, "w", newline="") as fh:
+                fh.write("x,score,rule,forecast_digest\r\n")
+                fh.writelines(rows for _, rows in chunks)
+        elif out:
+            with open(out, "w") as fh:
+                fh.writelines(pieces)
+    except OSError as exc:
+        raise InvalidParameterError(f"cannot write {out}: {exc.strerror or exc}") from exc
     sys.stdout.writelines(pieces)
 
 

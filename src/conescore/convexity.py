@@ -44,7 +44,6 @@ from .errors import (
     ConescoreError,
     InfeasibleStepError,
     InvalidParameterError,
-    ModeMeasureZeroError,
     OneSidedOnlyError,
     ZeroMassError,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "two_sided_derivative",
     "analytic_directional_derivative",
     "derivative_against_closed_form",
-    "certify_subgradient",
     "certify_sublinearity",
     "certify_directional_derivatives",
     "gateaux_check",
@@ -350,62 +348,6 @@ def derivative_against_closed_form(rule: str, q: Field, p: Field, scheme=None) -
 # ---------------------------------------------------------------------------
 # certificates
 # ---------------------------------------------------------------------------
-
-def certify_subgradient(
-    rule: str,
-    pairs: Sequence[tuple[Field, Field]],
-    scheme: pairing.QuadratureScheme | None = None,
-    seed: int | None = None,
-) -> VerificationReport:
-    """Certify that the rule's score is the entropy's subgradient.
-
-    Per pair: (i) the support inequality entropy(p) >= p.S(q) - 1e-8, (ii)
-    the Euler identity at q to 1e-8, (iii) p.S(q) <= FD right derivative +
-    1e-4, (iv) FD derivative equals the closed form within 1e-4. For the
-    supremum rule with a measure-zero mode set, (iv) additionally checks
-    that no density-integrable subgradient is constructible.
-    """
-    rule = rules.canonical_rule(rule)
-    cases: list[CaseResult] = []
-    for i, (p, q) in enumerate(pairs):
-        base = f"{rule}/subgradient/pair{i:03d}"
-        try:
-            cases.extend(_subgradient_cases(rule, base, p, q, scheme))
-        except ConescoreError as exc:
-            cases.append(CaseResult(base, None, 1e-4, False, note=f"{type(exc).__name__}: {exc}"))
-    return VerificationReport("subgradient", tuple(cases), seed, scheme or pairing.DEFAULT_SCHEME)
-
-
-def _subgradient_cases(rule, base, p, q, scheme) -> list[CaseResult]:
-    diagnostics: dict = {}
-    div = rules.divergence(rule, p, q, scheme, diagnostics)
-    note = diagnostics.get("note")
-    cases = [CaseResult(f"{base}/support", div, 1e-8, div >= -1e-8, note=note)]
-
-    eul = rules.euler_residual(rule, q, scheme)
-    cases.append(CaseResult(f"{base}/euler", eul, 1e-8, eul <= 1e-8))
-
-    est, analytic = derivative_against_closed_form(rule, q, p, scheme)
-    # the closed form is the expected score for the smooth rules, a modal maximum for the supremum rule
-    expected = analytic if rule != "supremum" else rules.expected_score(rule, p, q, scheme)
-    excess = expected - est.value
-    cases.append(CaseResult(f"{base}/score-below-derivative", excess, 1e-4, excess <= 1e-4))
-
-    resid = abs(est.value - analytic)
-    cert_note = None
-    passed = resid <= 1e-4
-    if rule == "supremum":
-        mode = rules.mode_set(q)
-        if mode.measure == 0:
-            try:
-                rules.ModeIndicator(mode)
-                passed = False
-                cert_note = "subgradient construction unexpectedly succeeded on a measure-zero mode set"
-            except ModeMeasureZeroError:
-                cert_note = "measure-zero mode set: Dirac evaluation, no density-integrable subgradient"
-    cases.append(CaseResult(f"{base}/derivative-certificate", resid, 1e-4, passed, note=cert_note))
-    return cases
-
 
 def certify_sublinearity(
     rule: str,

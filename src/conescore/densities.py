@@ -508,12 +508,6 @@ class GridField(Field):
             out.append(np.interp(pts[:, 0], knots, np.gradient(self.values, grid.spacing)))
         return Sample(*(_squeeze(a, scalar) for a in out))
 
-    def core_radius(self) -> float:
-        return float(max(abs(self.lo), abs(self.hi)))
-
-    def tail_mass_bound(self, radius: float) -> float:
-        return 0.0
-
 
 class GridDensity(GridField):
     """Nonnegative grid field with at least one strictly positive value."""
@@ -706,20 +700,17 @@ class HyvarinenGrowth:
 @dataclass(frozen=True)
 class QuadraticNorm:
     """Weighted-L2 annulus cone: k1 - eps < ||q-hat||_{2,w} < k2 + eps
-    with weight (1+|x|)^(dim+1); delta is the perturbation-ball radius."""
+    with weight (1+|x|)^(dim+1)."""
 
     k1: float
     k2: float
-    delta: float = 0.05
     eps: float = 0.05
     dim: int = 1
-    probes: tuple | None = None
     kind: ClassVar[str] = "quadratic_norm"
 
     def __post_init__(self):
         _validate_positive("k1", self.k1)
         _validate_positive("k2", self.k2)
-        _validate_positive("delta", self.delta)
         if self.k2 < self.k1:
             raise InvalidParameterError("k2 must be >= k1")
         if not 0 < self.eps < min(1.0, self.k1):
@@ -731,7 +722,6 @@ class GridPositive:
     """Grid cone: values nonnegative everywhere, positive somewhere."""
 
     dim: int = 1
-    probes: tuple | None = None
     kind: ClassVar[str] = "grid_positive"
 
 
@@ -771,7 +761,7 @@ def default_cone_spec(rule: str, dim: int = 1) -> ConeSpec:
     if rule == "hyvarinen":
         return HyvarinenGrowth(c1=200.0, k=2.0, c2=1e5, dim=dim)
     if rule == "quadratic":
-        return QuadraticNorm(k1=0.1, k2=10.0, delta=0.05, eps=0.05, dim=dim)
+        return QuadraticNorm(k1=0.1, k2=10.0, eps=0.05, dim=dim)
     if rule == "supremum":
         return GridPositive(dim=dim)
     raise InvalidParameterError(f"unknown rule {rule!r}")

@@ -234,12 +234,6 @@ def _edges(radii: np.ndarray, breakpoints: tuple, scheme: QuadratureScheme) -> n
     return edges[np.concatenate(([True], edges[1:] != edges[:-1]))]  # a breakpoint on an edge is kept once
 
 
-def _line_edges(field: Field, scheme: QuadratureScheme) -> np.ndarray:
-    """The field's ascending panel edges at ``scheme.panels``."""
-    radius = _core_radius(field, scheme)
-    return _edges(np.array(_shell_edges(field, radius, scheme.tail_tol)), field.breakpoints(), scheme)
-
-
 def _cover_nodes(edges: np.ndarray, nodes: int, dim: int) -> NodeSet:
     """Gauss-Legendre nodes on the panels of ``edges``; in 2-D their tensor square, counted before it is built."""
     if dim == 1:

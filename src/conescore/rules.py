@@ -340,12 +340,6 @@ class ModeIndicator(Field):
         vals = np.where(inside, 1.0 / self.mode.measure, 0.0)
         return Sample(float(vals[0]) if scalar else vals)
 
-    def core_radius(self) -> float:
-        return float(max(abs(self.mode.grid.lo), abs(self.mode.grid.hi)))
-
-    def tail_mass_bound(self, radius: float) -> float:
-        return 0.0
-
 
 def sup_subgradient(q: Field) -> ModeIndicator:
     """Subgradient of the supremum entropy at a grid density.

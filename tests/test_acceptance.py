@@ -19,10 +19,6 @@ SHANNON_PHI_N01 = -1.4189385
 QUAD_DIV_N01_N11 = 0.1247980
 
 
-def max_residual(report, substring):
-    return max(c.residual for c in report.cases if substring in c.case_id and c.residual is not None)
-
-
 def test_criterion_1_euler_identity():
     start = time.perf_counter()
     report = convexity.run_suite("euler", samples=50, seed=42)
@@ -52,10 +48,11 @@ def test_criterion_2_propriety():
 def test_criterion_3_derivative_is_expected_score():
     pairs = sampling.sample_fd_pairs(100, seed=42)
     for rule in SMOOTH_RULES:
-        report = convexity.certify_subgradient(rule, pairs, seed=42)
-        worst = max_residual(report, "derivative-certificate")
+        worst = 0.0
+        for p, q in pairs:
+            est, analytic = convexity.derivative_against_closed_form(rule, q, p)
+            worst = max(worst, abs(est.value - analytic))
         print(f"{rule}: worst |FD - expected score| = {worst:.3e} over {len(pairs)} pairs")
-        assert report.passed
         assert worst <= 1e-4
 
 

@@ -47,7 +47,6 @@ SINGLE_VALUE_OPTIONS = [
     (convexity.gateaux_check, {"tol_linear", "seed", "steps"}),
     (convexity.certify_sublinearity, {"lambdas", "strict_tol", "seed"}),
     (convexity.certify_directional_derivatives, {"seed", "steps"}),
-    (convexity.certify_subgradient, {"tol_quad", "tol_fd", "steps"}),
     (convexity.right_directional_derivative, {"steps"}),
     (convexity.left_directional_derivative, {"steps"}),
     (convexity.two_sided_derivative, {"steps"}),

@@ -452,6 +452,24 @@ def test_unreadable_input_files_are_configuration_errors(capsys, files, n01, tmp
     assert err.startswith(f"configuration error: cannot {'decode' if kind == 'utf16' else 'read'} {bad}")
 
 
+@pytest.mark.parametrize(
+    "command, suffix",
+    [("verify", ".json"), ("score", ".json"), ("score", ".csv"), ("deriv", ".json"), ("demo", ".json")],
+)
+def test_unwritable_out_paths_are_configuration_errors(capsys, files, n01, n11, tmp_path, command, suffix):
+    out = tmp_path / "missing" / f"x{suffix}"
+    argv = {
+        "verify": ["verify", "--suite", "euler", "--samples", "2"],
+        "score": ["score", "--rule", "log", "--forecast", n01, "--obs", files("obs.csv", "0.0\n")],
+        "deriv": ["deriv", "--rule", "log", "--q", n01, "--p", n11],
+        "demo": ["demo", "--name", "nowhere-dense"],
+    }[command]
+    code, stdout, err = run(capsys, [*argv, "--out", str(out)])
+    assert (code, stdout) == (2, "")
+    assert err.splitlines()[-1] == f"configuration error: cannot write {out}: No such file or directory"
+    assert not out.parent.exists()
+
+
 def test_scheme_flags_replace_only_the_given_defaults():
     def scheme(*flags):
         return cli._scheme_from_args(cli.build_parser().parse_args(["verify", "--suite", "euler", *flags]))
@@ -592,6 +610,8 @@ def test_deriv_zero_mass_is_a_typed_error(capsys, files, n01):
 
 _N2 = {"family": "gaussian", "mean": [0.0, 0.0], "var": [1.0, 1.0]}
 _HYV = {"kind": "hyvarinen_growth", "c1": 200.0, "k": 2.0, "c2": 1e5}
+_QUAD = {"kind": "quadratic_norm", "k1": 0.1, "k2": 10.0, "eps": 0.05}
+_GRID = {"family": "grid", "domain": [0.0, 1.0], "values": [1.0, 2.0, 1.0]}
 
 
 @pytest.mark.parametrize(
@@ -601,8 +621,12 @@ _HYV = {"kind": "hyvarinen_growth", "c1": 200.0, "k": 2.0, "c2": 1e5}
         ({"family": "gaussian", "mean": 0.0, "var": 1.0}, {**_HYV, "probes": [[0.0, 1.0], [2.0, 3.0]]}, "got (2, 2)"),
         ({"family": "power_law", "beta": 2.0}, {"kind": "shannon_envelope", "a": math.nan, "c1": 0.1, "c2": 0.6}, "decay exponent a must be finite"),
         ({"family": "gaussian", "mean": 0.0, "var": 1.0}, {**_HYV, "dim": 2}, "cone of dimension 2 does not apply to a 1-D density"),
+        # cone specs hold only what cone_check reads
+        ({"family": "gaussian", "mean": 0.0, "var": 1.0}, {**_QUAD, "delta": 0.05}, "unexpected keyword argument 'delta'"),
+        ({"family": "gaussian", "mean": 0.0, "var": 1.0}, {**_QUAD, "probes": [0.0, 1.0]}, "unexpected keyword argument 'probes'"),
+        (_GRID, {"kind": "grid_positive", "probes": [0.5]}, "unexpected keyword argument 'probes'"),
     ],
-    ids=["flat-2d-probes", "square-1d-probes", "nan-exponent", "dimension-mismatch"],
+    ids=["flat-2d-probes", "square-1d-probes", "nan-exponent", "dimension-mismatch", "quadratic-delta", "quadratic-probes", "grid-probes"],
 )
 def test_deriv_malformed_cone_spec_exits_2(capsys, files, density, cone, message):
     q = files("q.json", json.dumps({"density": density, "cone": cone}))

@@ -12,7 +12,6 @@ from conescore import convexity, pairing, rules, sampling
 from conescore.convexity import (
     analytic_directional_derivative,
     certify_directional_derivatives,
-    certify_subgradient,
     certify_sublinearity,
     entropy_line,
     gateaux_check,
@@ -415,30 +414,29 @@ def test_gateaux_evaluates_four_rows_per_field(monkeypatch):
 # certificates
 # ---------------------------------------------------------------------------
 
-def test_certify_subgradient_smooth_rules():
-    pairs = sampling.sample_fd_pairs(5, seed=21)
-    for rule in ("logarithmic", "hyvarinen", "quadratic"):
-        report = certify_subgradient(rule, pairs, seed=21)
-        assert report.passed
-        assert len(report.cases) == 4 * len(pairs)
-        ids = {c.case_id.rsplit("/", 1)[-1] for c in report.cases}
-        assert ids == {"support", "euler", "score-below-derivative", "derivative-certificate"}
+def assert_supremum_derivative_matches_its_closed_form(p, q):
+    est, analytic = convexity.derivative_against_closed_form("supremum", q, p)
+    assert est.converged
+    assert abs(est.value - analytic) <= 1e-4
 
 
 def test_certify_subgradient_supremum_plateau():
+    # five plateau modes along grid directions
     rng = np.random.default_rng(4)
-    pairs = [(sampling.sample_grid_density(rng), sampling.sample_plateau_grid(rng)) for _ in range(5)]
-    report = certify_subgradient("supremum", pairs, seed=4)
-    assert report.passed
+    for _ in range(5):
+        p, q = sampling.sample_grid_density(rng), sampling.sample_plateau_grid(rng)
+        assert_supremum_derivative_matches_its_closed_form(p, q)
 
 
 def test_certify_subgradient_supremum_dirac_note():
+    # a triangle whose mode is one node: the Dirac regime, flagged with a measure-zero note
     x = np.linspace(0.0, 1.0, 401)
-    q = GridDensity(0.0, 1.0, 2.0 - 4.0 * np.abs(x - 0.5) + 1e-12)
-    report = certify_subgradient("supremum", [(uniform_grid(), q)])
-    assert report.passed
-    notes = [c.note for c in report.cases if c.note]
-    assert any("measure-zero" in n for n in notes)
+    p, q = uniform_grid(), GridDensity(0.0, 1.0, 2.0 - 4.0 * np.abs(x - 0.5) + 1e-12)
+    assert_supremum_derivative_matches_its_closed_form(p, q)
+    diagnostics = {}
+    rules.expected_score("supremum", p, q, diagnostics=diagnostics)
+    assert diagnostics["dirac"]
+    assert "measure-zero" in diagnostics["note"]
 
 
 def test_certify_sublinearity_mixtures():

@@ -514,7 +514,7 @@ def test_grid_positive_cone():
 
 def test_quadratic_cone_spec_validation():
     with pytest.raises(InvalidParameterError):
-        cone_spec_from_config({"kind": "quadratic_norm", "k1": 0.1, "k2": 10.0, "delta": 0.05, "eps": 0.5})
+        cone_spec_from_config({"kind": "quadratic_norm", "k1": 0.1, "k2": 10.0, "eps": 0.5})
     with pytest.raises(InvalidParameterError):
         cone_spec_from_config({"kind": "shannon_envelope", "a": 1, "c1": 1e-8, "c2": 1e3})
 

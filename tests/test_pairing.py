@@ -221,16 +221,22 @@ def test_a_radius_near_the_float_maximum_is_over_budget(monkeypatch, dim):
 # 2-D node sets sized by the leaves' masses
 # ---------------------------------------------------------------------------
 
+def _line_edges(field, scheme):
+    """The field's ascending panel edges at ``scheme.panels``, as ``pairing._sized_nodes`` builds them."""
+    radii = pairing._shell_edges(field, pairing._core_radius(field, scheme), scheme.tail_tol)
+    return pairing._edges(np.array(radii), field.breakpoints(), scheme)
+
+
 def _square_nodes(field, scheme):
     """The tensor square of the 1-D node set on the field's edge list at ``scheme.panels``."""
-    return pairing._cover_nodes(pairing._line_edges(field, scheme), scheme.nodes, 2)
+    return pairing._cover_nodes(_line_edges(field, scheme), scheme.nodes, 2)
 
 
 def _sized(field, scheme=pairing.DEFAULT_SCHEME):
     """The 2-D node set, and the panels per unit whose tensor square it is."""
     ns = pairing.nodes_for(field, scheme)
     levels = [k for k in (1, 2, 4, 8, 16) if k <= scheme.panels]
-    per_axis = {k: (pairing._line_edges(field, replace(scheme, panels=k)).size - 1) * scheme.nodes for k in levels}
+    per_axis = {k: (_line_edges(field, replace(scheme, panels=k)).size - 1) * scheme.nodes for k in levels}
     (level,) = [k for k in levels if per_axis[k] ** 2 == ns.weights.size]
     return ns, level
 
@@ -365,13 +371,13 @@ def test_a_leaf_whose_own_square_is_over_budget_sizes_on_the_field_square():
     heavy = PowerLawDensity(3.0, dim=2)
     field = 1e-2 * heavy + GaussianDensity([0.1, 0.2], 0.3**2)
     level = replace(pairing.DEFAULT_SCHEME, panels=4)
-    assert pairing._line_edges(heavy, level).size > pairing._line_edges(field, level).size
+    assert _line_edges(heavy, level).size > _line_edges(field, level).size
     with pytest.raises(NodeBudgetError):
         _square_nodes(heavy, level)
     expected = _cover_wide_nodes(field)
     ns = pairing.nodes_for(field)
     assert np.array_equal(ns.points, expected.points) and np.array_equal(ns.weights, expected.weights)
-    assert ns.weights.size == (pairing._line_edges(field, level).size - 1) ** 2 * level.nodes**2
+    assert ns.weights.size == (_line_edges(field, level).size - 1) ** 2 * level.nodes**2
 
 
 def test_leaf_masses_are_sampled_once_per_square(monkeypatch):
