@@ -35,7 +35,6 @@ from .densities import (
     cone_spec_from_config,
     default_cone_spec,
     density_from_config,
-    make_density,
     require_cone,
 )
 from .pairing import NodeSet, QuadratureScheme, boundary_term, nodes_for, total_mass, weighted_norm

@@ -6,8 +6,9 @@ observed points, ``verify`` runs the seeded certification suites,
 its closed form, and ``demo`` runs the boundary-phenomena demonstrations.
 
 Data goes to stdout as deterministic JSON (sorted keys); diagnostics go
-to stderr. Exit codes: 0 success, 1 suite or demo failure, 2 parse or
-configuration error, 3 domain or feasibility error. The logarithmic
+to stderr. Exit codes: 0 success, 1 suite or demo failure, 2 a parse
+error or an ``InvalidParameterError`` (any error under ``verify``), 3 any
+other ``ConescoreError``, a domain or feasibility error. The logarithmic
 score of an observation where the forecast vanishes is recorded as the
 string sentinel ``"-inf"`` and counted, never dropped. Reports are strict
 JSON: any other non-finite number is a domain error, never a ``NaN`` or
@@ -36,19 +37,7 @@ from .densities import (
     density_from_config,
     require_cone,
 )
-from .errors import (
-    ConeMembershipError,
-    ConescoreError,
-    DomainError,
-    InfeasibleStepError,
-    InvalidParameterError,
-    ModeMeasureZeroError,
-    NodeBudgetError,
-    OneSidedOnlyError,
-    UnsupportedFamilyError,
-    ZeroDensityError,
-    ZeroMassError,
-)
+from .errors import ConescoreError, DomainError, InvalidParameterError
 
 __all__ = ["main"]
 
@@ -56,19 +45,6 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_CONFIG = 2
 EXIT_DOMAIN = 3
-
-_DOMAIN_ERRORS = (
-    DomainError,
-    ZeroDensityError,
-    ZeroMassError,
-    UnsupportedFamilyError,
-    ConeMembershipError,
-    NodeBudgetError,
-    ModeMeasureZeroError,
-    InfeasibleStepError,
-    OneSidedOnlyError,
-)
-
 
 def _err(message: str) -> None:
     print(message, file=sys.stderr)
@@ -110,35 +86,12 @@ _SPLICE = "\u0000records"
 _SPLICE_JSON = json.dumps(_SPLICE)
 
 
-def _non_finite_at(value, path: str = "") -> str | None:
-    """Path of the first non-finite float in a report, in key order; None if there is none."""
-    if isinstance(value, float):
-        return None if math.isfinite(value) else path
-    if isinstance(value, dict):
-        items = sorted(value.items())
-    elif isinstance(value, list):
-        items = enumerate(value)
-    else:
-        return None
-    for key, item in items:
-        found = _non_finite_at(item, f"{path}[{key}]" if isinstance(key, int) else f"{path}.{key}" if path else key)
-        if found is not None:
-            return found
-    return None
-
-
 def _emit(payload: dict, out: str | None) -> None:
     """Print the report as JSON and write it to ``out``; a ``.csv`` path gets the score records, all formatted before the first byte."""
     records = payload.get("records")
     spliced = isinstance(records, _Records)
     doc = {**payload, "records": _SPLICE} if spliced else payload
-    try:
-        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
-    except ValueError as exc:
-        path = _non_finite_at(payload)
-        if path is None:
-            raise
-        raise DomainError(f"report value {path} is not a finite number") from exc
+    text = convexity.report_json(doc)
     to_csv = bool(out) and out.endswith(".csv")
     if to_csv and not spliced:
         raise InvalidParameterError("CSV output is only defined for score records")
@@ -185,10 +138,12 @@ def _load_density(path: str):
     cfg = _load_json(path)
     cone_cfg = None
     if isinstance(cfg, dict) and "density" in cfg:
+        if set(cfg) - {"density", "cone"}:
+            raise InvalidParameterError(f"forecast keys {sorted(cfg)}: a wrapped density has only 'density' and 'cone'")
         cone_cfg = cfg.get("cone")
         cfg = cfg["density"]
     density = density_from_config(cfg)
-    cone = cone_spec_from_config(cone_cfg) if cone_cfg else None
+    cone = cone_spec_from_config(cone_cfg) if cone_cfg is not None else None
     return density, cone, cfg
 
 
@@ -380,15 +335,11 @@ def _demo_sup_mode(args) -> tuple[dict, bool]:
     return payload, ok
 
 
+_DEMOS = {"binary-boundary": _demo_binary, "nowhere-dense": _demo_nowhere_dense, "sup-mode": _demo_sup_mode}
+
+
 def cmd_demo(args) -> int:
-    demos = {
-        "binary-boundary": _demo_binary,
-        "nowhere-dense": _demo_nowhere_dense,
-        "sup-mode": _demo_sup_mode,
-    }
-    if args.name not in demos:
-        raise InvalidParameterError(f"unknown demo {args.name!r}; expected one of {sorted(demos)}")
-    payload, ok = demos[args.name](args)
+    payload, ok = _DEMOS[args.name](args)
     _emit(payload, args.out)
     return EXIT_OK if ok else EXIT_FAILURE
 
@@ -442,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_deriv.set_defaults(func=cmd_deriv)
 
     p_demo = sub.add_parser("demo", help="boundary-phenomena demonstrations")
-    p_demo.add_argument("--name", required=True, choices=["binary-boundary", "nowhere-dense", "sup-mode"])
+    p_demo.add_argument("--name", required=True, choices=_DEMOS)
     p_demo.add_argument("--alpha", type=float, default=None, help="radius (nowhere-dense) or threshold (binary-boundary)")
     p_demo.add_argument("--K", type=int, default=None, help="shells or path length")
     p_demo.add_argument("--grid-points", dest="grid_points", type=int, default=None)
@@ -460,18 +411,11 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except InvalidParameterError as exc:
-        _err(f"configuration error: {exc}")
-        return EXIT_CONFIG
-    except _DOMAIN_ERRORS as exc:
-        if args.command == "verify":
-            _err(f"configuration error: {exc}")
-            return EXIT_CONFIG
-        _err(f"domain error: {exc}")
-        return EXIT_DOMAIN
     except ConescoreError as exc:
-        _err(f"error: {exc}")
-        return EXIT_CONFIG
+        # verify reads nothing but its flags, so each of its refusals is a configuration error
+        config = isinstance(exc, InvalidParameterError) or args.command == "verify"
+        _err(f"{'configuration' if config else 'domain'} error: {exc}")
+        return EXIT_CONFIG if config else EXIT_DOMAIN
 
 
 if __name__ == "__main__":

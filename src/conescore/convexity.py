@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import os
 import pickle
 import signal
@@ -42,6 +43,7 @@ from .densities import (
 )
 from .errors import (
     ConescoreError,
+    DomainError,
     InfeasibleStepError,
     InvalidParameterError,
     OneSidedOnlyError,
@@ -328,7 +330,35 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
+        return report_json(self.to_dict())
+
+
+def _non_finite_at(value, path: str = "") -> str | None:
+    """Path of the first non-finite float in a report, in key order; None if there is none."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else path
+    if isinstance(value, dict):
+        items = sorted(value.items())
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return None
+    for key, item in items:
+        found = _non_finite_at(item, f"{path}[{key}]" if isinstance(key, int) else f"{path}.{key}" if path else key)
+        if found is not None:
+            return found
+    return None
+
+
+def report_json(report: dict) -> str:
+    """``report`` as sorted, indented strict JSON; a non-finite number is a DomainError naming its field."""
+    try:
+        return json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        path = _non_finite_at(report)
+        if path is None:
+            raise
+        raise DomainError(f"report value {path} is not a finite number") from exc
 
 
 def _normalized(f: Field, scheme) -> Field:

@@ -46,7 +46,6 @@ __all__ = [
     "GridPositive",
     "ConeWitness",
     "ConeReport",
-    "make_density",
     "density_from_config",
     "cone_spec_from_config",
     "default_cone_spec",
@@ -419,6 +418,7 @@ class PowerLawDensity(Field):
     def __post_init__(self):
         if self.dim not in (1, 2):
             raise InvalidParameterError("only dimensions 1 and 2 are supported")
+        object.__setattr__(self, "dim", int(self.dim))
         if not np.isfinite(self.beta) or self.beta <= self.dim:
             raise InvalidParameterError(f"beta must exceed the dimension {self.dim}, got {self.beta!r}")
         _validate_positive("scale", self.scale)
@@ -583,51 +583,48 @@ class Bump(Field):
 # construction from configs
 # ---------------------------------------------------------------------------
 
-def make_density(family: str, scale: float = 1.0, **params) -> Field:
-    """Build a density of the named family; nothing is integrated until a caller picks a scheme.
+def _read(config, key: str, table: dict, what: str):
+    """The constructor that ``config[key]`` names in ``table``, called with the config's other fields as keywords.
 
-    Parameters
-    ----------
-    family : {'gaussian', 'mixture', 'power_law', 'grid'}
-    scale : positive float
-        Denormalisation factor multiplying the whole density.
-    **params : family parameters
-        gaussian: ``mean`` (number or vector), ``var`` (positive number or
-        vector). mixture: ``components`` (list of dicts with mean/var),
-        ``weights`` (positive list). power_law: ``beta`` (> dim), optional
-        ``dim``. grid: ``domain`` ([lo, hi]), ``values`` (nonnegative list).
+    A config that is not a dict, names no constructor, or has a field its
+    constructor cannot take (a ``KeyError``, ``TypeError`` or ``ValueError``)
+    is an :class:`InvalidParameterError`; a constructor's own keeps its message.
     """
-    family = str(family).lower()
-    if family == "gaussian":
-        q: Field = GaussianDensity(params["mean"], params["var"], scale=scale)
-    elif family == "mixture":
-        comps = tuple(
-            GaussianDensity(c["mean"], c["var"]) if isinstance(c, dict) else c
-            for c in params["components"]
-        )
-        q = MixtureDensity(comps, tuple(params["weights"]), scale=scale)
-    elif family == "power_law":
-        q = PowerLawDensity(params["beta"], dim=int(params.get("dim", 1)), scale=scale)
-    elif family == "grid":
-        lo, hi = params["domain"]
-        values = scale * np.asarray(params["values"], dtype=float)
-        q = GridDensity(float(lo), float(hi), values)
-    else:
-        raise InvalidParameterError(f"unknown density family {family!r}")
-    return q
+    if not isinstance(config, dict):
+        raise InvalidParameterError(f"{what} config must be a dict, got {type(config).__name__}")
+    fields = dict(config)
+    name = str(fields.pop(key, None)).lower()
+    if name not in table:
+        raise InvalidParameterError(f"unknown {what} {key} {config.get(key)!r}; expected one of {sorted(table)}")
+    try:
+        return table[name](**fields)
+    except InvalidParameterError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidParameterError(f"bad {what} config: {exc}") from exc
+
+
+def _mixture(components, weights, scale: float = 1.0) -> MixtureDensity:
+    comps = [_read({"family": "gaussian", **c}, "family", {"gaussian": GaussianDensity}, "mixture component") for c in components]
+    return MixtureDensity(comps, weights, scale=scale)
+
+
+def _grid(domain, values, scale: float = 1.0) -> GridDensity:
+    lo, hi = domain
+    return GridDensity(float(lo), float(hi), scale * np.asarray(values, dtype=float))
+
+
+_FAMILIES = {"gaussian": GaussianDensity, "mixture": _mixture, "power_law": PowerLawDensity, "grid": _grid}
 
 
 def density_from_config(config: dict) -> Field:
-    """Build a density from its JSON-style config dict."""
-    if not isinstance(config, dict) or "family" not in config:
-        raise InvalidParameterError("density config must be a dict with a 'family' key")
-    cfg = dict(config)
-    family = cfg.pop("family")
-    scale = cfg.pop("scale", 1.0)
-    try:
-        return make_density(family, scale=scale, **cfg)
-    except KeyError as exc:
-        raise InvalidParameterError(f"density config missing field {exc}") from exc
+    """Build a density from its JSON-style config dict: each field but ``family`` is its constructor's keyword.
+
+    A mixture's ``components`` are gaussian configs (``family`` optional); a
+    grid's ``domain`` is ``[lo, hi]`` and its ``scale`` multiplies ``values``.
+    Nothing is integrated until a caller picks a scheme.
+    """
+    return _read(config, "family", _FAMILIES, "density")
 
 
 # ---------------------------------------------------------------------------
@@ -728,23 +725,17 @@ class GridPositive:
 ConeSpec = ShannonEnvelope | HyvarinenGrowth | QuadraticNorm | GridPositive
 
 
+_CONE_KINDS = {
+    "shannon_envelope": ShannonEnvelope,
+    "hyvarinen_growth": HyvarinenGrowth,
+    "quadratic_norm": QuadraticNorm,
+    "grid_positive": GridPositive,
+}
+
+
 def cone_spec_from_config(config: dict) -> ConeSpec:
-    cfg = dict(config)
-    kind = str(cfg.pop("kind", "")).lower()
-    table = {
-        "shannon_envelope": ShannonEnvelope,
-        "hyvarinen_growth": HyvarinenGrowth,
-        "quadratic_norm": QuadraticNorm,
-        "grid_positive": GridPositive,
-    }
-    if kind not in table:
-        raise InvalidParameterError(f"unknown cone kind {config.get('kind')!r}")
-    try:
-        if cfg.get("probes") is not None:
-            cfg["probes"] = tuple(cfg["probes"])
-        return table[kind](**cfg)
-    except TypeError as exc:
-        raise InvalidParameterError(f"bad cone spec fields: {exc}") from exc
+    """Build a cone spec from its JSON-style config dict: each field but ``kind`` is its dataclass's keyword."""
+    return _read(config, "kind", _CONE_KINDS, "cone")
 
 
 def default_cone_spec(rule: str, dim: int = 1) -> ConeSpec:

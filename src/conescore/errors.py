@@ -55,8 +55,8 @@ class ModeMeasureZeroError(ConescoreError):
     """The mode set has Lebesgue measure zero: no integrable subgradient exists."""
 
 
-class NoWitnessError(ConescoreError):
-    """No sign-change witness found within the truncation length K."""
+class NoWitnessError(InvalidParameterError):
+    """No sign-change witness found within the truncation length K (too short a K is a parameter error)."""
 
 
 class ConeMembershipError(ConescoreError):

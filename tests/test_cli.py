@@ -15,10 +15,10 @@ import numpy as np
 import pytest
 
 import conescore
-from conescore import cli, convexity, pairing, rules
+from conescore import boundary, cli, convexity, pairing, rules
 from conescore.cli import main
 from conescore.densities import density_from_config
-from conescore.errors import ZeroDensityError
+from conescore.errors import ConescoreError, InvalidParameterError, ZeroDensityError
 
 
 @pytest.fixture
@@ -419,6 +419,69 @@ def test_score_config_errors_exit_2(capsys, files, n01, uniform):
     assert run(capsys, ["score", "--rule", "elo", "--forecast", n01, "--obs", obs])[0] == 2
 
 
+_N01 = {"family": "gaussian", "mean": 0.0, "var": 1.0}
+
+
+@pytest.mark.parametrize(
+    "forecast",
+    [
+        {**_N01, "mean": "abc"},
+        {**_N01, "scale": "big"},
+        {**_N01, "extra": 3},
+        {"family": "mixture", "components": [_N01, {"mean": 1.0, "var": 2.0}], "weights": "ab"},
+        {"family": "mixture", "components": [{"mean": 0.0, "var": "x"}], "weights": [1.0]},
+        {"family": "power_law", "beta": "x"},
+        {"family": "power_law", "beta": 3.0, "dim": "two"},
+        {"family": "power_law", "beta": 3.0, "dim": 1.5},
+        {"family": "grid", "domain": [0], "values": [1.0, 2.0, 1.0]},
+        {"family": "grid", "domain": "ab", "values": [1.0, 2.0, 1.0]},
+        {"family": "grid", "domain": [0, 1], "values": "ab"},
+        {"density": _N01, "cone": [1]},
+        {"density": _N01, "cone": []},
+        {"density": _N01, "cone": {"kind": "quadratic_norm", "k1": [1, 2], "k2": 10.0}},
+        {"density": _N01, "cones": {"kind": "quadratic_norm", "k1": 0.1, "k2": 10.0}},
+    ],
+    ids=[
+        "gaussian-mean", "gaussian-scale", "gaussian-extra", "mixture-weights", "mixture-component-var",
+        "power-law-beta", "power-law-dim-word", "power-law-dim-fraction", "grid-domain-short", "grid-domain-string",
+        "grid-values-string", "cone-list", "cone-empty-list", "cone-k1-list", "wrapper-cones",
+    ],
+)
+def test_malformed_forecast_configs_are_configuration_errors(capsys, files, forecast):
+    argv = ["score", "--rule", "quad", "--strict-cone", "--forecast", files("f.json", json.dumps(forecast)), "--obs", files("obs.csv", "0.0\n")]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("configuration error: ") and "Traceback" not in err
+
+
+def test_a_divergent_forecast_is_a_domain_error(capsys, files):
+    q = files("q.json", json.dumps({"family": "power_law", "beta": 1.0001}))
+    code, out, err = run(capsys, ["score", "--rule", "log", "--forecast", q, "--obs", files("obs.csv", "0.0\n")])
+    assert (code, out, err) == (3, "", "domain error: tail-mass bound still 9.724e-01 after 400 dyadic shells\n")
+
+
+def _subclasses(cls) -> list:
+    return [c for sub in cls.__subclasses__() for c in (sub, *_subclasses(sub))]
+
+
+@pytest.mark.parametrize("error", _subclasses(ConescoreError), ids=lambda cls: cls.__name__)
+def test_exit_code_follows_the_error_hierarchy(capsys, monkeypatch, files, n01, error):
+    def refuse(*args, **kwargs):
+        raise error("refused")
+
+    for module, name in ((rules, "score_at"), (convexity, "derivative_against_closed_form"), (convexity, "run_suite"), (boundary, "boundary_blowup_trace")):
+        monkeypatch.setattr(module, name, refuse)
+    obs = files("obs.csv", "0.0\n")
+    expected = (2, "", "configuration error: refused\n") if issubclass(error, InvalidParameterError) else (3, "", "domain error: refused\n")
+    for argv in (
+        ["score", "--rule", "log", "--forecast", n01, "--obs", obs],
+        ["deriv", "--rule", "log", "--q", n01, "--p", n01],
+        ["demo", "--name", "binary-boundary"],
+    ):
+        assert run(capsys, argv) == expected
+    assert run(capsys, ["verify", "--suite", "euler"]) == (2, "", "configuration error: refused\n")
+
+
 def test_score_node_sets_over_budget_exit_3(capsys, monkeypatch, files, n01):
     # refused from the count: a 20,000-node rule's eigenproblem holds 4e8 entries, a radius of 1e308 inf nodes
     def unbuilt(n):
@@ -678,6 +741,12 @@ def test_demo_sup_mode(capsys):
     assert reports["plateau"]["regime"] == "integrable-subgradient"
     assert reports["triangle"]["regime"] == "dirac"
     assert all(r["pass"] for r in reports.values())
+
+
+def test_a_witness_search_too_short_is_a_configuration_error(capsys):
+    code, out, err = run(capsys, ["demo", "--name", "nowhere-dense", "--K", "5", "--alpha", "0.01"])
+    assert (code, out) == (2, "")
+    assert err == "configuration error: no shell with a_k < 0.01*b_k within 5 shells; extend the truncation\n"
 
 
 def test_demo_validation(capsys):

@@ -22,6 +22,7 @@ from conescore.convexity import (
 )
 from conescore.densities import Bump, Combination, GaussianDensity, GridDensity, GridField, MixtureDensity
 from conescore.errors import (
+    DomainError,
     InfeasibleStepError,
     InvalidParameterError,
     OneSidedOnlyError,
@@ -681,6 +682,12 @@ def test_run_suite_reports_are_deterministic():
     a = run_suite("derivatives", rule="quadratic", samples=10, seed=3).to_json()
     b = run_suite("derivatives", rule="quadratic", samples=10, seed=3).to_json()
     assert a == b
+
+
+def test_report_json_refuses_a_non_finite_value_by_its_field():
+    report = certify_sublinearity("quadratic", [GaussianDensity(0.0, 1.0), GaussianDensity(1.0, 2.0)], tol=float("nan"))
+    with pytest.raises(DomainError, match=r"^report value cases\[0\]\.tol is not a finite number$"):
+        report.to_json()
 
 
 def test_failed_case_fails_report():

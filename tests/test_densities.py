@@ -1,6 +1,7 @@
 """Density families, field algebra, cone checks, and homogeneous extensions."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +20,6 @@ from conescore.densities import (
     cone_spec_from_config,
     default_cone_spec,
     density_from_config,
-    make_density,
     require_cone,
 )
 from conescore.errors import (
@@ -400,9 +400,44 @@ def test_density_from_config_rejects_unknown_family():
         density_from_config({"mean": 0.0})
 
 
-def test_make_density_matches_config_layer():
-    q = make_density("gaussian", mean=0.0, var=1.0)
+def test_config_fields_are_constructor_keywords():
+    q = density_from_config({"family": "gaussian", "mean": 0.0, "var": 1.0})
     assert q.value(0.0) == pytest.approx(1.0 / np.sqrt(2.0 * np.pi))
+    c = density_from_config({"family": "Power_Law", "beta": 3.5, "dim": 2.0, "scale": 0.5})
+    assert (c.beta, c.dim, c.scale) == (3.5, 2, 0.5) and type(c.dim) is int  # a float dim is stored as an integer
+    assert c.value([0.1, 0.2]) == PowerLawDensity(3.5, dim=2, scale=0.5).value([0.1, 0.2])
+    g = density_from_config({"family": "grid", "domain": [0, 2], "values": [1, 2, 1], "scale": 3.0})
+    assert (g.lo, g.hi, g.values.tolist()) == (0.0, 2.0, [3.0, 6.0, 3.0])
+    # components are gaussian configs, read by the same reader: their family is optional and their scale is kept
+    m = density_from_config(
+        {
+            "family": "mixture",
+            "components": [{"mean": 0.0, "var": 1.0}, {"family": "gaussian", "mean": 1.0, "var": 2.0, "scale": 4.0}],
+            "weights": [0.5, 2.0],
+            "scale": 1.5,
+        }
+    )
+    expected = MixtureDensity((GaussianDensity(0.0, 1.0), GaussianDensity(1.0, 2.0, scale=4.0)), (0.5, 2.0), scale=1.5)
+    xs = np.linspace(-3.0, 3.0, 7)
+    assert np.array_equal(m.value(xs), expected.value(xs))
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"family": "gaussian", "mean": 0.0, "var": 1.0, "dim": 1}, "unexpected keyword argument 'dim'"),
+        ({"family": "gaussian", "mean": 0.0}, "missing 1 required positional argument: 'var'"),
+        ({"family": "mixture", "components": [{"family": "power_law", "beta": 2.0}], "weights": [1.0]}, "unknown mixture component family 'power_law'"),
+        ({"family": "mixture", "components": [[0.0, 1.0]], "weights": [1.0]}, "is not a mapping"),
+        ({"family": "power_law", "beta": 3.5, "dim": 1.5}, "only dimensions 1 and 2 are supported"),
+        ({"family": "grid", "domain": [1.0, 0.0], "values": [1.0, 1.0]}, "grid domain must satisfy lo < hi"),
+        ([{"family": "gaussian"}], "density config must be a dict, got list"),
+    ],
+    ids=["gaussian-dim", "gaussian-no-var", "mixture-power-law", "mixture-list", "power-law-dim", "grid-reversed", "list"],
+)
+def test_density_from_config_refuses_what_its_constructor_cannot_take(config, message):
+    with pytest.raises(InvalidParameterError, match=re.escape(message)):
+        density_from_config(config)
 
 
 def test_config_mass_is_computed_at_the_callers_scheme():
