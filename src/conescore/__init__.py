@@ -33,7 +33,6 @@ from .densities import (
     ShannonEnvelope,
     cone_check,
     cone_spec_from_config,
-    default_cone_spec,
     density_from_config,
     require_cone,
 )
@@ -43,6 +42,7 @@ from .rules import (
     ModeIndicator,
     ModeSet,
     canonical_rule,
+    default_cone_spec,
     divergence,
     entropy,
     euler_residual,

@@ -33,7 +33,6 @@ from . import boundary, convexity, pairing, rules, sampling
 from .densities import (
     GridDensity,
     cone_spec_from_config,
-    default_cone_spec,
     density_from_config,
     require_cone,
 )
@@ -195,7 +194,7 @@ def _scheme_from_args(args) -> pairing.QuadratureScheme | None:
 def _maybe_require_cone(q, cone, rule, strict: bool, scheme) -> None:
     if not strict:
         return
-    spec = cone if cone is not None else default_cone_spec(rule, q.dim)
+    spec = cone if cone is not None else rules.default_cone_spec(rule, q.dim)
     require_cone(q, spec, scheme=scheme)
 
 
@@ -212,8 +211,9 @@ def cmd_score(args) -> int:
 
     # the logarithmic score of an observation where q vanishes is the "-inf" sentinel;
     # the Hyvarinen score raises there, and the quadratic score is finite everywhere
-    values = np.atleast_1d(rules.score_at(rule, q, obs, scheme, strict=rule != "logarithmic"))
-    outside = (values == -np.inf) & (rule == "logarithmic")
+    sentinel = rule == "logarithmic"
+    values = np.atleast_1d(rules.score_at(rule, q, obs, scheme, strict=not sentinel))
+    outside = (values == -np.inf) & sentinel
     bad = ~(np.isfinite(values) | outside)
     if np.any(bad):
         i = int(np.argmax(bad))

@@ -38,7 +38,6 @@ from .densities import (
     Field,
     GridDensity,
     Sample,
-    default_cone_spec,
     cone_check,
 )
 from .errors import (
@@ -101,11 +100,11 @@ def entropy_line(rule: str, *fields: Field, scheme: pairing.QuadratureScheme | N
     callable would raise, refused as the rules refuse it; ``nodes`` is that
     node set, which holds the samples and the quadrature weights.
     """
-    rule = rules.canonical_rule(rule)
+    rule = rules.RULES[rules.canonical_rule(rule)]
     cover = fields[0] if len(fields) == 1 else Combination((1.0,) * len(fields), fields)
     rules._require_family(rule, cover, "the line's fields")
     ns = pairing.nodes_for(cover, scheme)
-    order = rules._ENTROPY_ORDER[rule]
+    order = rule.entropy_order
 
     def along(q: Field, p: Field, ts: Sequence[float]) -> list:
         qs, ps, ts = ns.sample(q, order)[: order + 1], ns.sample(p, order)[: order + 1], np.asarray(ts, dtype=float)
@@ -275,8 +274,7 @@ def analytic_directional_derivative(
     the supremum rule it is the maximum of p-hat over the modal nodes of
     q (Dirac evaluation when the mode set is a single point).
     """
-    rule = rules.canonical_rule(rule)
-    if rule != "supremum":
+    if rules.RULES[rules.canonical_rule(rule)].score is not None:
         return rules.expected_score(rule, p, q, scheme)
     ns = rules._one_grid(p, q)
     modal = rules._modal(ns.sample(q).value)
@@ -392,7 +390,6 @@ def certify_sublinearity(
     separated in normalised L1 distance. The report carries no seed.
     """
     rule = rules.canonical_rule(rule)
-    strict_rule = rule in rules.SMOOTH_RULES
     cases: list[CaseResult] = []
     for i, f in enumerate(samples):
         line = entropy_line(rule, f, scheme=scheme)
@@ -410,7 +407,7 @@ def certify_sublinearity(
         cases.append(
             CaseResult(f"{rule}/sublinearity/subadd{i:03d}", margin, tol, margin >= -tol)
         )
-        if strict_rule and sampling._l1_on(line.nodes, f, g) >= 0.1:  # the line's set is nodes_for(f + g)
+        if rules.RULES[rule].strict and sampling._l1_on(line.nodes, f, g) >= 0.1:  # the line's set is nodes_for(f + g)
             cases.append(
                 CaseResult(
                     f"{rule}/sublinearity/strict{i:03d}",
@@ -547,12 +544,13 @@ def gateaux_check(
     if not directions:
         raise InvalidParameterError("need at least one direction")
     prefix = case_prefix or "quadratic/gateaux"
-    phi = entropy_line("quadratic", q, *directions, scheme=scheme)
+    quadratic = rules.RULES["quadratic"]
+    phi = entropy_line(quadratic.name, q, *directions, scheme=scheme)
     ns = phi.nodes
-    grad_values = rules._score("quadratic", *rules._scored("quadratic", q, ns))
+    grad_values = rules._scored(quadratic, q, ns)[2]
     symmetric = functools.partial(_symmetric_derivative, phi, q)
 
-    margin = cone_check(q, default_cone_spec("quadratic", q.dim), scheme).worst_residual
+    margin = cone_check(q, quadratic.cone(q.dim), scheme).worst_residual
     cone_note = f"cone margin {margin:.3e}"
 
     cases: list[CaseResult] = []
@@ -577,12 +575,6 @@ def gateaux_check(
 # suite orchestration
 # ---------------------------------------------------------------------------
 
-def _rule_list(rule: str | None) -> tuple[str, ...]:
-    if rule is None:
-        return rules.RULE_IDS
-    return (rules.canonical_rule(rule),)
-
-
 def _grid_samples(n: int, seed: int, plateau_every: int = 4) -> list[GridDensity]:
     rng = np.random.default_rng([seed, 7])
     out = []
@@ -599,12 +591,12 @@ def _euler_cases(rule_ids, samples, seed, scheme, tol) -> list[CaseResult]:
     n_grid = max(1, (2 * samples) // 5)
     mixtures = [sampling.sample_mixture(np.random.default_rng([seed, 1, k])) for k in range(samples)]
     grids = _grid_samples(n_grid, seed)
-    for rule in [r for r in rule_ids if r in rules.SMOOTH_RULES]:
+    # each rule on every family it accepts: mixtures, then grids
+    for rule in [r for r in rule_ids if rules.RULES[r].analytic]:
         for i, q in enumerate(mixtures):
             resid = rules.euler_residual(rule, q, scheme)
             cases.append(CaseResult(f"{rule}/euler/mix{i:03d}", resid, tol, resid <= tol))
-    # grid fields have no Laplacian, so no Hyvarinen score
-    for rule in [r for r in rule_ids if r != "hyvarinen"]:
+    for rule in [r for r in rule_ids if rules.RULES[r].grids]:
         for i, q in enumerate(grids):
             resid = rules.euler_residual(rule, q, scheme)
             cases.append(CaseResult(f"{rule}/euler/grid{i:03d}", resid, tol, resid <= tol))
@@ -629,8 +621,8 @@ def _propriety_cases(rule_ids, samples, seed, scheme, tol) -> list[CaseResult]:
     separated = functools.cache(lambda i: sampling.normalized_l1_distance(*mix_pairs[i], scheme) >= 0.1)
     grid_pairs = list(zip(_grid_samples(samples, seed + 1), _grid_samples(samples, seed + 2)))
     for rule in rule_ids:
-        pair_set = mix_pairs if rule in rules.SMOOTH_RULES else grid_pairs
-        strict_rule = rule != "supremum"
+        record = rules.RULES[rule]
+        pair_set = mix_pairs if record.analytic else grid_pairs
         for i, (p, q) in enumerate(pair_set):
             diagnostics: dict = {}
             div = rules.divergence(rule, p, q, scheme, diagnostics)
@@ -643,7 +635,7 @@ def _propriety_cases(rule_ids, samples, seed, scheme, tol) -> list[CaseResult]:
                     note=diagnostics.get("note"),
                 )
             )
-            if strict_rule and separated(i):
+            if record.strict and separated(i):
                 cases.append(
                     CaseResult(f"{rule}/propriety/strict{i:03d}", div, 1e-6, div >= 1e-6)
                 )
@@ -652,16 +644,16 @@ def _propriety_cases(rule_ids, samples, seed, scheme, tol) -> list[CaseResult]:
             cases.append(
                 CaseResult(f"{rule}/propriety/self{i:03d}", abs(self_div), tol, abs(self_div) <= tol)
             )
-        if rule == "supremum":
+        if not record.strict:
             p, q = _not_strict_witness(seed)
             div = rules.divergence(rule, p, q, scheme)
-            separated = sampling.normalized_l1_distance(p, q, scheme) >= 0.1
+            apart = sampling.normalized_l1_distance(p, q, scheme) >= 0.1
             cases.append(
                 CaseResult(
                     f"{rule}/propriety/not-strict-witness",
                     div,
                     1e-12,
-                    separated and abs(div) <= 1e-12,
+                    apart and abs(div) <= 1e-12,
                     note="distinct densities sharing a mode plateau: proper but not strict",
                 )
             )
@@ -689,7 +681,7 @@ def _homogeneity_cases(rule_ids, samples, seed, scheme, tol) -> list[CaseResult]
     # plateau grids only: the supremum score is undefined in the Dirac regime
     plateaus = _grid_samples(n, seed + 5, plateau_every=1)
     for rule in rule_ids:
-        fields = mixtures if rule in rules.SMOOTH_RULES else plateaus
+        fields = mixtures if rules.RULES[rule].analytic else plateaus
         report = certify_sublinearity(rule, fields, tol=tol, scheme=scheme)
         cases.extend(report.cases)
         for i, q in enumerate(fields[:4]):
@@ -728,15 +720,14 @@ def _derivative_cases(rule_ids, samples, seed, scheme, tol_fd) -> list[CaseResul
     cases = []
     n_bases = max(1, samples // 10)
     for rule in rule_ids:
-        if rule in rules.SMOOTH_RULES:
+        if rules.RULES[rule].analytic:
             bases = [sampling.sample_mixture(np.random.default_rng([seed, 23, k])) for k in range(n_bases)]
+            directions = functools.partial(_smooth_direction_sets, scheme=scheme)
         else:
             bases = _grid_samples(n_bases, seed + 13, plateau_every=2)
+            directions = _grid_direction_sets
         for k, q in enumerate(bases):
-            if rule in rules.SMOOTH_RULES:
-                one_sided, two_sided = _smooth_direction_sets(q, seed + k, scheme)
-            else:
-                one_sided, two_sided = _grid_direction_sets(q, seed + k)
+            one_sided, two_sided = directions(q, seed + k)
             report = certify_directional_derivatives(
                 rule,
                 q,
@@ -885,7 +876,7 @@ def run_suite(
     if tol is not None and not 0 < tol < np.inf:
         raise InvalidParameterError(f"tol must be {'positive' if tol <= 0 else 'finite'}, got {tol!r}")
     sampling._checked_seed(seed)
-    rule_ids = _rule_list(rule)
+    rule_ids = rules.RULE_IDS if rule is None else (rules.canonical_rule(rule),)
     if suite == "gateaux" and "quadratic" not in rule_ids:
         raise InvalidParameterError("the gateaux suite applies to the quadratic rule")
     names = [name for name in _SUITE_CASES if suite in (name, "all")]

@@ -48,7 +48,6 @@ __all__ = [
     "ConeReport",
     "density_from_config",
     "cone_spec_from_config",
-    "default_cone_spec",
     "cone_check",
     "require_cone",
     "probe_points",
@@ -442,7 +441,10 @@ class PowerLawDensity(Field):
             g = values[:, None] * (-b * pts / (1.0 + r2)[:, None])
             out.append(g[:, 0] if d == 1 else g)
         if order >= 2:
-            out.append(values * ((b**2 + 2.0 * b) * r2 / (1.0 + r2) ** 2 - b * d / (1.0 + r2)))
+            try:
+                out.append(values * ((b**2 + 2.0 * b) * r2 / (1.0 + r2) ** 2 - b * d / (1.0 + r2)))
+            except OverflowError:  # beta^2 past the float range
+                raise DomainError(f"the power law's Laplacian overflows at beta = {b!r}") from None
         return Sample(*(_squeeze(a, scalar) for a in out))
 
     def core_radius(self) -> float:
@@ -583,12 +585,16 @@ class Bump(Field):
 # construction from configs
 # ---------------------------------------------------------------------------
 
+def _holds_bool(value) -> bool:
+    return isinstance(value, bool) or isinstance(value, list) and any(map(_holds_bool, value))
+
+
 def _read(config, key: str, table: dict, what: str):
     """The constructor that ``config[key]`` names in ``table``, called with the config's other fields as keywords.
 
-    A config that is not a dict, names no constructor, or has a field its
-    constructor cannot take (a ``KeyError``, ``TypeError`` or ``ValueError``)
-    is an :class:`InvalidParameterError`; a constructor's own keeps its message.
+    A config that is not a dict, names no constructor, holds a boolean, or has
+    a field its constructor cannot take (a ``KeyError``, ``TypeError``, ``ValueError``
+    or ``OverflowError``) is an :class:`InvalidParameterError`; a constructor's own keeps its message.
     """
     if not isinstance(config, dict):
         raise InvalidParameterError(f"{what} config must be a dict, got {type(config).__name__}")
@@ -596,11 +602,13 @@ def _read(config, key: str, table: dict, what: str):
     name = str(fields.pop(key, None)).lower()
     if name not in table:
         raise InvalidParameterError(f"unknown {what} {key} {config.get(key)!r}; expected one of {sorted(table)}")
+    if booleans := [field for field, value in fields.items() if _holds_bool(value)]:
+        raise InvalidParameterError(f"bad {what} config: {booleans[0]!r} holds a boolean where a number is expected")
     try:
         return table[name](**fields)
     except InvalidParameterError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidParameterError(f"bad {what} config: {exc}") from exc
 
 
@@ -736,26 +744,6 @@ _CONE_KINDS = {
 def cone_spec_from_config(config: dict) -> ConeSpec:
     """Build a cone spec from its JSON-style config dict: each field but ``kind`` is its dataclass's keyword."""
     return _read(config, "kind", _CONE_KINDS, "cone")
-
-
-def default_cone_spec(rule: str, dim: int = 1) -> ConeSpec:
-    """Report-only default cone for each rule.
-
-    The constants are generous enough to contain the seeded sampling
-    families where the rule's cone admits them at all; Gaussians are *not*
-    inside any power-law lower envelope, and the default Shannon cone
-    reports that honestly.
-    """
-    rule = str(rule)
-    if rule == "logarithmic":
-        return ShannonEnvelope(a=dim + 1, c1=1e-8, c2=1e3, dim=dim)
-    if rule == "hyvarinen":
-        return HyvarinenGrowth(c1=200.0, k=2.0, c2=1e5, dim=dim)
-    if rule == "quadratic":
-        return QuadraticNorm(k1=0.1, k2=10.0, eps=0.05, dim=dim)
-    if rule == "supremum":
-        return GridPositive(dim=dim)
-    raise InvalidParameterError(f"unknown rule {rule!r}")
 
 
 @dataclass(frozen=True)

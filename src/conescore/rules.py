@@ -1,4 +1,4 @@
-"""The four scoring rules: entropies, scores, divergences, mode machinery.
+"""The four scoring rules: one ``Rule`` record each, and the supremum's mode machinery.
 
 Every rule is exposed in denormalised form: the entropy is 1-homogeneous,
 the score is 0-homogeneous, and the divergence of the normalised pair is
@@ -6,34 +6,31 @@ the score is 0-homogeneous, and the divergence of the normalised pair is
     D(p, q) = entropy(p-hat) - expected_score(p-hat, q-hat),
 
 which is nonnegative exactly when the score is a subgradient of the
-entropy. Each call builds one node set, samples each field there once to
-the order ``_ENTROPY_ORDER`` or ``_SCORE_ORDER`` names, refuses it by the
-one policy ``_refusals``, and evaluates one kernel: ``_entropy`` (per row
-too, for the entropy lines of :mod:`conescore.convexity`), ``_score`` on
-the inputs ``_scored`` gathers, and the pairing ``_pair`` write each
-formula once, on one discrete measure. The logarithmic and quadratic
-divergences reduce to discrete Jensen (or a discrete squared distance) and
-are nonnegative to floating point, while the Hyvarinen case leans on the
-integration-by-parts identity and the tail design of :mod:`conescore.pairing`.
-
-The supremum rule lives on grid densities: ``_require_family`` refuses any
-other field for it where it refuses grids for the Hyvarinen rule. ``_mode``
-reads q once, on its grid node set, into the mode set; ``_sup_pair`` pairs
-grid values with the subgradient, cell-restricted on a plateau (exact for
-piecewise-linear densities against the piecewise-constant 1_M / mu(M), so
-the plateau identities hold to 1e-12, not to grid resolution) and the value
-at the argmax in the Dirac regime, which has no integrable subgradient.
+entropy. Each call reads the rule's record in ``RULES``: it builds one node
+set, samples each field there once to the record's orders, refuses it by
+the one policy ``_refusals`` reads from the record, and evaluates the
+record's kernels on those arrays, each formula written once. The
+logarithmic and quadratic divergences are nonnegative to floating point;
+the Hyvarinen case leans on integration by parts and the tail design of
+:mod:`conescore.pairing`. The supremum record has no score kernel, so its
+calls reach the mode machinery: ``_mode`` reads q once, on its grid node
+set, into the mode set; ``_sup_pair`` pairs grid values with the
+subgradient, cell-restricted on a plateau (exact for piecewise-linear
+densities, so the plateau identities hold to 1e-12) and the argmax's value
+in the Dirac regime, which has no integrable subgradient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import pairing
-from .densities import Field, GridInfo, Sample
+from .densities import ConeSpec, Field, GridInfo, GridPositive, HyvarinenGrowth, QuadraticNorm, Sample, ShannonEnvelope
 from .errors import (
+    DomainError,
     InvalidParameterError,
     ModeMeasureZeroError,
     UnsupportedFamilyError,
@@ -42,9 +39,11 @@ from .errors import (
 )
 
 __all__ = [
+    "Rule",
+    "RULES",
     "RULE_IDS",
-    "SMOOTH_RULES",
     "canonical_rule",
+    "default_cone_spec",
     "DELTA_MODE",
     "LOG_CLAMP",
     "entropy",
@@ -60,22 +59,6 @@ __all__ = [
     "euler_residual",
 ]
 
-# the rules certified on analytic densities; the supremum rule needs a grid
-SMOOTH_RULES = ("logarithmic", "hyvarinen", "quadratic")
-RULE_IDS = SMOOTH_RULES + ("supremum",)
-
-_ALIASES = {
-    "log": "logarithmic",
-    "logarithmic": "logarithmic",
-    "hyv": "hyvarinen",
-    "hyvarinen": "hyvarinen",
-    "quad": "quadratic",
-    "quadratic": "quadratic",
-    "brier": "quadratic",
-    "sup": "supremum",
-    "supremum": "supremum",
-}
-
 # mode detection tolerance: values within this relative margin of the grid
 # maximum count as modal
 DELTA_MODE = 1e-9
@@ -85,56 +68,9 @@ DELTA_MODE = 1e-9
 LOG_CLAMP = 1e-300
 
 
-def canonical_rule(name: str) -> str:
-    key = str(name).strip().lower()
-    if key not in _ALIASES:
-        raise InvalidParameterError(f"unknown rule {name!r}; expected one of {sorted(set(_ALIASES))}")
-    return _ALIASES[key]
-
-
-def _require_family(rule: str | None, f: Field, label: str) -> None:
-    """Refuse what a rule cannot read: grids for the Hyvarinen rule's exact derivatives, non-grids for the supremum's mode cells."""
-    if rule == "hyvarinen" and f.grid is not None:
-        raise UnsupportedFamilyError(f"the hyvarinen rule needs exact derivatives of {label}; grid families do not provide them")
-    if rule == "supremum" and f.grid is None:
-        raise UnsupportedFamilyError(f"the supremum rule needs {label} on a grid; only grid families provide mode cells")
-
-
-def _refusals(rule: str | None, values: np.ndarray, mass: np.ndarray, label: str = "the field") -> list:
-    """Per row of sampled ``values`` and its ``mass``: the domain error refusing it, or None.
-
-    The log and Hyvarinen rules refuse negative values. All rules but the supremum, and None
-    (a field that is only normalised), refuse a nonpositive or non-finite mass.
-    """
-    negative = np.any(values < 0, axis=-1) if rule in ("logarithmic", "hyvarinen") else np.zeros(mass.shape, bool)
-    massless = ~(np.isfinite(mass) & (mass > 0)) & (rule != "supremum")
-    return [
-        ZeroDensityError(f"{label} leaves the {rule} rule's nonnegative cone on the node set") if neg
-        else ZeroMassError(f"{label} has nonpositive mass {m!r}") if empty
-        else None
-        for neg, empty, m in zip(negative.tolist(), massless.tolist(), mass.tolist())
-    ]
-
-
-def _sampled(rule: str | None, f: Field, ns: pairing.NodeSet, order: int, label: str) -> tuple[Sample, float]:
-    """``f``'s sample and mass on the node set, refused as ``_require_family`` and ``_refusals`` say."""
-    _require_family(rule, f, label)
-    s = ns.sample(f, order)
-    mass = float((ns.weights * s.value).sum())
-    (refusal,) = _refusals(rule, s.value[None], np.array([mass]), label)
-    if refusal is not None:
-        raise refusal
-    return s, mass
-
-
 # ---------------------------------------------------------------------------
-# the rule core: entropy, score and pairing on sampled arrays
+# the rule core: entropy, score and divergence kernels on sampled arrays
 # ---------------------------------------------------------------------------
-
-# derivatives of q that each rule's entropy, and each smooth rule's score, reads
-_ENTROPY_ORDER = {"logarithmic": 0, "hyvarinen": 1, "quadratic": 0, "supremum": 0}
-_SCORE_ORDER = {"logarithmic": 0, "hyvarinen": 2, "quadratic": 0}
-
 
 def _norm_sq(s: Sample) -> np.ndarray:
     """|gradient|^2 of a sample (or of rows of samples) in 1-D or 2-D."""
@@ -152,47 +88,7 @@ def _log_gradient(s: Sample, floor: float = LOG_CLAMP) -> Sample:
     return Sample(s.value, g / (qf if np.ndim(g) == np.ndim(qf) else np.expand_dims(qf, -1)))
 
 
-def _scored(rule: str, q: Field, ns: pairing.NodeSet) -> tuple[Sample, float, float | None]:
-    """What ``_score`` reads of q on the node set: its sample, its mass, and q.q for the quadratic rule (else None)."""
-    s, mass = _sampled(rule, q, ns, _SCORE_ORDER[rule], "q")
-    return s, mass, float(np.sum(ns.weights * s.value**2)) if rule == "quadratic" else None
-
-
-def _entropy(rule: str, w, s: Sample, mass):
-    """Entropy of sampled q; rows of samples give one entropy per row.
-
-    ``mass`` has the shape of the result: a float, or one mass per row.
-    """
-    qv = s.value
-    if rule == "supremum":
-        return np.max(qv, axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if rule == "logarithmic":
-            terms = np.where(qv > 0, qv * _score(rule, s, np.expand_dims(mass, -1)), 0.0)
-        elif rule == "hyvarinen":
-            terms = np.where(qv > 0, _norm_sq(s) / np.maximum(qv, LOG_CLAMP), 0.0)
-        else:
-            return (w * qv**2).sum(axis=-1) / mass
-    return (w * terms).sum(axis=-1)
-
-
-def _score(rule: str, s: Sample, mass, q2: float | None = None, floor: float = LOG_CLAMP):
-    """Score of q at its sampled points; ``mass`` (and ``q2`` = q.q) come from q's node set.
-
-    Inside logarithms and ratios q is floored at ``floor``; the Hyvarinen
-    score is +inf where q vanishes.
-    """
-    qv = s.value
-    if rule == "quadratic":
-        return 2.0 * qv / mass - q2 / mass**2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        qf = np.maximum(qv, floor)
-        if rule == "logarithmic":
-            return np.log(qf / mass)
-        return np.where(qv > 0, -2.0 * s.laplacian / qf + _norm_sq(_log_gradient(s, floor)), np.inf)
-
-
-def _pair(rule: str, w, pv, scores, support: float) -> float:
+def _pair(name: str, w, pv, scores, support: float) -> float:
     """Raw pairing: the weighted sum of p S over the nodes.
 
     A non-finite score raises where |p| exceeds ``support`` and counts as
@@ -200,25 +96,159 @@ def _pair(rule: str, w, pv, scores, support: float) -> float:
     """
     live = np.isfinite(scores)
     if np.any(~live & (np.abs(pv) > support)):
-        raise ZeroDensityError(f"{rule} score blows up where p has support")
+        raise ZeroDensityError(f"{name} score blows up where p has support")
     return float(np.sum(w * np.where(live & (pv != 0), pv * np.where(live, scores, 0.0), 0.0)))
 
 
-def _entropy_of(rule: str, ns: pairing.NodeSet, f: Field) -> float:
+def _quiet(kernel: Callable) -> Callable:
+    """``kernel`` without NumPy's divide and invalid warnings: the kernels mask the nodes where q vanishes."""
+    return np.errstate(divide="ignore", invalid="ignore")(kernel)
+
+
+# Entropy kernels (w, s, m) give the entropy of sampled q of mass m, one per row for rows of samples.
+# Score kernels (s, mass, w, ref, floor) give q's score at its sample ``s``, where ``ref`` is q's
+# sample on the node set of weights ``w``, with q floored at ``floor`` in logarithms and ratios.
+# Divergence kernels (w, ps, mp, qs, mq, diagnostics) give D(p, q) from both samples and masses.
+
+_log_ratio = _quiet(lambda qv, mass, floor=LOG_CLAMP: np.log(np.maximum(qv, floor) / mass))
+
+
+@_quiet
+def _log_divergence(w, ps: Sample, mp: float, qs: Sample, mq: float, diagnostics: dict | None) -> float:
+    ph, qh = ps.value / mp, qs.value / mq
+    if diagnostics is not None and bool(np.any((qh < LOG_CLAMP) & (ph > pairing.SUPPORT_THRESHOLD))):
+        diagnostics["log_clamped"] = True
+    return _pair("logarithmic", w, ph, _log_ratio(ph, 1.0) - _log_ratio(qh, 1.0), pairing.SUPPORT_THRESHOLD)
+
+
+@_quiet
+def _hyvarinen_score(s: Sample, mass, w, ref, floor: float):
+    return np.where(s.value > 0, -2.0 * s.laplacian / np.maximum(s.value, floor) + _norm_sq(_log_gradient(s, floor)), np.inf)
+
+
+def _quadratic_score(s: Sample, mass, w, ref, floor: float):
+    with np.errstate(over="ignore"):
+        q2, m2 = np.sum(w * ref.value**2), np.float64(mass) ** 2
+    if not (np.isfinite(q2) and np.isfinite(m2)):
+        raise DomainError(f"the quadratic score of q overflows: q.q = {float(q2)!r}, (q.1)^2 = {float(m2)!r}")
+    return 2.0 * s.value / mass - q2 / m2
+
+
+@dataclass(frozen=True)
+class Rule:
+    """One scoring rule: everything the package decides by rule. One without a score kernel reaches the mode machinery."""
+
+    name: str
+    aliases: tuple[str, ...]  # what canonical_rule accepts for it, its name among them
+    entropy_order: int  # the derivatives of q its entropy reads
+    score_order: int  # the derivatives of q its score reads
+    grids: bool  # it accepts grid fields
+    analytic: bool  # it accepts non-grid fields
+    positive: bool  # it refuses negative node values, and a strict score_at points where q vanishes
+    massless: bool  # it refuses a nonpositive or non-finite mass
+    strict: bool  # its divergence vanishes only at positively collinear pairs
+    log_clamp: bool  # its expected score flags q clamped at LOG_CLAMP where p has support
+    entropy: Callable
+    score: Callable | None
+    divergence: Callable | None  # None: entropy(p-hat) - p-hat . S(q-hat)
+    cone: Callable[[int], ConeSpec]  # its report-only default cone in a dimension
+
+
+# the default cones contain the seeded sampling families where the rule's cone admits them at all;
+# Gaussians are *not* inside any power-law lower envelope, and the Shannon cone says so
+RULES = {
+    r.name: r
+    for r in (
+        Rule("logarithmic", ("log", "logarithmic"), 0, 0, grids=True, analytic=True, positive=True, massless=True, strict=True,
+             log_clamp=True, cone=lambda dim: ShannonEnvelope(a=dim + 1, c1=1e-8, c2=1e3, dim=dim), divergence=_log_divergence,
+             entropy=_quiet(lambda w, s, m: (w * np.where(s.value > 0, s.value * _log_ratio(s.value, np.expand_dims(m, -1)), 0.0)).sum(axis=-1)),
+             score=lambda s, mass, w, ref, floor: _log_ratio(s.value, mass, floor)),
+        Rule("hyvarinen", ("hyv", "hyvarinen"), 1, 2, grids=False, analytic=True, positive=True, massless=True, strict=True,
+             log_clamp=False, cone=lambda dim: HyvarinenGrowth(c1=200.0, k=2.0, c2=1e5, dim=dim), divergence=None,
+             entropy=_quiet(lambda w, s, m: (w * np.where(s.value > 0, _norm_sq(s) / np.maximum(s.value, LOG_CLAMP), 0.0)).sum(axis=-1)),
+             score=_hyvarinen_score),
+        Rule("quadratic", ("quad", "quadratic", "brier"), 0, 0, grids=True, analytic=True, positive=False, massless=True, strict=True,
+             log_clamp=False, cone=lambda dim: QuadraticNorm(k1=0.1, k2=10.0, eps=0.05, dim=dim),
+             divergence=lambda w, ps, mp, qs, mq, diagnostics: float(np.sum(w * (ps.value / mp - qs.value / mq) ** 2)),
+             entropy=_quiet(lambda w, s, m: (w * s.value**2).sum(axis=-1) / m), score=_quadratic_score),
+        Rule("supremum", ("sup", "supremum"), 0, 0, grids=True, analytic=False, positive=False, massless=False, strict=False,
+             log_clamp=False, cone=lambda dim: GridPositive(dim=dim), divergence=None,
+             entropy=lambda w, s, m: np.max(s.value, axis=-1), score=None),
+    )
+}
+RULE_IDS = tuple(RULES)
+
+
+def canonical_rule(name: str) -> str:
+    key = str(name).strip().lower()
+    for rule in RULES.values():
+        if key in rule.aliases:
+            return rule.name
+    raise InvalidParameterError(f"unknown rule {name!r}; expected one of {sorted(a for r in RULES.values() for a in r.aliases)}")
+
+
+def default_cone_spec(rule: str, dim: int = 1) -> ConeSpec:
+    """The rule's report-only default cone in dimension ``dim``."""
+    return RULES[canonical_rule(rule)].cone(dim)
+
+
+def _require_family(rule: Rule | None, f: Field, label: str) -> None:
+    """Refuse what a rule cannot read: grids where it reads exact derivatives, non-grids where it reads mode cells."""
+    if rule is not None and f.grid is not None and not rule.grids:
+        raise UnsupportedFamilyError(f"the {rule.name} rule needs exact derivatives of {label}; grid families do not provide them")
+    if rule is not None and f.grid is None and not rule.analytic:
+        raise UnsupportedFamilyError(f"the {rule.name} rule needs {label} on a grid; only grid families provide mode cells")
+
+
+def _refusals(rule: Rule | None, values: np.ndarray, mass: np.ndarray, label: str = "the field") -> list:
+    """Per row of sampled ``values`` and its ``mass``: the domain error refusing it, or None.
+
+    The record says whether negative values and a nonpositive or non-finite mass are
+    refused; None (a field that is only normalised) refuses the mass alone.
+    """
+    negative = np.any(values < 0, axis=-1) if rule is not None and rule.positive else np.zeros(mass.shape, bool)
+    massless = ~(np.isfinite(mass) & (mass > 0)) & (rule is None or rule.massless)
+    return [
+        ZeroDensityError(f"{label} leaves the {rule.name} rule's nonnegative cone on the node set") if neg
+        else ZeroMassError(f"{label} has {'nonpositive' if np.isfinite(m) else 'non-finite'} mass {m!r}") if empty
+        else None
+        for neg, empty, m in zip(negative.tolist(), massless.tolist(), mass.tolist())
+    ]
+
+
+def _sampled(rule: Rule | None, f: Field, ns: pairing.NodeSet, order: int, label: str) -> tuple[Sample, float]:
+    """``f``'s sample and mass on the node set, refused as ``_require_family`` and ``_refusals`` say."""
+    _require_family(rule, f, label)
+    s = ns.sample(f, order)
+    with np.errstate(over="ignore", invalid="ignore"):  # a mass past the float range is refused as non-finite
+        mass = float((ns.weights * s.value).sum())
+    (refusal,) = _refusals(rule, s.value[None], np.array([mass]), label)
+    if refusal is not None:
+        raise refusal
+    return s, mass
+
+
+def _scored(rule: Rule, q: Field, ns: pairing.NodeSet) -> tuple[Sample, float, np.ndarray]:
+    """q's sample and mass on the node set, and its scores there."""
+    s, mass = _sampled(rule, q, ns, rule.score_order, "q")
+    return s, mass, rule.score(s, mass, ns.weights, s, LOG_CLAMP)
+
+
+def _entropy_of(rule: Rule, ns: pairing.NodeSet, f: Field) -> float:
     """Entropy of one field on the node set, or the domain error refusing it."""
-    s, mass = _sampled(rule, f, ns, _ENTROPY_ORDER[rule], "the field")
-    return float(_entropy(rule, ns.weights, s, mass))
+    s, mass = _sampled(rule, f, ns, rule.entropy_order, "the field")
+    return float(rule.entropy(ns.weights, s, mass))
 
 
-def _row_entropies(rule: str, w, s: Sample) -> list:
+def _row_entropies(rule: Rule, w, s: Sample) -> list:
     """Entropy of each row of a sample's rows: a float, or the domain error refusing the row."""
     mass = (w * s.value).sum(axis=-1)
-    values = _entropy(rule, w, s, mass).tolist()
+    values = rule.entropy(w, s, mass).tolist()
     return [v if refusal is None else refusal for v, refusal in zip(values, _refusals(rule, s.value, mass))]
 
 
 # ---------------------------------------------------------------------------
-# entropies
+# entropies and scores
 # ---------------------------------------------------------------------------
 
 def entropy(rule: str, q: Field, scheme: pairing.QuadratureScheme | None = None) -> float:
@@ -228,12 +258,8 @@ def entropy(rule: str, q: Field, scheme: pairing.QuadratureScheme | None = None)
     |grad q|^2/q; quadratic: (q.1)^{-1} integral of q^2; supremum: max q
     on the grid.
     """
-    return _entropy_of(canonical_rule(rule), pairing.nodes_for(q, scheme), q)
+    return _entropy_of(RULES[canonical_rule(rule)], pairing.nodes_for(q, scheme), q)
 
-
-# ---------------------------------------------------------------------------
-# scores
-# ---------------------------------------------------------------------------
 
 def score_at(rule: str, q: Field, x, scheme: pairing.QuadratureScheme | None = None, strict: bool = True):
     """Score function of ``q`` evaluated at point(s) ``x``; 0-homogeneous.
@@ -244,14 +270,15 @@ def score_at(rule: str, q: Field, x, scheme: pairing.QuadratureScheme | None = N
     subgradient value at ``x`` and raises :class:`ModeMeasureZeroError`
     in the Dirac regime.
     """
-    rule = canonical_rule(rule)
-    if rule == "supremum":
+    rule = RULES[canonical_rule(rule)]
+    if rule.score is None:
         return sup_subgradient(q).sample(x).value
-    s = q.sample(x, _SCORE_ORDER[rule])  # order 2: grid fields refuse it
-    if strict and rule != "quadratic" and np.any(np.asarray(s.value) <= 0):
-        raise ZeroDensityError(f"{rule} score undefined where q vanishes")
-    _, mass, q2 = _scored(rule, q, pairing.nodes_for(q, scheme))
-    return np.asarray(_score(rule, s, mass, q2, floor=0.0), dtype=float)[()]
+    s = q.sample(x, rule.score_order)  # order 2: grid fields refuse it
+    if strict and rule.positive and np.any(np.asarray(s.value) <= 0):
+        raise ZeroDensityError(f"{rule.name} score undefined where q vanishes")
+    ns = pairing.nodes_for(q, scheme)
+    ref, mass = _sampled(rule, q, ns, rule.score_order, "q")
+    return np.asarray(rule.score(s, mass, ns.weights, ref, 0.0), dtype=float)[()]
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +315,7 @@ def mode_set(q: Field) -> ModeSet:
 
 def _mode(q: Field) -> tuple[ModeSet, np.ndarray]:
     """mode_set, and q's values on its grid node set, from which it was read: the one read of q."""
-    _require_family("supremum", q, "q")
+    _require_family(RULES["supremum"], q, "q")
     grid, ns = q.grid, pairing.nodes_for(q)
     pts, vals = ns.points, ns.sample(q).value
     vmax = float(np.max(vals))
@@ -367,7 +394,7 @@ def mode_pairing(p: Field, mode: ModeSet) -> float:
 def _one_grid(p: Field, q) -> pairing.NodeSet:
     """p's grid node set, which q (a field or a mode set) must share; a field off a grid is refused as the supremum rule refuses it."""
     for f, label in ((q, "q"), (p, "p")):
-        _require_family("supremum", f, label)
+        _require_family(RULES["supremum"], f, label)
     if p.grid != q.grid:
         raise InvalidParameterError("p and q live on different grids")
     return pairing.nodes_for(p)
@@ -409,16 +436,16 @@ def expected_score(
     (a dict, mutated in place) collects the log-clamp flag and the Dirac
     flag of the supremum rule.
     """
-    rule = canonical_rule(rule)
-    if rule == "supremum":
+    rule = RULES[canonical_rule(rule)]
+    if rule.score is None:
         return _sup_expected(p, q, diagnostics)[1]
     ns = pairing.nodes_for(p + q, scheme)
     ps, mp = _sampled(None, p, ns, 0, "p")  # a direction: p may be signed
-    qs, mq, q2 = _scored(rule, q, ns)
+    qs, _, scores = _scored(rule, q, ns)
     pv, support = ps.value, pairing.SUPPORT_THRESHOLD * mp
-    if rule == "logarithmic" and diagnostics is not None and bool(np.any((qs.value < LOG_CLAMP) & (np.abs(pv) > support))):
+    if rule.log_clamp and diagnostics is not None and bool(np.any((qs.value < LOG_CLAMP) & (np.abs(pv) > support))):
         diagnostics["log_clamped"] = True
-    return _pair(rule, ns.weights, pv, _score(rule, qs, mq, q2), support) / mp
+    return _pair(rule.name, ns.weights, pv, scores, support) / mp
 
 
 def divergence(
@@ -435,24 +462,18 @@ def divergence(
     quadratic cases pair p-hat with the score difference S(p-hat) - S(q-hat)
     and sum (p-hat - q-hat)^2, which are nonnegative to floating point.
     """
-    rule = canonical_rule(rule)
-    if rule == "supremum":
+    rule = RULES[canonical_rule(rule)]
+    if rule.score is None:
         top, paired = _sup_expected(p, q, diagnostics)
         return top - paired
     ns = pairing.nodes_for(p + q, scheme)
     w = ns.weights
-    ps, mp = _sampled(rule, p, ns, _ENTROPY_ORDER[rule], "p")
-    qs, mq = _sampled(rule, q, ns, _SCORE_ORDER[rule], "q")
-    if rule == "hyvarinen":
-        cross = _pair(rule, w, ps.value, _score(rule, qs, mq), pairing.SUPPORT_THRESHOLD * mp)
-        return float(_entropy(rule, w, ps, mp)) / mp - cross / mp
-    ph, qh = ps.value / mp, qs.value / mq
-    if rule == "quadratic":
-        return float(np.sum(w * (ph - qh) ** 2))
-    if diagnostics is not None and bool(np.any((qh < LOG_CLAMP) & (ph > pairing.SUPPORT_THRESHOLD))):
-        diagnostics["log_clamped"] = True
-    log_ratio = _score(rule, Sample(ph), 1.0) - _score(rule, Sample(qh), 1.0)
-    return _pair(rule, w, ph, log_ratio, pairing.SUPPORT_THRESHOLD)
+    ps, mp = _sampled(rule, p, ns, rule.entropy_order, "p")
+    qs, mq = _sampled(rule, q, ns, rule.score_order, "q")
+    if rule.divergence is not None:
+        return rule.divergence(w, ps, mp, qs, mq, diagnostics)
+    cross = _pair(rule.name, w, ps.value, rule.score(qs, mq, w, qs, LOG_CLAMP), pairing.SUPPORT_THRESHOLD * mp)
+    return float(rule.entropy(w, ps, mp)) / mp - cross / mp
 
 
 def hyvarinen_divergence_direct(
@@ -466,8 +487,8 @@ def hyvarinen_divergence_direct(
     the agreement is the integration-by-parts identity.
     """
     ns = pairing.nodes_for(p + q, scheme)
-    ps, mp = _sampled("hyvarinen", p, ns, 1, "p")
-    qs, _ = _sampled("hyvarinen", q, ns, 1, "q")
+    ps, mp = _sampled(RULES["hyvarinen"], p, ns, 1, "p")
+    qs, _ = _sampled(RULES["hyvarinen"], q, ns, 1, "q")
     live = (ps.value > 0) & (qs.value > 0)
     with np.errstate(divide="ignore", invalid="ignore"):
         diff2 = _norm_sq(Sample(ps.value, _log_gradient(ps).gradient - _log_gradient(qs).gradient))
@@ -488,14 +509,13 @@ def euler_residual(rule: str, q: Field, scheme: pairing.QuadratureScheme | None 
     one (plateau regime) or the Dirac evaluation q(x0) (measure-zero
     regime); both reproduce max q.
     """
-    rule = canonical_rule(rule)
-    if rule == "supremum":
+    rule = RULES[canonical_rule(rule)]
+    if rule.score is None:
         mode, vals = _mode(q)  # its height is the entropy max q
         return abs(_sup_pair(vals, mode) - mode.height) / abs(mode.height)
     ns = pairing.nodes_for(q, scheme)
-    s, mass, q2 = _scored(rule, q, ns)
-    phi = float(_entropy(rule, ns.weights, s, mass))
-    scores = _score(rule, s, mass, q2)
-    paired = _pair(rule, ns.weights, s.value, scores, pairing.SUPPORT_THRESHOLD * mass)
+    s, mass, scores = _scored(rule, q, ns)
+    phi = float(rule.entropy(ns.weights, s, mass))
+    paired = _pair(rule.name, ns.weights, s.value, scores, pairing.SUPPORT_THRESHOLD * mass)
     denom = abs(phi) if abs(phi) > 0 else 1.0
     return abs(paired - phi) / denom

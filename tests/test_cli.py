@@ -440,11 +440,20 @@ _N01 = {"family": "gaussian", "mean": 0.0, "var": 1.0}
         {"density": _N01, "cone": []},
         {"density": _N01, "cone": {"kind": "quadratic_norm", "k1": [1, 2], "k2": 10.0}},
         {"density": _N01, "cones": {"kind": "quadratic_norm", "k1": 0.1, "k2": 10.0}},
+        # JSON's true would pass for 1 wherever a number is read
+        {**_N01, "mean": True},
+        {"family": "mixture", "components": [_N01, _N01], "weights": [True, 1.0]},
+        {"family": "grid", "domain": [0, 1], "values": [1.0, True, 1.0]},
+        {"family": "power_law", "beta": 3.0, "dim": True},
+        {"density": _N01, "cone": {"kind": "shannon_envelope", "a": 2.0, "c1": True, "c2": 1e3}},
+        # a JSON integer past the float range
+        {**_N01, "mean": 10**400},
     ],
     ids=[
         "gaussian-mean", "gaussian-scale", "gaussian-extra", "mixture-weights", "mixture-component-var",
         "power-law-beta", "power-law-dim-word", "power-law-dim-fraction", "grid-domain-short", "grid-domain-string",
         "grid-values-string", "cone-list", "cone-empty-list", "cone-k1-list", "wrapper-cones",
+        "gaussian-mean-bool", "mixture-weights-bool", "grid-values-bool", "power-law-dim-bool", "cone-c1-bool", "gaussian-mean-huge-int",
     ],
 )
 def test_malformed_forecast_configs_are_configuration_errors(capsys, files, forecast):
@@ -458,6 +467,25 @@ def test_a_divergent_forecast_is_a_domain_error(capsys, files):
     q = files("q.json", json.dumps({"family": "power_law", "beta": 1.0001}))
     code, out, err = run(capsys, ["score", "--rule", "log", "--forecast", q, "--obs", files("obs.csv", "0.0\n")])
     assert (code, out, err) == (3, "", "domain error: tail-mass bound still 9.724e-01 after 400 dyadic shells\n")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "rule, forecast, message",
+    [
+        # q.q and (q.1)^2 overflow
+        ("quad", {"family": "mixture", "components": [_N01, _N01], "weights": [1e300, 1.0]}, "the quadratic score of q overflows: q.q = inf, (q.1)^2 = inf"),
+        # its mass overflows on the node set
+        ("log", {"family": "grid", "domain": [-1e300, 1e300], "values": [1.0, 1e300, 1.0]}, "q has non-finite mass inf"),
+        # beta^2 overflows in the Laplacian
+        ("hyv", {"family": "power_law", "beta": 1e300}, "the power law's Laplacian overflows at beta = 1e+300"),
+    ],
+    ids=["quadratic-score", "grid-mass", "power-law-laplacian"],
+)
+def test_forecasts_past_the_float_range_are_domain_errors(capsys, files, rule, forecast, message):
+    q = files("q.json", json.dumps(forecast))
+    code, out, err = run(capsys, ["score", "--rule", rule, "--forecast", q, "--obs", files("obs.csv", "0.0\n")])
+    assert (code, out, err) == (3, "", f"domain error: {message}\n")
 
 
 def _subclasses(cls) -> list:

@@ -1,5 +1,6 @@
 """Convex-analysis certificates: derivatives, subgradients, suite reports."""
 
+import dataclasses
 import functools
 import os
 import time
@@ -694,3 +695,13 @@ def test_failed_case_fails_report():
     case = convexity.CaseResult("demo", 1.0, 0.5, False)
     report = convexity.VerificationReport("demo", (case,), None, pairing.DEFAULT_SCHEME)
     assert not report.passed
+
+
+@pytest.mark.parametrize("suite", ["euler", "propriety", "homogeneity", "derivatives"])
+def test_the_rules_table_drives_the_suites(monkeypatch, suite):
+    # a renamed copy of the quadratic record is certified as the quadratic rule is, under its own name
+    monkeypatch.setitem(rules.RULES, "tabled", dataclasses.replace(rules.RULES["quadratic"], name="tabled", aliases=("tabled",)))
+    copy = run_suite(suite, rule="tabled", samples=10, seed=3).to_dict()["cases"]
+    original = run_suite(suite, rule="quadratic", samples=10, seed=3).to_dict()["cases"]
+    assert copy and all(case["id"].startswith("tabled/") for case in copy)
+    assert [{**case, "id": case["id"].replace("tabled/", "quadratic/", 1)} for case in copy] == original

@@ -18,10 +18,10 @@ from conescore.densities import (
     PowerLawDensity,
     cone_check,
     cone_spec_from_config,
-    default_cone_spec,
     density_from_config,
     require_cone,
 )
+from conescore.rules import default_cone_spec
 from conescore.errors import (
     ConeMembershipError,
     DomainError,
