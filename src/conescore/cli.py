@@ -148,7 +148,10 @@ def _load_density(path: str):
 
 def _load_observations(path: str) -> np.ndarray:
     """First column of a UTF-8 CSV file; a byte-order mark, a header on line 1 and blank rows are skipped."""
-    cells = _read(path, lambda fh: [row[0] if row else "" for row in csv.reader(fh)], "utf-8-sig")
+    try:
+        cells = _read(path, lambda fh: [row[0] if row else "" for row in csv.reader(fh)], "utf-8-sig")
+    except csv.Error as exc:  # such as a cell past csv's field size limit
+        raise InvalidParameterError(f"invalid CSV in {path}: {exc}") from exc
     if cells and not _is_number(cells[0]):
         cells[0] = ""  # header line
     try:

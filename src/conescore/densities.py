@@ -200,7 +200,8 @@ def _gaussian_values(pts: np.ndarray, mean: np.ndarray, var: np.ndarray, factor:
         value = _axis_sum(d**2 / var)  # in place from here on: no further (m, n) temporaries
     value *= -0.5
     np.exp(value, out=value)
-    value *= factor[:, None]
+    with np.errstate(invalid="ignore"):  # an overflowed factor times an exp that underflowed is nan, refused as non-finite mass
+        value *= factor[:, None]
     return value, d, var
 
 

@@ -8,7 +8,14 @@ rather than to quadrature accuracy: once the node set is frozen, the
 toolkit is doing exact convex analysis on a finite measure space. The set
 samples each leaf field on its nodes once (``NodeSet.sample``) and keeps
 the sample as long as it lives, so every caller reads the same arrays
-instead of evaluating the field again.
+instead of evaluating the field again. ``nodes_for`` keeps the latest
+analytic set, keyed by the scheme (by value) and the field's terms
+(coefficients by value, leaves by identity): the next call on an equal key,
+such as the next rule's call on ``p + q``, gets that set back with its
+samples. The set, and the leaves it samples, stays alive until
+``nodes_for`` is called on other fields, which drops it before building
+the next. The set is a function of the key alone, so results are
+bit-identical whether it is kept or built anew.
 
 Analytic families integrate by composite Gauss-Legendre on one ascending
 list of panel edges: the core [-R, R] flanked by dyadic tail shells out to
@@ -306,6 +313,10 @@ def _grid_nodes(field: Field) -> NodeSet:
     return NodeSet(pts, wts)
 
 
+# the latest set: (scheme, coefficients, leaf ids), the terms, whose leaves keep their ids unique, and the set
+_last: tuple | None = None
+
+
 def nodes_for(field: Field, scheme: QuadratureScheme | None = None) -> NodeSet:
     """Node set for integrals against ``field``; deterministic in (scheme, field).
 
@@ -316,11 +327,22 @@ def nodes_for(field: Field, scheme: QuadratureScheme | None = None) -> NodeSet:
     raises :class:`NodeBudgetError` before it is built.
     A combination's nodes cover every term, so pairing different fields on
     ``nodes_for(p + q, scheme)`` puts them on one shared discrete measure.
+    The latest analytic set is kept: a call with an equal scheme and the
+    same terms (equal coefficients, the same leaves) returns it, samples and
+    all. A grid field's set is the trapezoid rule on its grid, built anew.
     """
+    global _last
     scheme = scheme or DEFAULT_SCHEME
     if field.grid is not None:
         return _grid_nodes(field)
-    return _sized_nodes(field, scheme)
+    terms, kept = field.terms(), _last
+    key = (scheme, tuple(c for c, _ in terms), tuple(id(leaf) for _, leaf in terms))
+    if kept is not None and kept[0] == key:
+        return kept[2]
+    _last = kept = None  # dropped before the new set is built: at most one set outlives its call
+    ns = _sized_nodes(field, scheme)
+    _last = (key, terms, ns)
+    return ns
 
 
 def total_mass(p: Field, scheme: QuadratureScheme | None = None) -> float:

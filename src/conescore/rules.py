@@ -6,10 +6,12 @@ the score is 0-homogeneous, and the divergence of the normalised pair is
     D(p, q) = entropy(p-hat) - expected_score(p-hat, q-hat),
 
 which is nonnegative exactly when the score is a subgradient of the
-entropy. Each call reads the rule's record in ``RULES``: it builds one node
-set, samples each field there once to the record's orders, refuses it by
-the one policy ``_refusals`` reads from the record, and evaluates the
-record's kernels on those arrays, each formula written once. The
+entropy. Each call reads the rule's record in ``RULES``: it takes one node
+set from ``pairing.nodes_for`` (the previous call's, when that was on the
+same fields and scheme), samples each field there once to the record's
+orders, refuses it by the one policy ``_refusals`` reads from the record,
+and evaluates the record's kernels on those arrays, each formula written
+once. The
 logarithmic and quadratic divergences are nonnegative to floating point;
 the Hyvarinen case leans on integration by parts and the tail design of
 :mod:`conescore.pairing`. The supremum record has no score kernel, so its
@@ -134,6 +136,15 @@ def _quadratic_score(s: Sample, mass, w, ref, floor: float):
     return 2.0 * s.value / mass - q2 / m2
 
 
+@_quiet
+def _quadratic_entropy(w, s: Sample, m):
+    with np.errstate(over="ignore"):
+        q2 = (w * s.value**2).sum(axis=-1)
+    if np.any(np.isinf(q2) & np.isfinite(m)):  # a non-finite mass is refused as every rule refuses it
+        raise DomainError("the quadratic entropy of q overflows: q.q = inf")
+    return q2 / m
+
+
 @dataclass(frozen=True)
 class Rule:
     """One scoring rule: everything the package decides by rule. One without a score kernel reaches the mode machinery."""
@@ -170,7 +181,7 @@ RULES = {
         Rule("quadratic", ("quad", "quadratic", "brier"), 0, 0, grids=True, analytic=True, positive=False, massless=True, strict=True,
              log_clamp=False, cone=lambda dim: QuadraticNorm(k1=0.1, k2=10.0, eps=0.05, dim=dim),
              divergence=lambda w, ps, mp, qs, mq, diagnostics: float(np.sum(w * (ps.value / mp - qs.value / mq) ** 2)),
-             entropy=_quiet(lambda w, s, m: (w * s.value**2).sum(axis=-1) / m), score=_quadratic_score),
+             entropy=_quadratic_entropy, score=_quadratic_score),
         Rule("supremum", ("sup", "supremum"), 0, 0, grids=True, analytic=False, positive=False, massless=False, strict=False,
              log_clamp=False, cone=lambda dim: GridPositive(dim=dim), divergence=None,
              entropy=lambda w, s, m: np.max(s.value, axis=-1), score=None),

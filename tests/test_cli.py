@@ -479,13 +479,22 @@ def test_a_divergent_forecast_is_a_domain_error(capsys, files):
         ("log", {"family": "grid", "domain": [-1e300, 1e300], "values": [1.0, 1e300, 1.0]}, "q has non-finite mass inf"),
         # beta^2 overflows in the Laplacian
         ("hyv", {"family": "power_law", "beta": 1e300}, "the power law's Laplacian overflows at beta = 1e+300"),
+        # its scale over its normaliser overflows: inf times the exps that underflow is nan
+        *((rule, {"family": "gaussian", "mean": 0, "var": 1e-305, "scale": 1e300}, "q has non-finite mass nan") for rule in ("log", "quad", "hyv")),
     ],
-    ids=["quadratic-score", "grid-mass", "power-law-laplacian"],
+    ids=["quadratic-score", "grid-mass", "power-law-laplacian", "gaussian-factor-log", "gaussian-factor-quad", "gaussian-factor-hyv"],
 )
 def test_forecasts_past_the_float_range_are_domain_errors(capsys, files, rule, forecast, message):
     q = files("q.json", json.dumps(forecast))
     code, out, err = run(capsys, ["score", "--rule", rule, "--forecast", q, "--obs", files("obs.csv", "0.0\n")])
     assert (code, out, err) == (3, "", f"domain error: {message}\n")
+
+
+def test_an_observation_file_csv_cannot_parse_is_a_configuration_error(capsys, files, n01):
+    obs = files("obs.csv", "x\n0.5\n" + "1" * 131_073 + "\n")  # past csv's default field size limit
+    code, out, err = run(capsys, ["score", "--rule", "log", "--forecast", n01, "--obs", obs])
+    assert (code, out) == (2, "")
+    assert err == f"configuration error: invalid CSV in {obs}: field larger than field limit (131072)\n"
 
 
 def _subclasses(cls) -> list:

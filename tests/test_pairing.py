@@ -1,5 +1,7 @@
 """Quadrature schemes, frozen node sets, pairings, and boundary terms."""
 
+import gc
+import weakref
 from collections import Counter
 from dataclasses import replace
 
@@ -7,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from conescore import convexity, pairing, sampling
+from conescore import convexity, pairing, rules, sampling
 from conescore.densities import (
     Bump,
     GaussianDensity,
@@ -605,3 +607,89 @@ def test_scheme_has_no_rule_option():
         pairing.QuadratureScheme(rule="trapezoid")
     with pytest.raises(TypeError):
         pairing.QuadratureScheme(rule="gauss_legendre_composite")
+
+
+# ---------------------------------------------------------------------------
+# the kept set: consecutive calls on the same terms share one node set
+# ---------------------------------------------------------------------------
+
+_RULE_NAMES = ("logarithmic", "hyvarinen", "quadratic")
+
+
+def _memo_fields(dim):
+    """A fresh pair (p, q) of mixtures: new leaves, so their first call builds its own set."""
+    if dim == 1:
+        p = MixtureDensity((GaussianDensity(-0.4, 0.8), GaussianDensity(1.1, 2.2)), (0.3, 0.9), scale=1.7)
+        return p, GaussianDensity(0.2, 1.3, scale=0.6)
+    p = MixtureDensity((GaussianDensity([0.4, -0.3], [0.7, 1.2]), GaussianDensity([-0.6, 0.5], [1.0, 0.5])), (0.35, 0.8))
+    return p, GaussianDensity([-0.2, 0.4], [0.9, 1.1], scale=0.7)
+
+
+def _memo_calls(dim):
+    """(name, call on (p, q)) in an order where each field set repeats: log, then hyv, then quad raises q's order."""
+    scheme = None if dim == 1 else pairing.QuadratureScheme(panels=2, nodes=8)
+    x = np.array([-0.7, 0.0, 1.3]) if dim == 1 else np.array([[-0.7, 0.2], [0.0, 0.0], [1.3, -0.4]])
+    calls = [(f"divergence/{r}", lambda p, q, r=r: rules.divergence(r, p, q, scheme)) for r in _RULE_NAMES]
+    calls += [(f"expected_score/{r}", lambda p, q, r=r: rules.expected_score(r, p, q, scheme)) for r in _RULE_NAMES]
+    calls.append(("fisher_direct", lambda p, q: rules.hyvarinen_divergence_direct(p, q, scheme)))
+    calls += [(f"entropy/{r}", lambda p, q, r=r: rules.entropy(r, q, scheme)) for r in _RULE_NAMES]
+    calls += [(f"euler/{r}", lambda p, q, r=r: rules.euler_residual(r, q, scheme)) for r in _RULE_NAMES]
+    calls += [(f"score_at/{r}", lambda p, q, r=r: rules.score_at(r, q, x, scheme)) for r in _RULE_NAMES]
+    return calls
+
+
+def _hex(value) -> list[str]:
+    return [float(v).hex() for v in np.atleast_1d(value)]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_every_rule_call_on_the_kept_set_matches_a_fresh_set_bit_for_bit(monkeypatch, dim):
+    fresh = {name: _hex(call(*_memo_fields(dim))) for name, call in _memo_calls(dim)}
+    built = []
+    sized_nodes = pairing._sized_nodes
+    monkeypatch.setattr(pairing, "_sized_nodes", lambda field, scheme: built.append(field) or sized_nodes(field, scheme))
+    p, q = _memo_fields(dim)
+    warm = {name: _hex(call(p, q)) for name, call in _memo_calls(dim)}
+    assert warm == fresh
+    assert [f.terms() for f in built] == [(p + q).terms(), q.terms()]  # one set for p + q, one for q
+
+
+def test_the_kept_set_is_returned_only_for_the_same_scheme_coefficients_and_leaves():
+    p, q = GaussianDensity(0.1, 0.8), GaussianDensity(-0.3, 1.4, scale=0.5)
+    scheme = pairing.QuadratureScheme(panels=4)
+    kept = pairing.nodes_for(p + q, scheme)
+    assert pairing.nodes_for(p + q, replace(scheme)) is kept  # an equal scheme, a new combination
+    assert pairing.nodes_for(1.0 * p + q, pairing.QuadratureScheme(panels=4)) is kept
+    for other in (
+        lambda: pairing.nodes_for(p + q, pairing.QuadratureScheme(panels=8)),
+        lambda: pairing.nodes_for(p + q),
+        lambda: pairing.nodes_for(p + 2.0 * q, scheme),
+        lambda: pairing.nodes_for(p - q, scheme),
+        lambda: pairing.nodes_for(p + GaussianDensity(-0.3, 1.4, scale=0.5), scheme),
+        lambda: pairing.nodes_for(q + p, scheme),
+        lambda: pairing.nodes_for(p, scheme),
+    ):
+        assert other() is not kept
+        kept = pairing.nodes_for(p + q, scheme)
+        assert pairing.nodes_for(p + q, scheme) is kept
+
+
+def test_a_call_on_other_fields_releases_the_kept_leaves():
+    leaf = GaussianDensity(0.3, 1.2)
+    pairing.nodes_for(leaf).sample(leaf, 2)
+    alive = weakref.ref(leaf)
+    del leaf
+    gc.collect()
+    assert alive() is not None  # the kept set holds it
+    pairing.nodes_for(GaussianDensity(0.0, 1.0))
+    gc.collect()
+    assert alive() is None
+    # a set refused over the node budget drops the kept one first
+    leaf = GaussianDensity(0.3, 1.2)
+    pairing.nodes_for(leaf)
+    alive = weakref.ref(leaf)
+    del leaf
+    with pytest.raises(NodeBudgetError):
+        pairing.nodes_for(GaussianDensity(0.0, 1.0), pairing.QuadratureScheme(nodes=10_000))
+    gc.collect()
+    assert alive() is None

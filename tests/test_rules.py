@@ -15,6 +15,7 @@ from conescore.convexity import entropy_line
 from conescore.densities import Bump, GaussianDensity, GridDensity, GridField, MixtureDensity, PowerLawDensity
 from conescore.errors import (
     ConescoreError,
+    DomainError,
     InvalidParameterError,
     ModeMeasureZeroError,
     UnsupportedFamilyError,
@@ -411,6 +412,17 @@ def test_entropy_and_its_lines_share_one_refusal_policy(rule, name):
     assert _outcome(lambda: entropy_line(rule, f).along(f, f, [0.0])[0]) == direct
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_quadratic_entropy_whose_square_overflows_is_a_domain_error():
+    components = (GaussianDensity(-0.4, 0.8), GaussianDensity(1.1, 2.2))
+    with pytest.raises(DomainError, match=r"^the quadratic entropy of q overflows: q\.q = inf$"):
+        rules.entropy("quadratic", MixtureDensity(components, (1e300, 1.0)))
+    q = MixtureDensity(components, (0.3, 0.9))  # an ordinary field: q.q / q.1 on its node set, in that arithmetic
+    ns = pairing.nodes_for(q)
+    value = ns.sample(q).value
+    assert rules.entropy("quadratic", q) == (ns.weights * value**2).sum() / (ns.weights * value).sum()
+
+
 # ---------------------------------------------------------------------------
 # 2-D fields on a coarse scheme
 # ---------------------------------------------------------------------------
@@ -472,7 +484,8 @@ def test_wide_2d_gaussian_pairs_match_closed_forms():
 def test_each_gaussian_leaf_is_sampled_once_per_rules_call(monkeypatch):
     # value, gradient and Laplacian all go through one sample on the node set
     # the kernel pairs on; sizing the 2-D node set reads values on coarser
-    # levels once, and a repeat call with the same leaves and scheme reads none.
+    # levels once, and a repeat call with the same leaves and scheme gets the
+    # same set back, builds none and samples nothing.
     # A mixture samples its components in one pass, so it is the leaf counted
     samples = []  # (leaf id, node set, order); holding the sets keeps their ids unique
     kernel_sets = []
@@ -501,18 +514,19 @@ def test_each_gaussian_leaf_is_sampled_once_per_rules_call(monkeypatch):
     for call, with_q in zip(calls, (True, False, True)):
         m, q = mixture_2d(), GaussianDensity([0.2, 0.1], [0.9, 1.1])
         leaves = {id(m)} | ({id(q)} if with_q else set())
-        for first in (True, False):
-            samples.clear()
-            kernel_sets.clear()
-            call(m, q)
-            (kernel,) = kernel_sets
-            on_kernel = Counter(leaf for leaf, x, _ in samples if x is kernel)
-            assert set(on_kernel) == leaves and max(on_kernel.values()) == 1
-            sizing = [(x, order) for _, x, order in samples if x is not kernel]
-            if first:
-                assert sizing and all(order == 0 and x.weights.size < kernel.weights.size for x, order in sizing)
-            else:
-                assert sizing == []
+        samples.clear()
+        kernel_sets.clear()
+        call(m, q)
+        (kernel,) = kernel_sets
+        on_kernel = Counter(leaf for leaf, x, _ in samples if x is kernel)
+        assert set(on_kernel) == leaves and max(on_kernel.values()) == 1
+        sizing = [(x, order) for _, x, order in samples if x is not kernel]
+        assert sizing and all(order == 0 and x.weights.size < kernel.weights.size for x, order in sizing)
+        samples.clear()
+        kernel_sets.clear()
+        call(m, q)
+        (again,) = kernel_sets
+        assert again is kernel and samples == []
 
 
 def test_gaussian_fields_in_2d_never_build_the_node_points(monkeypatch):
