@@ -208,6 +208,8 @@ def _maybe_require_cone(q, cone, rule, strict: bool, scheme) -> None:
 def cmd_score(args) -> int:
     rule = rules.canonical_rule(args.rule)
     q, cone, cfg = _load_density(args.forecast)
+    if q.dim != 1:  # observations are one column of numbers: read as one point, two would score as (x1, x2)
+        raise InvalidParameterError(f"score reads 1-D observations; the forecast is {q.dim}-D")
     obs = _load_observations(args.obs)
     scheme = _scheme_from_args(args)
     _maybe_require_cone(q, cone, rule, args.strict_cone, scheme)

@@ -7,15 +7,21 @@ Fixing the nodes first is what makes the discrete convexity identities
 rather than to quadrature accuracy: once the node set is frozen, the
 toolkit is doing exact convex analysis on a finite measure space. The set
 samples each leaf field on its nodes once (``NodeSet.sample``) and keeps
-the sample as long as it lives, so every caller reads the same arrays
-instead of evaluating the field again. ``nodes_for`` keeps the latest
-analytic set, keyed by the scheme (by value) and the field's terms
-(coefficients by value, leaves by identity): the next call on an equal key,
-such as the next rule's call on ``p + q``, gets that set back with its
-samples. The set, and the leaves it samples, stays alive until
-``nodes_for`` is called on other fields, which drops it before building
-the next. The set is a function of the key alone, so results are
-bit-identical whether it is kept or built anew.
+the sample, and the leaf's mass summed from it, as long as it lives, so
+every caller reads the same arrays and the same mass instead of
+evaluating the field again. ``nodes_for`` keeps the latest analytic set,
+keyed by the scheme (by value) and the field's terms (coefficients by
+value, leaves by identity): the next call on an equal key, such as the
+next rule's call on ``p + q``, gets that set back with its samples. A call
+on other fields drops the set but carries over its geometry (order,
+dimension and panel edges, with the weights and nodes built on them) and
+the samples of the leaves the new field shares with it; every other sample
+is released before sizing. Where sizing would build a set on that
+geometry, it gets a new set on the same arrays that starts with the
+carried samples, so fields that size to one node set, such as ``p + q``
+and ``p`` often do, build it once. A set is a function of its geometry alone, so
+results are bit-identical whether it is kept, shared or built anew, and a
+set already handed out is never changed.
 
 Analytic families integrate by composite Gauss-Legendre on one ascending
 list of panel edges: the core [-R, R] flanked by dyadic tail shells out to
@@ -122,17 +128,21 @@ class NodeSet:
 
     ``points, weights = ns`` unpacks it. ``sample`` evaluates each leaf field
     once on the nodes, and again only to raise its order: a leaf's sample is
-    kept under its id, with the leaf, so every field built from it reads the
-    same arrays. The samples live as long as the set, never on the leaf.
-    A 2-D set from ``_cover_nodes`` squares the 1-D nodes in ``axis`` (None
-    on 1-D and grid sets) and builds its points only when they are read.
+    kept under its id, with the leaf and its mass, so every field built from
+    it reads the same arrays and a lone leaf's mass is summed once. The
+    samples live as long as the set, never on the leaf. A 2-D set from
+    ``_cover_nodes`` squares the 1-D nodes in ``axis`` (None on 1-D and grid
+    sets) and builds its points only when they are read. A set from
+    ``_cover_nodes`` keeps the geometry it was built on (order, dimension and
+    panel edges) in ``_geometry``; ``_share`` gives a new set on the same
+    arrays and geometry that starts with some of the samples.
     """
 
-    __slots__ = ("_points", "weights", "axis", "_samples")
+    __slots__ = ("_points", "weights", "axis", "_samples", "_geometry")
 
     def __init__(self, points: np.ndarray | None, weights: np.ndarray):
-        self._points, self.weights, self.axis = points, weights, None
-        self._samples: dict[int, tuple[Field, tuple]] = {}
+        self._points, self.weights, self.axis, self._geometry = points, weights, None, None
+        self._samples: dict[int, tuple[Field, tuple, float]] = {}
 
     @property
     def points(self) -> np.ndarray:
@@ -143,6 +153,14 @@ class NodeSet:
     def __iter__(self):
         return iter((self.points, self.weights))
 
+    def _kept(self, leaf: Field, order: int) -> tuple[Field, tuple, float]:
+        """The leaf, its arrays to at least ``order`` and its mass, sampled and summed here unless kept."""
+        kept = self._samples.get(id(leaf))
+        if kept is None or len(kept[1]) <= order:
+            arrays = leaf.sample_on(self, order)[: order + 1]
+            kept = self._samples[id(leaf)] = (leaf, arrays, _weighted_sum(self.weights, arrays[0]))
+        return kept
+
     def sample(self, f: Field, order: int = 0) -> Sample:
         """f's values on the nodes, with the gradient (order >= 1) and the Laplacian (order 2).
 
@@ -152,19 +170,35 @@ class NodeSet:
         terms = f.terms()
         total = None
         for c, leaf in terms:
-            kept = self._samples.get(id(leaf))
-            if kept is None or len(kept[1]) <= order:
-                kept = self._samples[id(leaf)] = (leaf, leaf.sample_on(self, order)[: order + 1])
-            arrays = kept[1][: order + 1]
+            arrays = self._kept(leaf, order)[1][: order + 1]
             if len(terms) == 1 and c == 1.0:
                 return Sample(*arrays)
             part = [c * a for a in arrays]
             total = part if total is None else list(map(operator.iadd, total, part))
         return Sample(*total)
 
+    def sampled(self, f: Field, order: int = 0) -> tuple[Sample, float]:
+        """f's sample and its mass, the weighted sum of its values: kept with a lone leaf's sample, else summed."""
+        terms, s = f.terms(), self.sample(f, order)
+        if len(terms) == 1 and terms[0][0] == 1.0:
+            return s, self._samples[id(terms[0][1])][2]
+        return s, _weighted_sum(self.weights, s.value)
+
     def mass(self, f: Field) -> float:
         """f's mass on the nodes: the weighted sum of its sampled values."""
-        return float((self.weights * self.sample(f).value).sum())
+        return self.sampled(f)[1]
+
+    def _share(self, samples: dict) -> NodeSet:
+        """A new set on this one's nodes, weights and geometry, starting with ``samples``."""
+        ns = NodeSet(self._points, self.weights)
+        ns.axis, ns._geometry, ns._samples = self.axis, self._geometry, dict(samples)
+        return ns
+
+
+def _weighted_sum(weights: np.ndarray, values: np.ndarray) -> float:
+    """The mass sum(w v); one past the float range is inf or nan, which callers refuse as non-finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float((weights * values).sum())
 
 
 @lru_cache(maxsize=64)
@@ -242,13 +276,22 @@ def _edges(radii: np.ndarray, breakpoints: tuple, scheme: QuadratureScheme) -> n
 
 
 def _cover_nodes(edges: np.ndarray, nodes: int, dim: int) -> NodeSet:
-    """Gauss-Legendre nodes on the panels of ``edges``; in 2-D their tensor square, counted before it is built."""
+    """Gauss-Legendre nodes on the panels of ``edges``; in 2-D their tensor square, counted before it is built.
+
+    On the geometry of the set ``nodes_for`` carries over, it builds nothing:
+    the new set shares that set's arrays and starts with its carried samples.
+    """
+    carried = _carried
+    if carried is not None and carried._geometry[0] == (nodes, dim) and np.array_equal(carried._geometry[1], edges):
+        return carried._share(carried._samples)
     if dim == 1:
-        return _gauss_nodes(edges, nodes)
-    _refuse_over_budget(((edges.size - 1) * nodes) ** 2, "tensor grid")
-    pts1, wts1 = _gauss_nodes(edges, nodes)
-    ns = NodeSet(None, np.outer(wts1, wts1).ravel())
-    ns.axis = pts1
+        ns = _gauss_nodes(edges, nodes)
+    else:
+        _refuse_over_budget(((edges.size - 1) * nodes) ** 2, "tensor grid")
+        pts1, wts1 = _gauss_nodes(edges, nodes)
+        ns = NodeSet(None, np.outer(wts1, wts1).ravel())
+        ns.axis = pts1
+    ns._geometry = ((nodes, dim), edges)
     return ns
 
 
@@ -315,6 +358,8 @@ def _grid_nodes(field: Field) -> NodeSet:
 
 # the latest set: (scheme, coefficients, leaf ids), the terms, whose leaves keep their ids unique, and the set
 _last: tuple | None = None
+# while a miss sizes: the latest set's geometry, with the samples of the leaves the new field shares with it
+_carried: NodeSet | None = None
 
 
 def nodes_for(field: Field, scheme: QuadratureScheme | None = None) -> NodeSet:
@@ -329,9 +374,13 @@ def nodes_for(field: Field, scheme: QuadratureScheme | None = None) -> NodeSet:
     ``nodes_for(p + q, scheme)`` puts them on one shared discrete measure.
     The latest analytic set is kept: a call with an equal scheme and the
     same terms (equal coefficients, the same leaves) returns it, samples and
-    all. A grid field's set is the trapezoid rule on its grid, built anew.
+    all. Any other call carries over its geometry and the samples of the
+    leaves the field shares with it, and drops the rest before sizing: a
+    set sizing would build on the same order, dimension and edges is a new
+    set on the kept arrays, starting with those samples. A grid field's set
+    is the trapezoid rule on its grid, built anew.
     """
-    global _last
+    global _last, _carried
     scheme = scheme or DEFAULT_SCHEME
     if field.grid is not None:
         return _grid_nodes(field)
@@ -339,8 +388,14 @@ def nodes_for(field: Field, scheme: QuadratureScheme | None = None) -> NodeSet:
     key = (scheme, tuple(c for c, _ in terms), tuple(id(leaf) for _, leaf in terms))
     if kept is not None and kept[0] == key:
         return kept[2]
-    _last = kept = None  # dropped before the new set is built: at most one set outlives its call
-    ns = _sized_nodes(field, scheme)
+    if kept is not None:
+        shared = {id(leaf) for _, leaf in terms}
+        _carried = kept[2]._share({i: entry for i, entry in kept[2]._samples.items() if i in shared})
+    _last = kept = None  # dropped before sizing: at most one geometry outlives the call
+    try:
+        ns = _sized_nodes(field, scheme)
+    finally:
+        _carried = None
     _last = (key, terms, ns)
     return ns
 

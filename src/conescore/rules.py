@@ -9,9 +9,9 @@ which is nonnegative exactly when the score is a subgradient of the
 entropy. Each call reads the rule's record in ``RULES``: it takes one node
 set from ``pairing.nodes_for`` (the previous call's, when that was on the
 same fields and scheme), samples each field there once to the record's
-orders, refuses it by the one policy ``_refusals`` reads from the record,
-and evaluates the record's kernels on those arrays, each formula written
-once. The
+orders, with each leaf's mass kept beside its sample, refuses it by the
+one policy ``_refusals`` reads from the record, and evaluates the record's
+kernels on those arrays, each formula written once. The
 logarithmic and quadratic divergences are nonnegative to floating point;
 the Hyvarinen case leans on integration by parts and the tail design of
 :mod:`conescore.pairing`. The supremum record has no score kernel, so its
@@ -230,9 +230,7 @@ def _refusals(rule: Rule | None, values: np.ndarray, mass: np.ndarray, label: st
 def _sampled(rule: Rule | None, f: Field, ns: pairing.NodeSet, order: int, label: str) -> tuple[Sample, float]:
     """``f``'s sample and mass on the node set, refused as ``_require_family`` and ``_refusals`` say."""
     _require_family(rule, f, label)
-    s = ns.sample(f, order)
-    with np.errstate(over="ignore", invalid="ignore"):  # a mass past the float range is refused as non-finite
-        mass = float((ns.weights * s.value).sum())
+    s, mass = ns.sampled(f, order)  # a mass past the float range is refused as non-finite
     (refusal,) = _refusals(rule, s.value[None], np.array([mass]), label)
     if refusal is not None:
         raise refusal

@@ -419,7 +419,20 @@ def test_score_config_errors_exit_2(capsys, files, n01, uniform):
     assert run(capsys, ["score", "--rule", "elo", "--forecast", n01, "--obs", obs])[0] == 2
 
 
-_N01 = {"family": "gaussian", "mean": 0.0, "var": 1.0}
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("out", [None, "x.csv"])
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_score_refuses_a_2d_forecast_whatever_the_number_of_observations(capsys, files, tmp_path, count, out):
+    # two observations used to score as the single point (x1, x2), one record at x = x1
+    forecast = files("f.json", json.dumps({"family": "gaussian", "mean": [0, 0], "var": [1, 1]}))
+    obs = files("obs.csv", "".join(f"0.{k + 1}\n" for k in range(count)))
+    argv = ["score", "--rule", "hyv", "--forecast", forecast, "--obs", obs]
+    code, stdout, err = run(capsys, argv + (["--out", str(tmp_path / out)] if out else []))
+    assert (code, stdout, err) == (2, "", "configuration error: score reads 1-D observations; the forecast is 2-D\n")
+    assert not (tmp_path / "x.csv").exists()
+
+
+_N01 ={"family": "gaussian", "mean": 0.0, "var": 1.0}
 
 
 @pytest.mark.parametrize(

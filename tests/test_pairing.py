@@ -684,6 +684,15 @@ def test_a_call_on_other_fields_releases_the_kept_leaves():
     pairing.nodes_for(GaussianDensity(0.0, 1.0))
     gc.collect()
     assert alive() is None
+    # a leaf the next field lacks is released even when that field's set shares the kept geometry
+    leaf, other = GaussianDensity(0.3, 1.2), GaussianDensity(0.0, 1.0)
+    kept = pairing.nodes_for(leaf + other)
+    kept.sample(leaf, 2), kept.sample(other)
+    alive, weights = weakref.ref(leaf), kept.weights
+    del leaf, kept
+    shared = pairing.nodes_for(other)
+    gc.collect()
+    assert shared.weights is weights and alive() is None
     # a set refused over the node budget drops the kept one first
     leaf = GaussianDensity(0.3, 1.2)
     pairing.nodes_for(leaf)
@@ -693,3 +702,110 @@ def test_a_call_on_other_fields_releases_the_kept_leaves():
         pairing.nodes_for(GaussianDensity(0.0, 1.0), pairing.QuadratureScheme(nodes=10_000))
     gc.collect()
     assert alive() is None
+
+
+# ---------------------------------------------------------------------------
+# a miss on the kept geometry: a new set on the kept arrays, with the shared leaves' samples
+# ---------------------------------------------------------------------------
+
+def _counting_sample_on(monkeypatch) -> list:
+    sampled = []
+    original = GaussianDensity.sample_on
+
+    def counting(self, ns, order=0):
+        sampled.append((self, order))
+        return original(self, ns, order)
+
+    monkeypatch.setattr(GaussianDensity, "sample_on", counting)
+    return sampled
+
+
+def test_a_miss_on_the_kept_nodes_shares_the_weights_and_the_shared_leaves_samples(monkeypatch):
+    p, q = GaussianDensity(0.1, 0.8), GaussianDensity(-0.3, 0.9)  # p + q, p and q size to the same nodes
+    both = pairing.nodes_for(p + q)
+    held = both.sample(p, 1)
+    sampled = _counting_sample_on(monkeypatch)
+    alone = pairing.nodes_for(p)
+    assert alone is not both and alone.weights is both.weights
+    assert np.array_equal(alone.points, both.points)
+    served = alone.sample(p, 1)
+    assert served.value is held.value and served.gradient is held.gradient
+    assert sampled == []
+
+
+def test_a_miss_on_the_kept_nodes_carries_no_sample_of_a_leaf_the_field_lacks():
+    p, q = GaussianDensity(0.1, 0.8), GaussianDensity(-0.3, 0.9)
+    m = MixtureDensity((GaussianDensity(0.4, 0.7), GaussianDensity(-0.5, 1.1)), (0.4, 0.6))
+    both = pairing.nodes_for(p + q)
+    both.sample(p, 2), both.sample(q, 2)
+    ns = pairing.nodes_for(m)
+    assert ns.weights is both.weights
+    assert set(ns._samples) <= {id(m)}
+    assert set(both._samples) == {id(p), id(q)}  # the set handed out is left as it was
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_every_rule_call_on_a_shared_set_matches_a_fresh_set_bit_for_bit(monkeypatch, dim):
+    for name, call in _memo_calls(dim):
+        monkeypatch.setattr(pairing, "_last", None)
+        p, q = _memo_fields(dim)
+        fresh = _hex(call(p, q))  # nothing kept: the call builds its set
+        _, terms, built = pairing._last
+        # new leaves share the geometry alone; the same leaves share it with every sample they have
+        for fields in (_memo_fields(dim), (p, q)):
+            monkeypatch.setattr(pairing, "_last", ((), terms, built))  # a key no call has: the next call misses
+            assert _hex(call(*fields)) == fresh, name
+            assert pairing._last[2] is not built and pairing._last[2].weights is built.weights, name
+
+
+def test_another_order_dimension_or_edge_list_builds_a_new_set():
+    p, q = GaussianDensity(0.1, 0.8), GaussianDensity(-0.3, 0.9)
+    plane = GaussianDensity([0.1, 0.1], [0.8, 0.8])
+    assert np.array_equal(pairing.nodes_for(plane)._geometry[1], pairing.nodes_for(p + q)._geometry[1])  # the same edges
+    for field, scheme in (
+        (p, pairing.QuadratureScheme(nodes=6)),
+        (plane, None),
+        (GaussianDensity(0.1, 4.0), None),  # wider: more shells
+        (p, pairing.QuadratureScheme(radius=7.9)),  # as many edges as the kept set's, elsewhere
+    ):
+        kept = pairing.nodes_for(p + q)
+        held = kept.sample(p).value
+        ns = pairing.nodes_for(field, scheme)
+        (order, dim), edges = ns._geometry
+        assert ns.weights is not kept.weights
+        assert (order, dim) != kept._geometry[0] or not np.array_equal(edges, kept._geometry[1])
+        assert all(entry[1][0] is not held for entry in ns._samples.values())
+
+
+def test_an_entropy_line_keeps_its_samples_after_a_later_call_shares_its_nodes():
+    p, q = GaussianDensity(0.1, 0.8), GaussianDensity(-0.3, 0.9)
+    line = convexity.entropy_line("hyvarinen", p, q)
+    line(p), line(q)
+    held = dict(line.nodes._samples)
+    assert set(held) == {id(p), id(q)}
+    for call in (lambda: rules.entropy("hyvarinen", p), lambda: rules.euler_residual("hyvarinen", q), lambda: pairing.nodes_for(GaussianDensity(0.0, 1.0))):
+        call()
+        assert pairing.nodes_for(p).weights is line.nodes.weights
+    assert line.nodes._samples == held and all(line.nodes._samples[k] is held[k] for k in held)
+    assert line(p) == rules.entropy("hyvarinen", p)
+
+
+def test_a_kept_mass_is_the_weighted_sum_of_the_kept_values_and_a_raise_in_order_recomputes_it(monkeypatch):
+    original = GaussianDensity.sample_on
+
+    def doubled_past_order_0(self, ns, order=0):  # a value that differs by order shows which one the mass read
+        s = original(self, ns, order)
+        return s if order == 0 else s._replace(value=2.0 * s.value)
+
+    monkeypatch.setattr(GaussianDensity, "sample_on", doubled_past_order_0)
+    p, q = GaussianDensity(0.2, 0.9, scale=0.7), GaussianDensity(-0.4, 1.3)
+    ns = pairing.nodes_for(p + q)
+    for order in (0, 2):
+        value = ns.sample(p, order).value
+        assert ns._samples[id(p)][2] == float((ns.weights * value).sum())
+        assert ns.mass(p) == rules._sampled(None, p, ns, order, "p")[1] == float((ns.weights * value).sum())
+    assert ns.mass(p) == 2.0 * float((ns.weights * original(p, ns).value).sum())
+    # a combination's mass is summed from its own values, as Combination.sample adds them
+    both = ns.sample(p + q).value
+    assert ns.mass(p + q) == float((ns.weights * both).sum())
+    assert ns.mass(0.5 * p) == float((ns.weights * ns.sample(0.5 * p).value).sum())
