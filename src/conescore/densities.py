@@ -214,7 +214,10 @@ def _gaussian_rows(value: np.ndarray, offsets, var, order: int) -> list:
     if order >= 1:
         with np.errstate(over="ignore", invalid="ignore"):  # overflowing z-scores give non-finite rows, refused downstream
             z = [a / -s for a, s in zip(offsets, var)]  # -z: the gradient's sign, with z's squares
-            rows.append(np.array([a * value for a in z]).swapaxes(0, 1))
+            gradient = np.empty((len(z),) + value.shape)
+            for a, row in zip(z, gradient):
+                np.multiply(a, value, out=row)
+            rows.append(gradient.swapaxes(0, 1))
             if order >= 2:
                 laplacian = _axis_sum([np.square(a) for a in z])
                 laplacian -= _axis_sum(1.0 / var)
@@ -620,7 +623,8 @@ def _mixture(components, weights, scale: float = 1.0) -> MixtureDensity:
 
 def _grid(domain, values, scale: float = 1.0) -> GridDensity:
     lo, hi = domain
-    return GridDensity(float(lo), float(hi), scale * np.asarray(values, dtype=float))
+    with np.errstate(over="ignore", invalid="ignore"):  # a product past the float range is refused as a non-finite value
+        return GridDensity(float(lo), float(hi), scale * np.asarray(values, dtype=float))
 
 
 _FAMILIES = {"gaussian": GaussianDensity, "mixture": _mixture, "power_law": PowerLawDensity, "grid": _grid}
@@ -820,6 +824,8 @@ def cone_check(q: Field, spec: ConeSpec, scheme=None) -> ConeReport:
 
     if isinstance(spec, QuadraticNorm):
         lo, hi = spec.k1 - spec.eps, spec.k2 + spec.eps
+        if not np.isfinite(1.0 / mass):  # a subnormal mass: q / (q.1) overflows, so q-hat has no norm to check
+            return ConeReport(False, -float("inf"), (ConeWitness((), "normal_mass", mass, float(np.finfo(float).tiny)),), 0)
         try:
             norm = pairing.weighted_norm(q.scaled(1.0 / mass), spec.dim + 1, scheme=scheme)
         except DivergenceError:  # a norm not shown finite is never a member

@@ -129,8 +129,9 @@ class NodeSet:
     ``points, weights = ns`` unpacks it. ``sample`` evaluates each leaf field
     once on the nodes, and again only to raise its order: a leaf's sample is
     kept under its id, with the leaf and its mass, so every field built from
-    it reads the same arrays and a lone leaf's mass is summed once. The
-    samples live as long as the set, never on the leaf. A 2-D set from
+    it reads the same arrays and a lone leaf's mass is summed once. The kept
+    arrays are read-only, so a write into one raises, and the samples live
+    as long as the set, never on the leaf. A 2-D set from
     ``_cover_nodes`` squares the 1-D nodes in ``axis`` (None on 1-D and grid
     sets) and builds its points only when they are read. A set from
     ``_cover_nodes`` keeps the geometry it was built on (order, dimension and
@@ -158,6 +159,8 @@ class NodeSet:
         kept = self._samples.get(id(leaf))
         if kept is None or len(kept[1]) <= order:
             arrays = leaf.sample_on(self, order)[: order + 1]
+            for a in arrays:
+                a.flags.writeable = False
             kept = self._samples[id(leaf)] = (leaf, arrays, _weighted_sum(self.weights, arrays[0]))
         return kept
 
@@ -165,7 +168,7 @@ class NodeSet:
         """f's values on the nodes, with the gradient (order >= 1) and the Laplacian (order 2).
 
         Terms are summed in ``Combination.sample``'s order and arithmetic; a lone
-        term of coefficient 1 gives the kept arrays themselves, so never write into them.
+        term of coefficient 1 gives the kept arrays themselves, which are read-only.
         """
         terms = f.terms()
         total = None

@@ -11,7 +11,9 @@ set from ``pairing.nodes_for`` (the previous call's, when that was on the
 same fields and scheme), samples each field there once to the record's
 orders, with each leaf's mass kept beside its sample, refuses it by the
 one policy ``_refusals`` reads from the record, and evaluates the record's
-kernels on those arrays, each formula written once. The
+kernels on those arrays, each formula written once. A kernel computes on
+one fresh array in place, in its formula's operation order, and never
+writes into a sample, which the node set keeps read-only. The
 logarithmic and quadratic divergences are nonnegative to floating point;
 the Hyvarinen case leans on integration by parts and the tail design of
 :mod:`conescore.pairing`. The supremum record has no score kernel, so its
@@ -74,32 +76,40 @@ LOG_CLAMP = 1e-300
 # the rule core: entropy, score and divergence kernels on sampled arrays
 # ---------------------------------------------------------------------------
 
-def _norm_sq(s: Sample) -> np.ndarray:
-    """|gradient|^2 of a sample (or of rows of samples) in 1-D or 2-D."""
-    g = s.gradient
-    return g**2 if np.ndim(g) == np.ndim(s.value) else g[..., 0] ** 2 + g[..., 1] ** 2
+def _norm_sq(g, v) -> np.ndarray:
+    """|g|^2 on a new array, for gradients ``g`` of values ``v`` (or of rows of them) in 1-D or 2-D."""
+    if np.ndim(g) == np.ndim(v):
+        return np.square(g)
+    t = np.square(g[..., 0])
+    t += np.square(g[..., 1])
+    return t
 
 
-def _log_gradient(s: Sample, floor: float = LOG_CLAMP) -> Sample:
-    """grad q / q with q floored at ``floor``, as the gradient of a sample.
+def _log_gradient(g, qf) -> np.ndarray:
+    """grad q / q on a new array, for q's gradient ``g`` and its values floored, ``qf``.
 
     Dividing before squaring keeps |grad q / q|^2 finite where |grad q|^2
     and q^2 underflow.
     """
-    g, qf = s.gradient, np.maximum(s.value, floor)
-    return Sample(s.value, g / (qf if np.ndim(g) == np.ndim(qf) else np.expand_dims(qf, -1)))
+    return g / (qf if np.ndim(g) == np.ndim(qf) else np.expand_dims(qf, -1))
 
 
 def _pair(name: str, w, pv, scores, support: float) -> float:
     """Raw pairing: the weighted sum of p S over the nodes.
 
     A non-finite score raises where |p| exceeds ``support`` and counts as
-    zero elsewhere (the measure-zero convention 0 * inf = 0).
+    zero elsewhere (the measure-zero convention 0 * inf = 0); a node where
+    p = 0 adds +0.0 whatever its score.
     """
-    live = np.isfinite(scores)
-    if np.any(~live & (np.abs(pv) > support)):
+    dead = ~np.isfinite(scores)
+    if dead.any() and np.any(np.abs(pv[dead]) > support):
         raise ZeroDensityError(f"{name} score blows up where p has support")
-    return float(np.sum(w * np.where(live & (pv != 0), pv * np.where(live, scores, 0.0), 0.0)))
+    with np.errstate(invalid="ignore"):  # 0 * inf at a dead node, zeroed next
+        t = pv * scores
+    t[dead] = 0.0
+    t[pv == 0] = 0.0
+    t *= w
+    return float(t.sum())
 
 
 def _quiet(kernel: Callable) -> Callable:
@@ -107,12 +117,28 @@ def _quiet(kernel: Callable) -> Callable:
     return np.errstate(divide="ignore", invalid="ignore")(kernel)
 
 
+# Each kernel computes its formula on one new array, in place and in the formula's operation order,
+# and never writes into a sample: a node set keeps its samples read-only.
 # Entropy kernels (w, s, m) give the entropy of sampled q of mass m, one per row for rows of samples.
 # Score kernels (s, mass, w, ref, floor) give q's score at its sample ``s``, where ``ref`` is q's
 # sample on the node set of weights ``w``, with q floored at ``floor`` in logarithms and ratios.
 # Divergence kernels (w, ps, mp, qs, mq, diagnostics) give D(p, q) from both samples and masses.
 
-_log_ratio = _quiet(lambda qv, mass, floor=LOG_CLAMP: np.log(np.maximum(qv, floor) / mass))
+@_quiet
+def _log_ratio(qv, mass, floor: float = LOG_CLAMP) -> np.ndarray:
+    t = np.asarray(np.maximum(qv, floor))  # 0-d at one point
+    t /= mass
+    return np.log(t, out=t)
+
+
+@_quiet
+def _log_entropy(w, s: Sample, m):
+    v = s.value
+    t = _log_ratio(v, np.expand_dims(m, -1))
+    t *= v
+    t[~(v > 0)] = 0.0
+    t *= w
+    return t.sum(axis=-1)
 
 
 @_quiet
@@ -120,12 +146,34 @@ def _log_divergence(w, ps: Sample, mp: float, qs: Sample, mq: float, diagnostics
     ph, qh = ps.value / mp, qs.value / mq
     if diagnostics is not None and bool(np.any((qh < LOG_CLAMP) & (ph > pairing.SUPPORT_THRESHOLD))):
         diagnostics["log_clamped"] = True
-    return _pair("logarithmic", w, ph, _log_ratio(ph, 1.0) - _log_ratio(qh, 1.0), pairing.SUPPORT_THRESHOLD)
+    t = np.maximum(ph, LOG_CLAMP)
+    np.log(t, out=t)
+    np.maximum(qh, LOG_CLAMP, out=qh)
+    t -= np.log(qh, out=qh)
+    return _pair("logarithmic", w, ph, t, pairing.SUPPORT_THRESHOLD)
+
+
+@_quiet
+def _hyvarinen_entropy(w, s: Sample, m):
+    v = s.value
+    t = _norm_sq(s.gradient, v)
+    t /= np.maximum(v, LOG_CLAMP)
+    t[~(v > 0)] = 0.0
+    t *= w
+    return t.sum(axis=-1)
 
 
 @_quiet
 def _hyvarinen_score(s: Sample, mass, w, ref, floor: float):
-    return np.where(s.value > 0, -2.0 * s.laplacian / np.maximum(s.value, floor) + _norm_sq(_log_gradient(s, floor)), np.inf)
+    v = np.asarray(s.value)  # 0-d at one point
+    qf = np.maximum(v, floor)
+    t = np.asarray(np.multiply(s.laplacian, -2.0))
+    t /= qf
+    g = _log_gradient(s.gradient, qf)
+    del qf  # freed before the squares, which hold the most arrays at once
+    t += _norm_sq(g, v)
+    t[~(v > 0)] = np.inf
+    return t
 
 
 def _quadratic_score(s: Sample, mass, w, ref, floor: float):
@@ -133,7 +181,12 @@ def _quadratic_score(s: Sample, mass, w, ref, floor: float):
         q2, m2 = np.sum(w * ref.value**2), np.float64(mass) ** 2
     if not (np.isfinite(q2) and np.isfinite(m2)):
         raise DomainError(f"the quadratic score of q overflows: q.q = {float(q2)!r}, (q.1)^2 = {float(m2)!r}")
-    return 2.0 * s.value / mass - q2 / m2
+    if min(q2, m2) < np.finfo(float).tiny:  # q.q / (q.1)^2 would be 0 / 0, or a ratio of subnormals that lost digits
+        raise DomainError(f"the quadratic score of q underflows: q.q = {float(q2)!r}, (q.1)^2 = {float(m2)!r}")
+    t = np.asarray(np.multiply(s.value, 2.0))  # 0-d at one point
+    t /= mass
+    t -= q2 / m2
+    return t
 
 
 @_quiet
@@ -143,6 +196,28 @@ def _quadratic_entropy(w, s: Sample, m):
     if np.any(np.isinf(q2) & np.isfinite(m)):  # a non-finite mass is refused as every rule refuses it
         raise DomainError("the quadratic entropy of q overflows: q.q = inf")
     return q2 / m
+
+
+def _quadratic_divergence(w, ps: Sample, mp: float, qs: Sample, mq: float, diagnostics: dict | None) -> float:
+    t = ps.value / mp
+    t -= qs.value / mq
+    np.square(t, out=t)
+    t *= w
+    return float(t.sum())
+
+
+def _fisher_divergence(w, ps: Sample, mp: float, qs: Sample) -> float:
+    """The weighted sum of p |grad p/p - grad q/q|^2 over the nodes where p and q are positive, over p's mass."""
+    pv, qv = ps.value, qs.value
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = _log_gradient(ps.gradient, np.maximum(pv, LOG_CLAMP))
+        g -= _log_gradient(qs.gradient, np.maximum(qv, LOG_CLAMP))
+        t = _norm_sq(g, pv)
+    t[~np.isfinite(t)] = 0.0
+    t *= pv
+    t[~((pv > 0) & (qv > 0))] = 0.0
+    t *= w
+    return float(t.sum() / mp)
 
 
 @dataclass(frozen=True)
@@ -172,16 +247,13 @@ RULES = {
     for r in (
         Rule("logarithmic", ("log", "logarithmic"), 0, 0, grids=True, analytic=True, positive=True, massless=True, strict=True,
              log_clamp=True, cone=lambda dim: ShannonEnvelope(a=dim + 1, c1=1e-8, c2=1e3, dim=dim), divergence=_log_divergence,
-             entropy=_quiet(lambda w, s, m: (w * np.where(s.value > 0, s.value * _log_ratio(s.value, np.expand_dims(m, -1)), 0.0)).sum(axis=-1)),
-             score=lambda s, mass, w, ref, floor: _log_ratio(s.value, mass, floor)),
+             entropy=_log_entropy, score=lambda s, mass, w, ref, floor: _log_ratio(s.value, mass, floor)),
         Rule("hyvarinen", ("hyv", "hyvarinen"), 1, 2, grids=False, analytic=True, positive=True, massless=True, strict=True,
              log_clamp=False, cone=lambda dim: HyvarinenGrowth(c1=200.0, k=2.0, c2=1e5, dim=dim), divergence=None,
-             entropy=_quiet(lambda w, s, m: (w * np.where(s.value > 0, _norm_sq(s) / np.maximum(s.value, LOG_CLAMP), 0.0)).sum(axis=-1)),
-             score=_hyvarinen_score),
+             entropy=_hyvarinen_entropy, score=_hyvarinen_score),
         Rule("quadratic", ("quad", "quadratic", "brier"), 0, 0, grids=True, analytic=True, positive=False, massless=True, strict=True,
              log_clamp=False, cone=lambda dim: QuadraticNorm(k1=0.1, k2=10.0, eps=0.05, dim=dim),
-             divergence=lambda w, ps, mp, qs, mq, diagnostics: float(np.sum(w * (ps.value / mp - qs.value / mq) ** 2)),
-             entropy=_quadratic_entropy, score=_quadratic_score),
+             divergence=_quadratic_divergence, entropy=_quadratic_entropy, score=_quadratic_score),
         Rule("supremum", ("sup", "supremum"), 0, 0, grids=True, analytic=False, positive=False, massless=False, strict=False,
              log_clamp=False, cone=lambda dim: GridPositive(dim=dim), divergence=None,
              entropy=lambda w, s, m: np.max(s.value, axis=-1), score=None),
@@ -498,11 +570,7 @@ def hyvarinen_divergence_direct(
     ns = pairing.nodes_for(p + q, scheme)
     ps, mp = _sampled(RULES["hyvarinen"], p, ns, 1, "p")
     qs, _ = _sampled(RULES["hyvarinen"], q, ns, 1, "q")
-    live = (ps.value > 0) & (qs.value > 0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        diff2 = _norm_sq(Sample(ps.value, _log_gradient(ps).gradient - _log_gradient(qs).gradient))
-    terms = np.where(live, ps.value * np.where(np.isfinite(diff2), diff2, 0.0), 0.0)
-    return float(np.sum(ns.weights * terms) / mp)
+    return _fisher_divergence(ns.weights, ps, mp, qs)
 
 
 # ---------------------------------------------------------------------------

@@ -494,8 +494,10 @@ def test_a_divergent_forecast_is_a_domain_error(capsys, files):
         ("hyv", {"family": "power_law", "beta": 1e300}, "the power law's Laplacian overflows at beta = 1e+300"),
         # its scale over its normaliser overflows: inf times the exps that underflow is nan
         *((rule, {"family": "gaussian", "mean": 0, "var": 1e-305, "scale": 1e300}, "q has non-finite mass nan") for rule in ("log", "quad", "hyv")),
+        # q.q and (q.1)^2 are subnormal: their ratio lost digits, a score 5e-4 off at x = 0
+        ("quad", {"family": "gaussian", "mean": 0, "var": 1, "scale": 1e-160}, "the quadratic score of q underflows: q.q = 2.816e-321, (q.1)^2 = 1e-320"),
     ],
-    ids=["quadratic-score", "grid-mass", "power-law-laplacian", "gaussian-factor-log", "gaussian-factor-quad", "gaussian-factor-hyv"],
+    ids=["quadratic-score", "grid-mass", "power-law-laplacian", "gaussian-factor-log", "gaussian-factor-quad", "gaussian-factor-hyv", "quadratic-score-underflow"],
 )
 def test_forecasts_past_the_float_range_are_domain_errors(capsys, files, rule, forecast, message):
     q = files("q.json", json.dumps(forecast))

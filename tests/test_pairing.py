@@ -654,6 +654,26 @@ def test_every_rule_call_on_the_kept_set_matches_a_fresh_set_bit_for_bit(monkeyp
     assert [f.terms() for f in built] == [(p + q).terms(), q.terms()]  # one set for p + q, one for q
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_rule_calls_leave_the_kept_samples_unchanged_and_read_only(dim):
+    p, q = _memo_fields(dim)
+    kept = {}  # every array a set kept, with its bytes when first seen
+    for name, call in _memo_calls(dim):
+        call(p, q)
+        for _, arrays, _ in pairing._last[2]._samples.values():
+            kept.update((id(a), (a, a.tobytes())) for a in arrays if id(a) not in kept)
+    assert len(kept) >= 6  # values, gradients and Laplacians of q and of p's leaves
+    for a, before in kept.values():
+        assert not a.flags.writeable
+        assert a.tobytes() == before
+    value = pairing._last[2].sample(q, 2).value  # a lone leaf's sample is the kept arrays themselves
+    assert value.tobytes() == kept[id(value)][1]
+    for write in (lambda: value.__setitem__(0, 1.0), lambda: value.__imul__(2.0), lambda: np.log(value, out=value)):
+        with pytest.raises(ValueError, match="read-only"):
+            write()
+    assert value.tobytes() == kept[id(value)][1]
+
+
 def test_the_kept_set_is_returned_only_for_the_same_scheme_coefficients_and_leaves():
     p, q = GaussianDensity(0.1, 0.8), GaussianDensity(-0.3, 1.4, scale=0.5)
     scheme = pairing.QuadratureScheme(panels=4)

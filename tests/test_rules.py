@@ -12,7 +12,7 @@ from scipy import integrate
 
 from conescore import boundary, pairing, rules, sampling
 from conescore.convexity import entropy_line
-from conescore.densities import Bump, GaussianDensity, GridDensity, GridField, MixtureDensity, PowerLawDensity
+from conescore.densities import Bump, GaussianDensity, GridDensity, GridField, MixtureDensity, PowerLawDensity, Sample
 from conescore.errors import (
     ConescoreError,
     DomainError,
@@ -580,3 +580,206 @@ def test_library_2d_divergences_keep_their_heap():
     counts = dict(line.split() for line in proc.stdout.splitlines())
     assert counts.pop("cli") == "False"
     assert {rule: int(n) for rule, n in counts.items() if int(n) > 64} == {}
+
+
+# ---------------------------------------------------------------------------
+# kernels against their np.where formulas, bit for bit
+# ---------------------------------------------------------------------------
+
+# The kernels as they were written with np.where copies: the in-place kernels must give their bits.
+def _quiet_ref(kernel):
+    return np.errstate(divide="ignore", invalid="ignore")(kernel)
+
+
+def _ref_norm_sq(s):
+    g = s.gradient
+    return g**2 if np.ndim(g) == np.ndim(s.value) else g[..., 0] ** 2 + g[..., 1] ** 2
+
+
+def _ref_log_gradient(s, floor=rules.LOG_CLAMP):
+    g, qf = s.gradient, np.maximum(s.value, floor)
+    return Sample(s.value, g / (qf if np.ndim(g) == np.ndim(qf) else np.expand_dims(qf, -1)))
+
+
+def _ref_pair(name, w, pv, scores, support):
+    live = np.isfinite(scores)
+    if np.any(~live & (np.abs(pv) > support)):
+        raise ZeroDensityError(f"{name} score blows up where p has support")
+    return float(np.sum(w * np.where(live & (pv != 0), pv * np.where(live, scores, 0.0), 0.0)))
+
+
+@_quiet_ref
+def _ref_log_ratio(qv, mass, floor=rules.LOG_CLAMP):
+    return np.log(np.maximum(qv, floor) / mass)
+
+
+@_quiet_ref
+def _ref_log_entropy(w, s, m):
+    return (w * np.where(s.value > 0, s.value * _ref_log_ratio(s.value, np.expand_dims(m, -1)), 0.0)).sum(axis=-1)
+
+
+@_quiet_ref
+def _ref_hyvarinen_entropy(w, s, m):
+    return (w * np.where(s.value > 0, _ref_norm_sq(s) / np.maximum(s.value, rules.LOG_CLAMP), 0.0)).sum(axis=-1)
+
+
+@_quiet_ref
+def _ref_hyvarinen_score(s, mass, w, ref, floor):
+    return np.where(s.value > 0, -2.0 * s.laplacian / np.maximum(s.value, floor) + _ref_norm_sq(_ref_log_gradient(s, floor)), np.inf)
+
+
+def _ref_quadratic_score(s, mass, w, ref, floor):
+    q2, m2 = np.sum(w * ref.value**2), np.float64(mass) ** 2
+    return 2.0 * s.value / mass - q2 / m2
+
+
+@_quiet_ref
+def _ref_log_divergence(w, ps, mp, qs, mq, diagnostics):
+    ph, qh = ps.value / mp, qs.value / mq
+    if diagnostics is not None and bool(np.any((qh < rules.LOG_CLAMP) & (ph > pairing.SUPPORT_THRESHOLD))):
+        diagnostics["log_clamped"] = True
+    return _ref_pair("logarithmic", w, ph, _ref_log_ratio(ph, 1.0) - _ref_log_ratio(qh, 1.0), pairing.SUPPORT_THRESHOLD)
+
+
+def _ref_quadratic_divergence(w, ps, mp, qs, mq, diagnostics):
+    return float(np.sum(w * (ps.value / mp - qs.value / mq) ** 2))
+
+
+def _ref_fisher_divergence(w, ps, mp, qs):
+    live = (ps.value > 0) & (qs.value > 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        diff2 = _ref_norm_sq(Sample(ps.value, _ref_log_gradient(ps).gradient - _ref_log_gradient(qs).gradient))
+    terms = np.where(live, ps.value * np.where(np.isfinite(diff2), diff2, 0.0), 0.0)
+    return float(np.sum(w * terms) / mp)
+
+
+def _bits(x):
+    """Every value's float.hex (which tells -0.0 from 0.0) and sign bit."""
+    a = np.asarray(x, dtype=float).ravel()
+    return [v.hex() for v in a.tolist()], np.signbit(a).tolist()
+
+
+def _frozen(*arrays):
+    """Read-only arrays, as a node set keeps its samples: a kernel that writes into one raises."""
+    for a in arrays:
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
+    return arrays
+
+
+def _edge_values(rng, shape):
+    """Values with zeros, -0.0, negatives and values under LOG_CLAMP among ordinary positive ones."""
+    v = rng.lognormal(0.0, 2.0, shape)
+    pick = rng.random(shape)
+    v[pick < 0.1] = 0.0
+    v[(pick >= 0.1) & (pick < 0.2)] = -0.0
+    v[(pick >= 0.2) & (pick < 0.3)] *= -1.0
+    v[(pick >= 0.3) & (pick < 0.35)] = 1e-310
+    return v
+
+
+def _edge_sample(rng, shape, dim):
+    """A sample of values, gradients and Laplacians; the 2-D gradient is an (..., n, 2) view, as a tensor set's is."""
+    v = _edge_values(rng, shape)
+    g = rng.normal(0.0, 3.0, (dim,) + shape)
+    g[:, rng.random(shape) < 0.05] = -0.0
+    g = g[0] if dim == 1 else np.moveaxis(g, 0, -1)
+    lap = rng.normal(0.0, 3.0, shape)
+    return Sample(*_frozen(v, g, lap))
+
+
+_KERNEL_CASES = [(shape, dim) for shape in ((257,), (3, 257)) for dim in (1, 2)]
+
+
+@pytest.mark.parametrize("shape, dim", _KERNEL_CASES, ids=lambda c: str(c))
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_entropy_kernels_give_the_bits_of_their_formulas(shape, dim, seed):
+    rng = np.random.default_rng([seed, len(shape), dim])
+    s = _edge_sample(rng, shape, dim)
+    (w,) = _frozen(rng.random(shape[-1]))
+    m = (w * np.abs(s.value)).sum(axis=-1)  # the finite-difference engine's rows carry one mass per row
+    m = float(m) if m.ndim == 0 else _frozen(m)[0]
+    assert _bits(rules._hyvarinen_entropy(w, s, m)) == _bits(_ref_hyvarinen_entropy(w, s, m))
+    if dim == 1:
+        assert _bits(rules._log_entropy(w, s, m)) == _bits(_ref_log_entropy(w, s, m))
+        assert _bits(rules.RULES["logarithmic"].entropy(w, s, m)) == _bits(_ref_log_entropy(w, s, m))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_score_kernels_give_the_bits_of_their_formulas(dim, seed):
+    rng = np.random.default_rng([seed, dim])
+    s = _edge_sample(rng, (257,), dim)
+    (w,) = _frozen(rng.random(257))
+    ref = Sample(*_frozen(np.abs(s.value)))
+    mass = float((w * ref.value).sum())
+    points = [s] + [Sample(*(a[i] for a in s)) for i in range(12)]  # 0-d values, as score_at passes at one point
+    points += [Sample(float(s.value[i]), float(s.gradient[i]) if dim == 1 else s.gradient[i], float(s.laplacian[i])) for i in range(12)]
+    for x in points:
+        for floor in (0.0, rules.LOG_CLAMP):
+            with np.errstate(over="ignore"):  # both overflow alike, dividing by values under LOG_CLAMP
+                assert _bits(rules._hyvarinen_score(x, mass, w, ref, floor)) == _bits(_ref_hyvarinen_score(x, mass, w, ref, floor))
+            assert _bits(rules.RULES["logarithmic"].score(x, mass, w, ref, floor)) == _bits(_ref_log_ratio(x.value, mass, floor))
+            assert _bits(rules._quadratic_score(x, mass, w, ref, floor)) == _bits(_ref_quadratic_score(x, mass, w, ref, floor))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_divergence_kernels_give_the_bits_of_their_formulas(dim, seed):
+    rng = np.random.default_rng([seed, dim, 7])
+    ps, qs = _edge_sample(rng, (257,), dim), _edge_sample(rng, (257,), dim)
+    (w,) = _frozen(rng.random(257))
+    mp, mq = float((w * np.abs(ps.value)).sum()), float((w * np.abs(qs.value)).sum())
+    got, expected = {}, {}
+    assert _bits(rules._log_divergence(w, ps, mp, qs, mq, got)) == _bits(_ref_log_divergence(w, ps, mp, qs, mq, expected))
+    assert got == expected == {"log_clamped": True}
+    assert _bits(rules._quadratic_divergence(w, ps, mp, qs, mq, None)) == _bits(_ref_quadratic_divergence(w, ps, mp, qs, mq, None))
+    with np.errstate(over="ignore"):  # both overflow alike, dividing by values under LOG_CLAMP
+        assert _bits(rules._fisher_divergence(w, ps, mp, qs)) == _bits(_ref_fisher_divergence(w, ps, mp, qs))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_pair_gives_the_bits_of_its_formula(seed):
+    rng = np.random.default_rng([seed, 11])
+    pv = _edge_values(rng, (257,))
+    scores = rng.normal(0.0, 5.0, 257)
+    dead = rng.random(257) < 0.2
+    scores[dead] = rng.choice([np.inf, -np.inf, np.nan], int(dead.sum()))
+    pv[dead] = rng.choice([0.0, -0.0, 1e-13, -1e-13], int(dead.sum()))  # |p| <= support: a non-finite score counts as zero
+    w, pv, scores = _frozen(rng.random(257), pv, scores)
+    assert _bits(rules._pair("r", w, pv, scores, 1e-12)) == _bits(_ref_pair("r", w, pv, scores, 1e-12))
+    with pytest.raises(ZeroDensityError, match="r score blows up"):
+        rules._pair("r", w, pv, scores, 1e-14)
+    # a node where p = 0 adds +0.0, so a sum of nothing but such nodes is +0.0, not -0.0
+    for scores in ([-1.0, 2.0, -3.0], [-1.0, 2.0, np.inf]):
+        w, pv, scores = _frozen(np.ones(3), np.array([0.0, -0.0, 0.0]), np.array(scores))
+        assert _bits(rules._pair("r", w, pv, scores, 0.0)) == _bits(_ref_pair("r", w, pv, scores, 0.0)) == (["0x0.0p+0"], [False])
+
+
+def test_pair_convention_holds_through_the_rule_calls():
+    # on nodes out to 3, q = (1 - x^2)^2 vanishes past 1, where its Hyvarinen score is +inf: that score raises
+    # where |p| > support and counts as zero where |p| <= support; a finite score where p = 0 adds +0.0
+    q, scheme = Bump(0.0, 1.0), pairing.QuadratureScheme(radius=3.0)
+    faint = Bump(0.2, 0.5) + 1e-14 * GaussianDensity(0.0, 1.0)  # 0 < p <= support past 1
+    for rule in ("logarithmic", "hyvarinen", "quadratic"):
+        record = rules.RULES[rule]
+        for p in (Bump(0.2, 0.5), faint, GaussianDensity(0.0, 1.0)):
+            ns = pairing.nodes_for(p + q, scheme)
+            (ps, mp), (qs, mq) = ns.sampled(p), ns.sampled(q, record.score_order)
+            scores = record.score(qs, mq, ns.weights, qs, rules.LOG_CLAMP)
+            support = pairing.SUPPORT_THRESHOLD * mp
+            assert np.all(np.isfinite(scores) == (rule != "hyvarinen") | (qs.value > 0)) and np.any(qs.value == 0)
+            if np.any(~np.isfinite(scores) & (np.abs(ps.value) > support)):
+                assert rule == "hyvarinen" and isinstance(p, GaussianDensity)
+                with pytest.raises(ZeroDensityError, match="score blows up where p has support"):
+                    rules.expected_score(rule, p, q, scheme)
+                continue
+            assert np.any(ps.value == 0) or np.any((ps.value != 0) & (np.abs(ps.value) <= support)) or rule != "hyvarinen"
+            expected = _ref_pair(rule, ns.weights, ps.value, scores, support) / mp
+            assert _bits(rules.expected_score(rule, p, q, scheme)) == _bits(expected)
+        ns = pairing.nodes_for(q, scheme)
+        qs, mq = ns.sampled(q, record.score_order)
+        scores = record.score(qs, mq, ns.weights, qs, rules.LOG_CLAMP)
+        phi = float(record.entropy(ns.weights, qs, mq))
+        expected = abs(_ref_pair(rule, ns.weights, qs.value, scores, pairing.SUPPORT_THRESHOLD * mq) - phi) / abs(phi)
+        assert _bits(rules.euler_residual(rule, q, scheme)) == _bits(expected)
