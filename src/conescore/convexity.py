@@ -547,7 +547,7 @@ def gateaux_check(
     quadratic = rules.RULES["quadratic"]
     phi = entropy_line(quadratic.name, q, *directions, scheme=scheme)
     ns = phi.nodes
-    grad_values = rules._scored(quadratic, q, ns)[2]
+    grad_values = rules._scored(quadratic, q, ns)[3]
     symmetric = functools.partial(_symmetric_derivative, phi, q)
 
     margin = cone_check(q, quadratic.cone(q.dim), scheme).worst_residual

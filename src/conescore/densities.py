@@ -125,6 +125,13 @@ class Field:
         """``sample`` at the nodes of a ``pairing.NodeSet``; separable families override it."""
         return self.sample(ns.points, order)
 
+    def ratio_sample(self, x, order: int = 0) -> Sample:
+        """``sample`` with each point's row over a positive factor: what reads only ratios to the value there.
+
+        The factor is 1 here; a family whose derivatives underflow before their ratios to the value divides by more.
+        """
+        return self.sample(x, order)
+
     def value(self, x):
         return self.sample(x).value
 
@@ -436,19 +443,31 @@ class PowerLawDensity(Field):
         return math.exp(0.5 * math.log(math.pi) + math.lgamma((b - 1) / 2) - math.lgamma(b / 2))
 
     def sample(self, x, order: int = 0) -> Sample:
+        return self._rows(x, order, ratios=False)
+
+    def ratio_sample(self, x, order: int = 0) -> Sample:
+        """Each row over q where q is positive: 1, grad q / q and lap q / q, finite where q's derivatives underflow."""
+        return self._rows(x, order, ratios=True)
+
+    def _rows(self, x, order: int, ratios: bool) -> Sample:
         pts, scalar = _as_points(x, self.dim)
-        r2 = (pts**2).sum(axis=1)
-        b, d = self.beta, self.dim
-        values = (self.scale / self._norm) * (1.0 + r2) ** (-0.5 * b)
+        with np.errstate(over="ignore"):  # past |x| ~ 1e154 r^2 is inf, where q is 0
+            r2 = (pts**2).sum(axis=1)
+        b, d, u = self.beta, self.dim, 1.0 + r2
+        values = (self.scale / self._norm) * u ** (-0.5 * b)
+        if ratios:
+            values = np.where(values > 0, 1.0, values)
         out = [values]
         if order >= 1:
-            g = values[:, None] * (-b * pts / (1.0 + r2)[:, None])
+            g = values[:, None] * (-b * pts / u[:, None])
             out.append(g[:, 0] if d == 1 else g)
         if order >= 2:
             try:
-                out.append(values * ((b**2 + 2.0 * b) * r2 / (1.0 + r2) ** 2 - b * d / (1.0 + r2)))
+                c = b**2 + 2.0 * b
             except OverflowError:  # beta^2 past the float range
                 raise DomainError(f"the power law's Laplacian overflows at beta = {b!r}") from None
+            with np.errstate(invalid="ignore"):  # r^2 / (1 + r^2) is nan where both are inf, and q is 0
+                out.append(values * ((c * (r2 / u) - b * d) / u))  # no (1 + r^2)^2 to overflow
         return Sample(*(_squeeze(a, scalar) for a in out))
 
     def core_radius(self) -> float:

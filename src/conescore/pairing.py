@@ -9,9 +9,10 @@ toolkit is doing exact convex analysis on a finite measure space. The set
 samples each leaf field on its nodes once (``NodeSet.sample``) and keeps
 the sample, and the leaf's mass summed from it, as long as it lives, so
 every caller reads the same arrays and the same mass instead of
-evaluating the field again. ``nodes_for`` keeps the latest analytic set,
-keyed by the scheme (by value) and the field's terms (coefficients by
-value, leaves by identity): the next call on an equal key, such as the
+evaluating the field again; the rules keep what they derive from a
+sample beside it (``NodeSet.sampled``). ``nodes_for`` keeps the latest
+analytic set, keyed by the scheme (by value) and the field's terms
+(coefficients by value, leaves by identity): the next call on an equal key, such as the
 next rule's call on ``p + q``, gets that set back with its samples. A call
 on other fields drops the set but carries over its geometry (order,
 dimension and panel edges, with the weights and nodes built on them) and
@@ -128,11 +129,13 @@ class NodeSet:
 
     ``points, weights = ns`` unpacks it. ``sample`` evaluates each leaf field
     once on the nodes, and again only to raise its order: a leaf's sample is
-    kept under its id, with the leaf and its mass, so every field built from
-    it reads the same arrays and a lone leaf's mass is summed once. The kept
-    arrays are read-only, so a write into one raises, and the samples live
-    as long as the set, never on the leaf. A 2-D set from
-    ``_cover_nodes`` squares the 1-D nodes in ``axis`` (None on 1-D and grid
+    kept under its id, with the leaf, its mass and a dict of what the rules
+    derive from it, so every field built from it reads the same arrays and
+    a lone leaf's mass is summed once; a raise in order adds the higher
+    arrays and keeps the rest. The kept arrays are read-only, so a write
+    into one raises, and the samples and what was derived from them live as
+    long as the set, or a set sharing its weights, never on the leaf. A 2-D
+    set from ``_cover_nodes`` squares the 1-D nodes in ``axis`` (None on 1-D and grid
     sets) and builds its points only when they are read. A set from
     ``_cover_nodes`` keeps the geometry it was built on (order, dimension and
     panel edges) in ``_geometry``; ``_share`` gives a new set on the same
@@ -143,7 +146,7 @@ class NodeSet:
 
     def __init__(self, points: np.ndarray | None, weights: np.ndarray):
         self._points, self.weights, self.axis, self._geometry = points, weights, None, None
-        self._samples: dict[int, tuple[Field, tuple, float]] = {}
+        self._samples: dict[int, tuple[Field, tuple, float, dict]] = {}
 
     @property
     def points(self) -> np.ndarray:
@@ -154,14 +157,19 @@ class NodeSet:
     def __iter__(self):
         return iter((self.points, self.weights))
 
-    def _kept(self, leaf: Field, order: int) -> tuple[Field, tuple, float]:
-        """The leaf, its arrays to at least ``order`` and its mass, sampled and summed here unless kept."""
+    def _kept(self, leaf: Field, order: int) -> tuple[Field, tuple, float, dict]:
+        """The leaf, its arrays to at least ``order``, its mass and the rules' results, sampled here unless kept.
+
+        A raise in order adds the higher arrays: the lower ones, which it recomputes bit for bit, stay with all read from them.
+        """
         kept = self._samples.get(id(leaf))
         if kept is None or len(kept[1]) <= order:
             arrays = leaf.sample_on(self, order)[: order + 1]
             for a in arrays:
                 a.flags.writeable = False
-            kept = self._samples[id(leaf)] = (leaf, arrays, _weighted_sum(self.weights, arrays[0]))
+            if kept is None:
+                kept = (leaf, (), _weighted_sum(self.weights, arrays[0]), {})
+            kept = self._samples[id(leaf)] = (leaf, kept[1] + arrays[len(kept[1]) :], *kept[2:])
         return kept
 
     def sample(self, f: Field, order: int = 0) -> Sample:
@@ -180,12 +188,17 @@ class NodeSet:
             total = part if total is None else list(map(operator.iadd, total, part))
         return Sample(*total)
 
-    def sampled(self, f: Field, order: int = 0) -> tuple[Sample, float]:
-        """f's sample and its mass, the weighted sum of its values: kept with a lone leaf's sample, else summed."""
-        terms, s = f.terms(), self.sample(f, order)
+    def sampled(self, f: Field, order: int = 0) -> tuple[Sample, float, dict | None]:
+        """f's sample, its mass (the weighted sum of its values) and the dict in which the rules keep what they derive.
+
+        A lone leaf's mass and dict are kept with its sample; a combination's mass is summed, and its dict is None.
+        """
+        terms = f.terms()
         if len(terms) == 1 and terms[0][0] == 1.0:
-            return s, self._samples[id(terms[0][1])][2]
-        return s, _weighted_sum(self.weights, s.value)
+            _, arrays, mass, derived = self._kept(terms[0][1], order)
+            return Sample(*arrays[: order + 1]), mass, derived
+        s = self.sample(f, order)
+        return s, _weighted_sum(self.weights, s.value), None
 
     def mass(self, f: Field) -> float:
         """f's mass on the nodes: the weighted sum of its sampled values."""

@@ -11,7 +11,10 @@ set from ``pairing.nodes_for`` (the previous call's, when that was on the
 same fields and scheme), samples each field there once to the record's
 orders, with each leaf's mass kept beside its sample, refuses it by the
 one policy ``_refusals`` reads from the record, and evaluates the record's
-kernels on those arrays, each formula written once. A kernel computes on
+kernels on those arrays, each formula written once. A lone leaf's sample
+keeps what ``_derived`` gets from it: its sign facts, each rule's entropy
+and the latest rule's scores, read-only, so each runs once per sample and
+lives as long as it; a kernel that raises keeps nothing. A kernel computes on
 one fresh array in place, in its formula's operation order, and never
 writes into a sample, which the node set keeps read-only. The
 logarithmic and quadratic divergences are nonnegative to floating point;
@@ -94,20 +97,23 @@ def _log_gradient(g, qf) -> np.ndarray:
     return g / (qf if np.ndim(g) == np.ndim(qf) else np.expand_dims(qf, -1))
 
 
-def _pair(name: str, w, pv, scores, support: float) -> float:
+def _pair(name: str, w, pv, scores, support: float, finite: bool = False, kept: dict | None = None) -> float:
     """Raw pairing: the weighted sum of p S over the nodes.
 
     A non-finite score raises where |p| exceeds ``support`` and counts as
     zero elsewhere (the measure-zero convention 0 * inf = 0); a node where
-    p = 0 adds +0.0 whatever its score.
+    p = 0 adds +0.0 whatever its score. Scores known to be ``finite`` skip
+    the first pass, and p's ``kept`` sign facts the second where p has no zero.
     """
-    dead = ~np.isfinite(scores)
-    if dead.any() and np.any(np.abs(pv[dead]) > support):
+    dead = None if finite else ~np.isfinite(scores)
+    if dead is not None and dead.any() and np.any(np.abs(pv[dead]) > support):
         raise ZeroDensityError(f"{name} score blows up where p has support")
     with np.errstate(invalid="ignore"):  # 0 * inf at a dead node, zeroed next
         t = pv * scores
-    t[dead] = 0.0
-    t[pv == 0] = 0.0
+    if dead is not None:
+        t[dead] = 0.0
+    if kept is None or _signs(kept, pv)[1]:
+        t[pv == 0] = 0.0
     t *= w
     return float(t.sum())
 
@@ -156,11 +162,15 @@ def _log_divergence(w, ps: Sample, mp: float, qs: Sample, mq: float, diagnostics
 @_quiet
 def _hyvarinen_entropy(w, s: Sample, m):
     v = s.value
-    t = _norm_sq(s.gradient, v)
-    t /= np.maximum(v, LOG_CLAMP)
-    t[~(v > 0)] = 0.0
-    t *= w
-    return t.sum(axis=-1)
+    with np.errstate(over="ignore"):
+        t = _norm_sq(s.gradient, v)
+        t /= np.maximum(v, LOG_CLAMP)
+        t[~(v > 0)] = 0.0
+        t *= w
+        h = t.sum(axis=-1)
+    if np.any(np.isinf(h) & np.isfinite(m)):  # a non-finite mass is refused as every rule refuses it
+        raise DomainError("the hyvarinen entropy of q overflows: |grad q|^2 / q sums to inf")
+    return h
 
 
 @_quiet
@@ -238,6 +248,7 @@ class Rule:
     score: Callable | None
     divergence: Callable | None  # None: entropy(p-hat) - p-hat . S(q-hat)
     cone: Callable[[int], ConeSpec]  # its report-only default cone in a dimension
+    ratios: bool = False  # its score at a point reads only ratios to q's value there: score_at reads q.ratio_sample
 
 
 # the default cones contain the seeded sampling families where the rule's cone admits them at all;
@@ -250,7 +261,7 @@ RULES = {
              entropy=_log_entropy, score=lambda s, mass, w, ref, floor: _log_ratio(s.value, mass, floor)),
         Rule("hyvarinen", ("hyv", "hyvarinen"), 1, 2, grids=False, analytic=True, positive=True, massless=True, strict=True,
              log_clamp=False, cone=lambda dim: HyvarinenGrowth(c1=200.0, k=2.0, c2=1e5, dim=dim), divergence=None,
-             entropy=_hyvarinen_entropy, score=_hyvarinen_score),
+             entropy=_hyvarinen_entropy, score=_hyvarinen_score, ratios=True),
         Rule("quadratic", ("quad", "quadratic", "brier"), 0, 0, grids=True, analytic=True, positive=False, massless=True, strict=True,
              log_clamp=False, cone=lambda dim: QuadraticNorm(k1=0.1, k2=10.0, eps=0.05, dim=dim),
              divergence=_quadratic_divergence, entropy=_quadratic_entropy, score=_quadratic_score),
@@ -283,13 +294,14 @@ def _require_family(rule: Rule | None, f: Field, label: str) -> None:
         raise UnsupportedFamilyError(f"the {rule.name} rule needs {label} on a grid; only grid families provide mode cells")
 
 
-def _refusals(rule: Rule | None, values: np.ndarray, mass: np.ndarray, label: str = "the field") -> list:
-    """Per row of sampled ``values`` and its ``mass``: the domain error refusing it, or None.
+def _refusals(rule: Rule | None, negative: Callable[[], np.ndarray], mass: np.ndarray, label: str = "the field") -> list:
+    """Per row of a sample and its ``mass``: the domain error refusing it, or None.
 
-    The record says whether negative values and a nonpositive or non-finite mass are
-    refused; None (a field that is only normalised) refuses the mass alone.
+    The record says whether negative values, which ``negative()`` marks by row, and a
+    nonpositive or non-finite mass are refused; None (a field that is only normalised)
+    refuses the mass alone.
     """
-    negative = np.any(values < 0, axis=-1) if rule is not None and rule.positive else np.zeros(mass.shape, bool)
+    negative = negative() if rule is not None and rule.positive else np.zeros(mass.shape, bool)
     massless = ~(np.isfinite(mass) & (mass > 0)) & (rule is None or rule.massless)
     return [
         ZeroDensityError(f"{label} leaves the {rule.name} rule's nonnegative cone on the node set") if neg
@@ -299,33 +311,65 @@ def _refusals(rule: Rule | None, values: np.ndarray, mass: np.ndarray, label: st
     ]
 
 
-def _sampled(rule: Rule | None, f: Field, ns: pairing.NodeSet, order: int, label: str) -> tuple[Sample, float]:
-    """``f``'s sample and mass on the node set, refused as ``_require_family`` and ``_refusals`` say."""
+def _derived(kept: dict | None, slot: str, tag, compute: Callable):
+    """``compute()``, kept in ``slot`` of a lone leaf's ``kept`` results (None: not kept) unless held there for ``tag``."""
+    if kept is None:
+        return compute()
+    held = kept.get(slot)
+    if held is None or held[0] != tag:
+        kept.pop(slot, None)  # the slot's last result is released before the next is computed
+        held = kept[slot] = (tag, compute())
+    return held[1]
+
+
+def _signs(kept: dict | None, v: np.ndarray) -> tuple[bool, bool]:
+    """Whether the values ``v`` hold a negative and whether they hold a zero: one pass where none is negative or nan."""
+
+    def compute():
+        least = v.min()
+        return (False, bool(least == 0)) if least >= 0 else (bool(np.any(v < 0)), bool(np.any(v == 0)))
+
+    return _derived(kept, "signs", None, compute)
+
+
+def _sampled(rule: Rule | None, f: Field, ns: pairing.NodeSet, order: int, label: str) -> tuple[Sample, float, dict | None]:
+    """``f``'s sample, mass and kept results on the node set, refused as ``_require_family`` and ``_refusals`` say."""
     _require_family(rule, f, label)
-    s, mass = ns.sampled(f, order)  # a mass past the float range is refused as non-finite
-    (refusal,) = _refusals(rule, s.value[None], np.array([mass]), label)
+    s, mass, kept = ns.sampled(f, order)  # a mass past the float range is refused as non-finite
+    (refusal,) = _refusals(rule, lambda: np.array([_signs(kept, s.value)[0]]), np.array([mass]), label)
     if refusal is not None:
         raise refusal
-    return s, mass
+    return s, mass, kept
 
 
-def _scored(rule: Rule, q: Field, ns: pairing.NodeSet) -> tuple[Sample, float, np.ndarray]:
-    """q's sample and mass on the node set, and its scores there."""
-    s, mass = _sampled(rule, q, ns, rule.score_order, "q")
-    return s, mass, rule.score(s, mass, ns.weights, s, LOG_CLAMP)
+def _scored(rule: Rule, q: Field, ns: pairing.NodeSet) -> tuple[Sample, float, dict | None, np.ndarray, bool]:
+    """q's sample, mass and kept results on the node set, its scores there, read-only, and whether all are finite."""
+    s, mass, kept = _sampled(rule, q, ns, rule.score_order, "q")
+
+    def compute():
+        scores = rule.score(s, mass, ns.weights, s, LOG_CLAMP)
+        scores.flags.writeable = False
+        return scores, bool(np.isfinite(scores).all())
+
+    return (s, mass, kept, *_derived(kept, "score", rule.name, compute))  # one rule's scores kept at a time
+
+
+def _entropy(rule: Rule, w, s: Sample, mass: float, kept: dict | None) -> float:
+    """The rule's entropy of the sample ``s`` of mass ``mass``, run once per lone leaf's sample."""
+    return _derived(kept, rule.name, None, lambda: float(rule.entropy(w, s, mass)))
 
 
 def _entropy_of(rule: Rule, ns: pairing.NodeSet, f: Field) -> float:
     """Entropy of one field on the node set, or the domain error refusing it."""
-    s, mass = _sampled(rule, f, ns, rule.entropy_order, "the field")
-    return float(rule.entropy(ns.weights, s, mass))
+    return _entropy(rule, ns.weights, *_sampled(rule, f, ns, rule.entropy_order, "the field"))
 
 
 def _row_entropies(rule: Rule, w, s: Sample) -> list:
     """Entropy of each row of a sample's rows: a float, or the domain error refusing the row."""
     mass = (w * s.value).sum(axis=-1)
     values = rule.entropy(w, s, mass).tolist()
-    return [v if refusal is None else refusal for v, refusal in zip(values, _refusals(rule, s.value, mass))]
+    refusals = _refusals(rule, lambda: np.any(s.value < 0, axis=-1), mass)
+    return [v if refusal is None else refusal for v, refusal in zip(values, refusals)]
 
 
 # ---------------------------------------------------------------------------
@@ -354,11 +398,11 @@ def score_at(rule: str, q: Field, x, scheme: pairing.QuadratureScheme | None = N
     rule = RULES[canonical_rule(rule)]
     if rule.score is None:
         return sup_subgradient(q).sample(x).value
-    s = q.sample(x, rule.score_order)  # order 2: grid fields refuse it
+    s = (q.ratio_sample if rule.ratios else q.sample)(x, rule.score_order)  # order 2: grid fields refuse it
     if strict and rule.positive and np.any(np.asarray(s.value) <= 0):
         raise ZeroDensityError(f"{rule.name} score undefined where q vanishes")
     ns = pairing.nodes_for(q, scheme)
-    ref, mass = _sampled(rule, q, ns, rule.score_order, "q")
+    ref, mass, _ = _sampled(rule, q, ns, rule.score_order, "q")
     return np.asarray(rule.score(s, mass, ns.weights, ref, 0.0), dtype=float)[()]
 
 
@@ -496,7 +540,7 @@ def _sup_pair(values: np.ndarray, mode: ModeSet) -> float:
 
 def _sup_expected(p: Field, q: Field, diagnostics: dict | None) -> tuple[float, float]:
     """max p-hat and the sup expectation p-hat . S(q-hat): plateau pairing, or Dirac evaluation."""
-    ps, mp = _sampled(None, p, _one_grid(p, q), 0, "p")
+    ps, mp, _ = _sampled(None, p, _one_grid(p, q), 0, "p")
     mode, _ = _mode(q)
     if mode.measure <= 0 and diagnostics is not None:
         diagnostics["dirac"] = True
@@ -521,12 +565,12 @@ def expected_score(
     if rule.score is None:
         return _sup_expected(p, q, diagnostics)[1]
     ns = pairing.nodes_for(p + q, scheme)
-    ps, mp = _sampled(None, p, ns, 0, "p")  # a direction: p may be signed
-    qs, _, scores = _scored(rule, q, ns)
+    ps, mp, kept = _sampled(None, p, ns, 0, "p")  # a direction: p may be signed
+    qs, _, _, scores, finite = _scored(rule, q, ns)
     pv, support = ps.value, pairing.SUPPORT_THRESHOLD * mp
     if rule.log_clamp and diagnostics is not None and bool(np.any((qs.value < LOG_CLAMP) & (np.abs(pv) > support))):
         diagnostics["log_clamped"] = True
-    return _pair(rule.name, ns.weights, pv, scores, support) / mp
+    return _pair(rule.name, ns.weights, pv, scores, support, finite, kept) / mp
 
 
 def divergence(
@@ -549,12 +593,13 @@ def divergence(
         return top - paired
     ns = pairing.nodes_for(p + q, scheme)
     w = ns.weights
-    ps, mp = _sampled(rule, p, ns, rule.entropy_order, "p")
-    qs, mq = _sampled(rule, q, ns, rule.score_order, "q")
+    ps, mp, kept = _sampled(rule, p, ns, rule.entropy_order, "p")
     if rule.divergence is not None:
+        qs, mq, _ = _sampled(rule, q, ns, rule.score_order, "q")
         return rule.divergence(w, ps, mp, qs, mq, diagnostics)
-    cross = _pair(rule.name, w, ps.value, rule.score(qs, mq, w, qs, LOG_CLAMP), pairing.SUPPORT_THRESHOLD * mp)
-    return float(rule.entropy(w, ps, mp)) / mp - cross / mp
+    scores, finite = _scored(rule, q, ns)[3:]
+    cross = _pair(rule.name, w, ps.value, scores, pairing.SUPPORT_THRESHOLD * mp, finite, kept)
+    return _entropy(rule, w, ps, mp, kept) / mp - cross / mp
 
 
 def hyvarinen_divergence_direct(
@@ -568,8 +613,8 @@ def hyvarinen_divergence_direct(
     the agreement is the integration-by-parts identity.
     """
     ns = pairing.nodes_for(p + q, scheme)
-    ps, mp = _sampled(RULES["hyvarinen"], p, ns, 1, "p")
-    qs, _ = _sampled(RULES["hyvarinen"], q, ns, 1, "q")
+    ps, mp, _ = _sampled(RULES["hyvarinen"], p, ns, 1, "p")
+    qs, _, _ = _sampled(RULES["hyvarinen"], q, ns, 1, "q")
     return _fisher_divergence(ns.weights, ps, mp, qs)
 
 
@@ -591,8 +636,8 @@ def euler_residual(rule: str, q: Field, scheme: pairing.QuadratureScheme | None 
         mode, vals = _mode(q)  # its height is the entropy max q
         return abs(_sup_pair(vals, mode) - mode.height) / abs(mode.height)
     ns = pairing.nodes_for(q, scheme)
-    s, mass, scores = _scored(rule, q, ns)
-    phi = float(rule.entropy(ns.weights, s, mass))
-    paired = _pair(rule.name, ns.weights, s.value, scores, pairing.SUPPORT_THRESHOLD * mass)
+    s, mass, kept, scores, finite = _scored(rule, q, ns)
+    phi = _entropy(rule, ns.weights, s, mass, kept)
+    paired = _pair(rule.name, ns.weights, s.value, scores, pairing.SUPPORT_THRESHOLD * mass, finite, kept)
     denom = abs(phi) if abs(phi) > 0 else 1.0
     return abs(paired - phi) / denom

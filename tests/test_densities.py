@@ -217,7 +217,7 @@ def _power_law_reference(q, pts):
     values = (q.scale / q._norm) * (1.0 + r2) ** (-0.5 * q.beta)
     g = values[:, None] * (-q.beta * pts / (1.0 + r2)[:, None])
     b, d = q.beta, q.dim
-    factor = (b**2 + 2.0 * b) * r2 / (1.0 + r2) ** 2 - b * d / (1.0 + r2)
+    factor = ((b**2 + 2.0 * b) * (r2 / (1.0 + r2)) - b * d) / (1.0 + r2)  # no (1 + r^2)^2, which overflows past |x| ~ 1e77
     return values, g[:, 0] if d == 1 else g, values * factor
 
 

@@ -660,9 +660,10 @@ def test_rule_calls_leave_the_kept_samples_unchanged_and_read_only(dim):
     kept = {}  # every array a set kept, with its bytes when first seen
     for name, call in _memo_calls(dim):
         call(p, q)
-        for _, arrays, _ in pairing._last[2]._samples.values():
-            kept.update((id(a), (a, a.tobytes())) for a in arrays if id(a) not in kept)
-    assert len(kept) >= 6  # values, gradients and Laplacians of q and of p's leaves
+        for _, arrays, _, derived in pairing._last[2]._samples.values():
+            scores = (derived["score"][1][0],) if "score" in derived else ()  # the latest rule's scores
+            kept.update((id(a), (a, a.tobytes())) for a in arrays + scores if id(a) not in kept)
+    assert len(kept) >= 9  # values, gradients and Laplacians of q and of p's leaves, and q's scores by three rules
     for a, before in kept.values():
         assert not a.flags.writeable
         assert a.tobytes() == before
@@ -672,6 +673,120 @@ def test_rule_calls_leave_the_kept_samples_unchanged_and_read_only(dim):
         with pytest.raises(ValueError, match="read-only"):
             write()
     assert value.tobytes() == kept[id(value)][1]
+
+
+def _plane_fields(dim):
+    """Fresh p, q and a two-Gaussian mixture m: new leaves, so nothing is kept for them yet."""
+    if dim == 1:
+        p, q = GaussianDensity(0.3, 0.8, scale=0.7), GaussianDensity(-0.2, 0.6, scale=0.9)
+        return p, q, MixtureDensity((GaussianDensity(0.5, 0.5), GaussianDensity(-0.4, 0.9)), (0.3, 0.45))
+    p, q = GaussianDensity([0.3, -0.2], [0.8, 0.5], scale=0.7), GaussianDensity([-0.2, 0.1], [0.6, 0.9], scale=0.9)
+    return p, q, MixtureDensity((GaussianDensity([0.5, 0.2], [0.5, 0.7]), GaussianDensity([-0.4, 0.0], [0.9, 0.4])), (0.3, 0.45))
+
+
+def _plane_calls(dim):
+    """The benchmark's eleven plane calls on (p, q, m), in its order."""
+    scheme = None if dim == 1 else pairing.QuadratureScheme(panels=2, nodes=8)
+    calls = [lambda p, q, m, r=r: rules.divergence(r, p, q, scheme) for r in _RULE_NAMES]
+    calls += [lambda p, q, m, r=r: rules.entropy(r, p, scheme) for r in _RULE_NAMES]
+    calls += [lambda p, q, m, r=r: rules.euler_residual(r, m, scheme) for r in _RULE_NAMES]
+    calls.append(lambda p, q, m: rules.hyvarinen_divergence_direct(m, q, scheme))
+    calls.append(lambda p, q, m: rules.divergence("hyvarinen", m, q, scheme))
+    return calls
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_each_rule_kernel_runs_once_per_kept_sample_over_the_plane_calls(monkeypatch, dim):
+    runs, held = Counter(), []  # held keeps every sampled array alive, so no id is reused
+
+    def counted(kind, name, kernel):
+        def run(*args):
+            s = args[1] if kind == "entropy" else args[0]  # entropy kernels take (w, s, m), score kernels (s, mass, ...)
+            held.append(s.value)
+            runs[kind, name, id(s.value)] += 1
+            return kernel(*args)
+        return run
+
+    for name, record in list(rules.RULES.items()):
+        if record.score is not None:
+            counters = {kind: counted(kind, name, getattr(record, kind)) for kind in ("entropy", "score")}
+            monkeypatch.setitem(rules.RULES, name, replace(record, **counters))
+    fields, calls, per_round = _plane_fields(dim), _plane_calls(dim), []
+    for _ in range(3):
+        before = sum(runs.values())
+        for call in calls:
+            call(*fields)
+        per_round.append(sum(runs.values()) - before)
+    assert max(runs.values()) == 1
+    # a round reads an entropy 8 times and a score 5 times. G_hyv(p) and G_hyv(m) are read twice each, and
+    # S_hyv(q) once at the round's end and again at the next round's start, on q's sample carried between them
+    assert per_round == [11, 10, 10]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_the_plane_calls_give_the_same_bits_warm_and_cold(dim):
+    cold = [_hex(call(*_plane_fields(dim))) for call in _plane_calls(dim)]  # new leaves each call: nothing kept
+    fields = _plane_fields(dim)
+    for _ in range(2):
+        assert [_hex(call(*fields)) for call in _plane_calls(dim)] == cold
+
+
+def test_a_kept_score_is_read_only_and_the_latest_rules_alone():
+    q = GaussianDensity(0.2, 1.3)
+    rules.euler_residual("hyvarinen", q)
+    derived = pairing.nodes_for(q)._samples[id(q)][3]
+    name, (scores, finite) = derived["score"]
+    assert name == "hyvarinen" and finite is True and not scores.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        scores[0] = 1.0
+    assert rules.euler_residual("hyvarinen", q) == rules.euler_residual("hyvarinen", q)
+    assert pairing.nodes_for(q)._samples[id(q)][3] is derived and derived["score"][1][0] is scores  # read again, not run again
+    rules.euler_residual("logarithmic", q)
+    assert derived["score"][0] == "logarithmic"  # one slot a leaf: the latest rule's scores
+    assert set(derived) == {"signs", "score", "hyvarinen", "logarithmic"}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_refused_call_keeps_no_result_and_a_signed_field_is_refused_on_every_call():
+    signed = Bump(0.3, 0.8, -0.6)
+    for _ in range(2):
+        for rule in ("logarithmic", "hyvarinen"):
+            for call in (rules.entropy, rules.euler_residual):
+                with pytest.raises(ZeroDensityError, match="nonnegative cone"):
+                    call(rule, signed)
+    derived = pairing.nodes_for(signed)._samples[id(signed)][3]
+    assert derived == {"signs": (None, (True, True))}  # negative values, and zeros off the bump
+    huge = GaussianDensity(0.0, 1.0, scale=1e200)
+    for _ in range(2):
+        for rule in ("hyvarinen", "quadratic"):
+            with pytest.raises(DomainError, match=f"the {rule} entropy of q overflows"):
+                rules.entropy(rule, huge)
+    assert set(pairing.nodes_for(huge)._samples[id(huge)][3]) == {"signs"}
+
+
+_ORDERED_LEAVES = {
+    "gaussian-1d": GaussianDensity(0.2, 0.9, scale=0.7),
+    "gaussian-2d": GaussianDensity([0.1, -0.3], [0.8, 1.1]),
+    "mixture-1d": MixtureDensity((GaussianDensity(-0.4, 0.8), GaussianDensity(1.1, 2.2)), (0.3, 0.9), scale=1.7),
+    "mixture-2d": MixtureDensity((GaussianDensity([0.4, -0.3], [0.7, 1.2]), GaussianDensity([-0.6, 0.5], 1.0)), (0.35, 0.8)),
+    "power-law-1d": PowerLawDensity(2.5, scale=0.8),
+    "power-law-2d": PowerLawDensity(3.4, dim=2, scale=0.7),
+    "bump-1d": Bump(0.3, 0.8, -0.6),
+    "bump-2d": Bump([0.2, -0.4], 0.9, 1.7),
+    "grid": GridDensity(0.0, 1.0, np.linspace(1.0, 3.0, 101) ** 2),
+}
+
+
+@pytest.mark.parametrize("name", list(_ORDERED_LEAVES))
+def test_a_raise_in_order_recomputes_the_lower_rows_bit_for_bit(name):
+    leaf = _ORDERED_LEAVES[name]  # so a node set keeps the lower order's arrays, and all read from them, across a raise
+    ns = pairing.nodes_for(leaf, None if leaf.dim == 1 else pairing.QuadratureScheme(panels=2, nodes=4))
+    samples = [leaf.sample_on(ns, order) for order in range(2 if leaf.grid is not None else 3)]
+    for order, s in enumerate(samples):
+        for k, lower in enumerate(samples[:order]):
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(s[: k + 1], lower[: k + 1]))
+    raised = [ns.sample(leaf, order)[: order + 1] for order in range(len(samples))][-1]  # raised one order at a time
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(raised, samples[-1]))
 
 
 def test_the_kept_set_is_returned_only_for_the_same_scheme_coefficients_and_leaves():
@@ -810,21 +925,23 @@ def test_an_entropy_line_keeps_its_samples_after_a_later_call_shares_its_nodes()
     assert line(p) == rules.entropy("hyvarinen", p)
 
 
-def test_a_kept_mass_is_the_weighted_sum_of_the_kept_values_and_a_raise_in_order_recomputes_it(monkeypatch):
+def test_a_kept_mass_is_the_weighted_sum_of_its_values_and_survives_a_raise(monkeypatch):
     original = GaussianDensity.sample_on
 
-    def doubled_past_order_0(self, ns, order=0):  # a value that differs by order shows which one the mass read
+    def doubled_past_order_0(self, ns, order=0):  # a value that differs by order shows which one the set kept
         s = original(self, ns, order)
         return s if order == 0 else s._replace(value=2.0 * s.value)
 
     monkeypatch.setattr(GaussianDensity, "sample_on", doubled_past_order_0)
     p, q = GaussianDensity(0.2, 0.9, scale=0.7), GaussianDensity(-0.4, 1.3)
     ns = pairing.nodes_for(p + q)
-    for order in (0, 2):
-        value = ns.sample(p, order).value
-        assert ns._samples[id(p)][2] == float((ns.weights * value).sum())
-        assert ns.mass(p) == rules._sampled(None, p, ns, order, "p")[1] == float((ns.weights * value).sum())
-    assert ns.mass(p) == 2.0 * float((ns.weights * original(p, ns).value).sum())
+    first = ns.sample(p).value
+    for order in (0, 2):  # a raise keeps the value row it would recompute, and the mass summed from it
+        s = ns.sample(p, order)
+        assert s.value is first and (s.laplacian is None) == (order == 0)
+        assert ns._samples[id(p)][2] == float((ns.weights * first).sum())
+        assert ns.mass(p) == rules._sampled(None, p, ns, order, "p")[1] == float((ns.weights * first).sum())
+    assert ns.mass(p) == float((ns.weights * original(p, ns).value).sum())
     # a combination's mass is summed from its own values, as Combination.sample adds them
     both = ns.sample(p + q).value
     assert ns.mass(p + q) == float((ns.weights * both).sum())

@@ -4,6 +4,7 @@ import platform
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -423,6 +424,53 @@ def test_a_quadratic_entropy_whose_square_overflows_is_a_domain_error():
     assert rules.entropy("quadratic", q) == (ns.weights * value**2).sum() / (ns.weights * value).sum()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_hyvarinen_entropy_that_overflows_is_a_domain_error():
+    q, p = GaussianDensity(0.0, 1.0, scale=1e200), GaussianDensity(0.3, 1.2)  # |grad q|^2 is past the float range
+    for call in (
+        lambda: rules.entropy("hyvarinen", q),
+        lambda: rules.divergence("hyvarinen", q, p),
+        lambda: rules.divergence("hyvarinen", q, q),
+        lambda: rules.euler_residual("hyvarinen", q),
+    ):
+        with pytest.raises(DomainError, match=r"^the hyvarinen entropy of q overflows: \|grad q\|\^2 / q sums to inf$"):
+            call()
+    # q's scores and p's entropy stay in range: D(p, q) is scale-free, and the entropy at 1e150 is 1e150 times N(0, 1)'s
+    assert rules.divergence("hyvarinen", p, q) == pytest.approx(rules.divergence("hyvarinen", p, GaussianDensity(0.0, 1.0)), rel=1e-9)
+    assert rules.entropy("hyvarinen", GaussianDensity(0.0, 1.0, scale=1e150)) == pytest.approx(1e150, rel=1e-9)
+
+
+def _cauchy_hyvarinen_score(x: float) -> float:
+    """(4 - 8x^2) / (1 + x^2)^2, the Hyvarinen score of the Cauchy density, exactly and then rounded."""
+    u = 1 + Fraction(x) ** 2
+    return float((4 - 8 * Fraction(x) ** 2) / u**2)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_the_power_law_hyvarinen_score_holds_its_closed_form_far_out():
+    cauchy = PowerLawDensity(2.0)
+    x = np.array([0.0, 0.7, 1e10, 1e78, 1e100, 1e150])  # past ~1e77 (1 + x^2)^2 overflowed and q's Laplacian underflows
+    for xi, got in zip(x, rules.score_at("hyvarinen", cauchy, x)):
+        assert got == pytest.approx(_cauchy_hyvarinen_score(xi), rel=1e-12, abs=0.0)
+    assert np.all(np.isfinite(cauchy.sample(x, 2).laplacian))
+    # past ~1e154 x^2 is inf and q is 0: refused, or +inf off strict, as wherever q vanishes
+    with pytest.raises(ZeroDensityError):
+        rules.score_at("hyvarinen", cauchy, [1e160])
+    assert rules.score_at("hyvarinen", cauchy, [1e160, 1e300], strict=False).tolist() == [np.inf, np.inf]
+    assert cauchy.sample([1e160], 1).value.tolist() == [0.0]
+
+
+def test_a_ratio_sample_is_the_sample_over_a_positive_factor_per_point():
+    x = np.linspace(-6.0, 6.0, 25)
+    for f in (GaussianDensity(0.3, 0.8), MixtureDensity((GaussianDensity(-0.4, 0.8), GaussianDensity(1.1, 2.2)), (0.3, 0.9))):
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(f.ratio_sample(x, 2), f.sample(x, 2)))
+    law = PowerLawDensity(2.5, scale=0.8)
+    s, r = law.sample(x, 2), law.ratio_sample(x, 2)
+    assert np.all(r.value == 1.0)
+    np.testing.assert_allclose(r.gradient, s.gradient / s.value, rtol=1e-15)
+    np.testing.assert_allclose(r.laplacian, s.laplacian / s.value, rtol=1e-13)
+
+
 # ---------------------------------------------------------------------------
 # 2-D fields on a coarse scheme
 # ---------------------------------------------------------------------------
@@ -765,7 +813,7 @@ def test_pair_convention_holds_through_the_rule_calls():
         record = rules.RULES[rule]
         for p in (Bump(0.2, 0.5), faint, GaussianDensity(0.0, 1.0)):
             ns = pairing.nodes_for(p + q, scheme)
-            (ps, mp), (qs, mq) = ns.sampled(p), ns.sampled(q, record.score_order)
+            (ps, mp, _), (qs, mq, _) = ns.sampled(p), ns.sampled(q, record.score_order)
             scores = record.score(qs, mq, ns.weights, qs, rules.LOG_CLAMP)
             support = pairing.SUPPORT_THRESHOLD * mp
             assert np.all(np.isfinite(scores) == (rule != "hyvarinen") | (qs.value > 0)) and np.any(qs.value == 0)
@@ -778,7 +826,7 @@ def test_pair_convention_holds_through_the_rule_calls():
             expected = _ref_pair(rule, ns.weights, ps.value, scores, support) / mp
             assert _bits(rules.expected_score(rule, p, q, scheme)) == _bits(expected)
         ns = pairing.nodes_for(q, scheme)
-        qs, mq = ns.sampled(q, record.score_order)
+        qs, mq, _ = ns.sampled(q, record.score_order)
         scores = record.score(qs, mq, ns.weights, qs, rules.LOG_CLAMP)
         phi = float(record.entropy(ns.weights, qs, mq))
         expected = abs(_ref_pair(rule, ns.weights, qs.value, scores, pairing.SUPPORT_THRESHOLD * mq) - phi) / abs(phi)
