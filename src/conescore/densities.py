@@ -212,24 +212,28 @@ def _gaussian_values(pts: np.ndarray, mean: np.ndarray, var: np.ndarray, factor:
     return value, d, var
 
 
-def _gaussian_rows(value: np.ndarray, offsets, var, order: int) -> list:
+def _gaussian_rows(value: np.ndarray, offsets, var, order: int, out: list | None = None) -> list:
     """Values v (m, ...) of m Gaussians, gradients -z v (m, d, ...) at order >= 1, Laplacians (|z|^2 - sum 1/var) v at 2.
 
     ``offsets`` x - mean and ``var`` hold one entry per axis, broadcasting against v; z is offset / var.
+    Given ``out``, an earlier call's rows, it adds each row into them as it goes: one row's temporary at a time.
     """
-    rows = [value]
+    rows = [value if out is None else np.add(out[0], value, out=out[0])]
     if order >= 1:
         with np.errstate(over="ignore", invalid="ignore"):  # overflowing z-scores give non-finite rows, refused downstream
             z = [a / -s for a, s in zip(offsets, var)]  # -z: the gradient's sign, with z's squares
-            gradient = np.empty((len(z),) + value.shape)
+            gradient = np.empty((len(z),) + value.shape) if out is None else out[1].swapaxes(0, 1)
             for a, row in zip(z, gradient):
-                np.multiply(a, value, out=row)
+                if out is None:
+                    np.multiply(a, value, out=row)
+                else:
+                    row += a * value
             rows.append(gradient.swapaxes(0, 1))
             if order >= 2:
                 laplacian = _axis_sum([np.square(a) for a in z])
                 laplacian -= _axis_sum(1.0 / var)
                 laplacian *= value
-                rows.append(laplacian)
+                rows.append(laplacian if out is None else np.add(out[2], laplacian, out=out[2]))
     return rows
 
 
@@ -266,9 +270,8 @@ class _GaussianSum(Field):
         factors = (factor * self._coeffs, np.ones_like(factor))
         (vx, dx, _), (vy, dy, _) = (_gaussian_values(x, mean[:, [k]], var[:, [k]], f) for k, f in enumerate(factors))
         for j, value in enumerate(map(np.multiply.outer, vx, vy)):
-            rows = _gaussian_rows(value[None], (dx[0, [j], :, None], dy[0, [j], None, :]), var[j], order)
-            out = [r[0] for r in rows] if out is None else [np.add(total, r[0], out=total) for total, r in zip(out, rows)]
-        return Sample(*(a.ravel() if a.ndim == 2 else a.reshape(2, -1).T for a in out))
+            out = _gaussian_rows(value[None], (dx[0, [j], :, None], dy[0, [j], None, :]), var[j], order, out)
+        return Sample(*(a[0].ravel() if a.ndim == 3 else a[0].reshape(2, -1).T for a in out))
 
 
 class Combination(Field):
@@ -466,8 +469,8 @@ class PowerLawDensity(Field):
                 c = b**2 + 2.0 * b
             except OverflowError:  # beta^2 past the float range
                 raise DomainError(f"the power law's Laplacian overflows at beta = {b!r}") from None
-            with np.errstate(invalid="ignore"):  # r^2 / (1 + r^2) is nan where both are inf, and q is 0
-                out.append(values * ((c * (r2 / u) - b * d) / u))  # no (1 + r^2)^2 to overflow
+            ratio = np.divide(r2, u, out=np.ones_like(u), where=u < np.inf)  # its limit 1 where r^2 is inf, and q is 0
+            out.append(values * ((c * ratio - b * d) / u))  # no (1 + r^2)^2 to overflow
         return Sample(*(_squeeze(a, scalar) for a in out))
 
     def core_radius(self) -> float:
@@ -506,8 +509,8 @@ class GridField(Field):
             raise InvalidParameterError("grid values must be a 1-D array with at least two points")
         if not np.all(np.isfinite(values)):
             raise InvalidParameterError("grid values must be finite")
-        if not (np.isfinite(self.lo) and np.isfinite(self.hi) and self.hi > self.lo):
-            raise InvalidParameterError("grid domain must satisfy lo < hi")
+        if not np.finfo(float).tiny <= (float(self.hi) - float(self.lo)) / (values.size - 1) < np.inf:  # so lo < hi, finite
+            raise InvalidParameterError("grid domain must satisfy lo < hi, with a finite width and a spacing in the normal float range")
         object.__setattr__(self, "values", values)
 
     @property

@@ -7,8 +7,8 @@ Fixing the nodes first is what makes the discrete convexity identities
 rather than to quadrature accuracy: once the node set is frozen, the
 toolkit is doing exact convex analysis on a finite measure space. The set
 samples each leaf field on its nodes once (``NodeSet.sample``) and keeps
-the sample, and the leaf's mass summed from it, as long as it lives, so
-every caller reads the same arrays and the same mass instead of
+the sample, and the leaf's mass summed from it, while the leaf and the set
+live, so every caller reads the same arrays and the same mass instead of
 evaluating the field again; the rules keep what they derive from a
 sample beside it (``NodeSet.sampled``). ``nodes_for`` keeps the latest
 analytic set, keyed by the scheme (by value) and the field's terms
@@ -16,11 +16,11 @@ analytic set, keyed by the scheme (by value) and the field's terms
 next rule's call on ``p + q``, gets that set back with its samples. A call
 on other fields drops the set but carries over its geometry (order,
 dimension and panel edges, with the weights and nodes built on them) and
-the samples of the leaves the new field shares with it; every other sample
-is released before sizing. Where sizing would build a set on that
-geometry, it gets a new set on the same arrays that starts with the
-carried samples, so fields that size to one node set, such as ``p + q``
-and ``p`` often do, build it once. A set is a function of its geometry alone, so
+all its samples. Where sizing would build a set on that geometry, it gets
+a new set on the same arrays that starts with them, so fields that size to
+one node set, such as ``p + q`` and ``p`` often do, build it and sample
+each leaf on it once: K live leaves on one geometry of n nodes keep K
+samples of up to 4n floats each. A set is a function of its geometry alone, so
 results are bit-identical whether it is kept, shared or built anew, and a
 set already handed out is never changed.
 
@@ -45,16 +45,12 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
 from .densities import Field, Sample
-from .errors import (
-    DivergenceError,
-    InvalidParameterError,
-    NodeBudgetError,
-    ZeroDensityError,
-)
+from .errors import DivergenceError, InvalidParameterError, NodeBudgetError, ZeroDensityError
 
 __all__ = [
     "QuadratureScheme",
@@ -129,24 +125,24 @@ class NodeSet:
 
     ``points, weights = ns`` unpacks it. ``sample`` evaluates each leaf field
     once on the nodes, and again only to raise its order: a leaf's sample is
-    kept under its id, with the leaf, its mass and a dict of what the rules
+    kept weakly under the leaf, with its mass and a dict of what the rules
     derive from it, so every field built from it reads the same arrays and
     a lone leaf's mass is summed once; a raise in order adds the higher
     arrays and keeps the rest. The kept arrays are read-only, so a write
-    into one raises, and the samples and what was derived from them live as
-    long as the set, or a set sharing its weights, never on the leaf. A 2-D
+    into one raises, and the samples and what was derived from them live
+    while their leaf and the set, or one sharing its weights, do. A 2-D
     set from ``_cover_nodes`` squares the 1-D nodes in ``axis`` (None on 1-D and grid
     sets) and builds its points only when they are read. A set from
     ``_cover_nodes`` keeps the geometry it was built on (order, dimension and
     panel edges) in ``_geometry``; ``_share`` gives a new set on the same
-    arrays and geometry that starts with some of the samples.
+    arrays and geometry that starts with its samples.
     """
 
     __slots__ = ("_points", "weights", "axis", "_samples", "_geometry")
 
     def __init__(self, points: np.ndarray | None, weights: np.ndarray):
         self._points, self.weights, self.axis, self._geometry = points, weights, None, None
-        self._samples: dict[int, tuple[Field, tuple, float, dict]] = {}
+        self._samples: WeakKeyDictionary[Field, tuple[tuple, float, dict]] = WeakKeyDictionary()
 
     @property
     def points(self) -> np.ndarray:
@@ -157,19 +153,19 @@ class NodeSet:
     def __iter__(self):
         return iter((self.points, self.weights))
 
-    def _kept(self, leaf: Field, order: int) -> tuple[Field, tuple, float, dict]:
-        """The leaf, its arrays to at least ``order``, its mass and the rules' results, sampled here unless kept.
+    def _kept(self, leaf: Field, order: int) -> tuple[tuple, float, dict]:
+        """The leaf's arrays to at least ``order``, its mass and the rules' results, sampled here unless kept.
 
         A raise in order adds the higher arrays: the lower ones, which it recomputes bit for bit, stay with all read from them.
         """
-        kept = self._samples.get(id(leaf))
-        if kept is None or len(kept[1]) <= order:
+        kept = self._samples.get(leaf)
+        if kept is None or len(kept[0]) <= order:
             arrays = leaf.sample_on(self, order)[: order + 1]
             for a in arrays:
                 a.flags.writeable = False
             if kept is None:
-                kept = (leaf, (), _weighted_sum(self.weights, arrays[0]), {})
-            kept = self._samples[id(leaf)] = (leaf, kept[1] + arrays[len(kept[1]) :], *kept[2:])
+                kept = ((), _weighted_sum(self.weights, arrays[0]), {})
+            kept = self._samples[leaf] = (kept[0] + arrays[len(kept[0]) :], *kept[1:])
         return kept
 
     def sample(self, f: Field, order: int = 0) -> Sample:
@@ -181,7 +177,7 @@ class NodeSet:
         terms = f.terms()
         total = None
         for c, leaf in terms:
-            arrays = self._kept(leaf, order)[1][: order + 1]
+            arrays = self._kept(leaf, order)[0][: order + 1]
             if len(terms) == 1 and c == 1.0:
                 return Sample(*arrays)
             part = [c * a for a in arrays]
@@ -195,7 +191,7 @@ class NodeSet:
         """
         terms = f.terms()
         if len(terms) == 1 and terms[0][0] == 1.0:
-            _, arrays, mass, derived = self._kept(terms[0][1], order)
+            arrays, mass, derived = self._kept(terms[0][1], order)
             return Sample(*arrays[: order + 1]), mass, derived
         s = self.sample(f, order)
         return s, _weighted_sum(self.weights, s.value), None
@@ -204,10 +200,10 @@ class NodeSet:
         """f's mass on the nodes: the weighted sum of its sampled values."""
         return self.sampled(f)[1]
 
-    def _share(self, samples: dict) -> NodeSet:
-        """A new set on this one's nodes, weights and geometry, starting with ``samples``."""
+    def _share(self) -> NodeSet:
+        """A new set on this one's nodes, weights and geometry, starting with its samples."""
         ns = NodeSet(self._points, self.weights)
-        ns.axis, ns._geometry, ns._samples = self.axis, self._geometry, dict(samples)
+        ns.axis, ns._geometry, ns._samples = self.axis, self._geometry, self._samples.copy()
         return ns
 
 
@@ -299,7 +295,7 @@ def _cover_nodes(edges: np.ndarray, nodes: int, dim: int) -> NodeSet:
     """
     carried = _carried
     if carried is not None and carried._geometry[0] == (nodes, dim) and np.array_equal(carried._geometry[1], edges):
-        return carried._share(carried._samples)
+        return carried._share()
     if dim == 1:
         ns = _gauss_nodes(edges, nodes)
     else:
@@ -358,7 +354,8 @@ def _sized_nodes(field: Field, scheme: QuadratureScheme) -> NodeSet:
             if key not in cache:
                 cache[key] = ns.mass(leaf)
         masses = np.array([cache[key] for cache in caches])
-        if previous is not None and (coeffs * np.abs(masses - previous)).sum() <= scheme.tail_tol * _TAIL_SAFETY:
+        # a non-finite mass never settles: the field gets the cap, and the rules refuse its mass
+        if previous is not None and np.isfinite(masses).all() and (coeffs * np.abs(masses - previous)).sum() <= scheme.tail_tol * _TAIL_SAFETY:
             return ns if ns is not None else nodes_at(level)
         previous, k = masses, 2 * k
 
@@ -374,7 +371,7 @@ def _grid_nodes(field: Field) -> NodeSet:
 
 # the latest set: (scheme, coefficients, leaf ids), the terms, whose leaves keep their ids unique, and the set
 _last: tuple | None = None
-# while a miss sizes: the latest set's geometry, with the samples of the leaves the new field shares with it
+# while a miss sizes: the latest set, whose geometry and samples a set sized on that geometry starts with
 _carried: NodeSet | None = None
 
 
@@ -390,11 +387,10 @@ def nodes_for(field: Field, scheme: QuadratureScheme | None = None) -> NodeSet:
     ``nodes_for(p + q, scheme)`` puts them on one shared discrete measure.
     The latest analytic set is kept: a call with an equal scheme and the
     same terms (equal coefficients, the same leaves) returns it, samples and
-    all. Any other call carries over its geometry and the samples of the
-    leaves the field shares with it, and drops the rest before sizing: a
-    set sizing would build on the same order, dimension and edges is a new
-    set on the kept arrays, starting with those samples. A grid field's set
-    is the trapezoid rule on its grid, built anew.
+    all. Any other call carries over its geometry and samples: a set sizing
+    would build on the same order, dimension and edges is a new set on the
+    kept arrays, starting with the samples of every live leaf. A grid
+    field's set is the trapezoid rule on its grid, built anew.
     """
     global _last, _carried
     scheme = scheme or DEFAULT_SCHEME
@@ -404,10 +400,7 @@ def nodes_for(field: Field, scheme: QuadratureScheme | None = None) -> NodeSet:
     key = (scheme, tuple(c for c, _ in terms), tuple(id(leaf) for _, leaf in terms))
     if kept is not None and kept[0] == key:
         return kept[2]
-    if kept is not None:
-        shared = {id(leaf) for _, leaf in terms}
-        _carried = kept[2]._share({i: entry for i, entry in kept[2]._samples.items() if i in shared})
-    _last = kept = None  # dropped before sizing: at most one geometry outlives the call
+    _carried, _last, kept = kept and kept[2], None, None  # dropped before sizing: at most one geometry outlives the call
     try:
         ns = _sized_nodes(field, scheme)
     finally:

@@ -36,14 +36,7 @@ import numpy as np
 
 from . import pairing
 from .densities import ConeSpec, Field, GridInfo, GridPositive, HyvarinenGrowth, QuadraticNorm, Sample, ShannonEnvelope
-from .errors import (
-    DomainError,
-    InvalidParameterError,
-    ModeMeasureZeroError,
-    UnsupportedFamilyError,
-    ZeroDensityError,
-    ZeroMassError,
-)
+from .errors import DomainError, InvalidParameterError, ModeMeasureZeroError, UnsupportedFamilyError, ZeroDensityError, ZeroMassError
 
 __all__ = [
     "Rule",
@@ -79,22 +72,24 @@ LOG_CLAMP = 1e-300
 # the rule core: entropy, score and divergence kernels on sampled arrays
 # ---------------------------------------------------------------------------
 
-def _norm_sq(g, v) -> np.ndarray:
-    """|g|^2 on a new array, for gradients ``g`` of values ``v`` (or of rows of them) in 1-D or 2-D."""
-    if np.ndim(g) == np.ndim(v):
-        return np.square(g)
-    t = np.square(g[..., 0])
-    t += np.square(g[..., 1])
-    return t
+def _columns(g, v) -> tuple:
+    """A gradient ``g`` of values ``v`` (or of rows of them) as its columns: itself in 1-D, its two in 2-D."""
+    return (g,) if np.ndim(g) == np.ndim(v) else (g[..., 0], g[..., 1])
 
 
-def _log_gradient(g, qf) -> np.ndarray:
-    """grad q / q on a new array, for q's gradient ``g`` and its values floored, ``qf``.
+def _norm_sq(g, v, qf=None) -> np.ndarray:
+    """|g|^2, or |g / qf|^2, on a new array, for gradients ``g`` of values ``v``, a column at a time.
 
-    Dividing before squaring keeps |grad q / q|^2 finite where |grad q|^2
-    and q^2 underflow.
+    Dividing by q's floored values ``qf`` before squaring keeps |grad q / q|^2
+    finite where |grad q|^2 and q^2 underflow.
     """
-    return g / (qf if np.ndim(g) == np.ndim(qf) else np.expand_dims(qf, -1))
+    t = None
+    for c in _columns(g, v):
+        if qf is not None:
+            c = np.asarray(c / qf)  # 0-d at one point
+        c = np.square(c, out=None if qf is None else c)
+        t = c if t is None else np.add(t, c, out=t)
+    return t
 
 
 def _pair(name: str, w, pv, scores, support: float, finite: bool = False, kept: dict | None = None) -> float:
@@ -141,8 +136,9 @@ def _log_ratio(qv, mass, floor: float = LOG_CLAMP) -> np.ndarray:
 def _log_entropy(w, s: Sample, m):
     v = s.value
     t = _log_ratio(v, np.expand_dims(m, -1))
+    dead = ~(v > 0) | (t == -np.inf)  # and where q / m underflows to 0: q ln(q / m) is 0 to within m * 4e-321 there
     t *= v
-    t[~(v > 0)] = 0.0
+    t[dead] = 0.0
     t *= w
     return t.sum(axis=-1)
 
@@ -156,6 +152,7 @@ def _log_divergence(w, ps: Sample, mp: float, qs: Sample, mq: float, diagnostics
     np.log(t, out=t)
     np.maximum(qh, LOG_CLAMP, out=qh)
     t -= np.log(qh, out=qh)
+    del qh  # freed before the pairing's product
     return _pair("logarithmic", w, ph, t, pairing.SUPPORT_THRESHOLD)
 
 
@@ -168,8 +165,9 @@ def _hyvarinen_entropy(w, s: Sample, m):
         t[~(v > 0)] = 0.0
         t *= w
         h = t.sum(axis=-1)
-    if np.any(np.isinf(h) & np.isfinite(m)):  # a non-finite mass is refused as every rule refuses it
-        raise DomainError("the hyvarinen entropy of q overflows: |grad q|^2 / q sums to inf")
+    bad = ~np.isfinite(h) & np.isfinite(m)  # a non-finite mass is refused as every rule refuses it
+    if np.any(bad):  # inf, or nan from a gradient whose z-score overflowed
+        raise DomainError(f"the hyvarinen entropy of q overflows: |grad q|^2 / q sums to {float(np.asarray(h)[bad].flat[0])!r}")
     return h
 
 
@@ -177,11 +175,10 @@ def _hyvarinen_entropy(w, s: Sample, m):
 def _hyvarinen_score(s: Sample, mass, w, ref, floor: float):
     v = np.asarray(s.value)  # 0-d at one point
     qf = np.maximum(v, floor)
+    g = _norm_sq(s.gradient, v, qf)  # before t, so three arrays are live at most
     t = np.asarray(np.multiply(s.laplacian, -2.0))
     t /= qf
-    g = _log_gradient(s.gradient, qf)
-    del qf  # freed before the squares, which hold the most arrays at once
-    t += _norm_sq(g, v)
+    t += g
     t[~(v > 0)] = np.inf
     return t
 
@@ -218,11 +215,15 @@ def _quadratic_divergence(w, ps: Sample, mp: float, qs: Sample, mq: float, diagn
 
 def _fisher_divergence(w, ps: Sample, mp: float, qs: Sample) -> float:
     """The weighted sum of p |grad p/p - grad q/q|^2 over the nodes where p and q are positive, over p's mass."""
-    pv, qv = ps.value, qs.value
+    pv, qv, t = ps.value, qs.value, None
     with np.errstate(divide="ignore", invalid="ignore"):
-        g = _log_gradient(ps.gradient, np.maximum(pv, LOG_CLAMP))
-        g -= _log_gradient(qs.gradient, np.maximum(qv, LOG_CLAMP))
-        t = _norm_sq(g, pv)
+        for gp, gq in zip(_columns(ps.gradient, pv), _columns(qs.gradient, qv)):  # three arrays live at most
+            d, b = np.maximum(pv, LOG_CLAMP), np.maximum(qv, LOG_CLAMP)
+            np.divide(gp, d, out=d)
+            d -= np.divide(gq, b, out=b)
+            del b
+            np.square(d, out=d)
+            t = d if t is None else np.add(t, d, out=t)
     t[~np.isfinite(t)] = 0.0
     t *= pv
     t[~((pv > 0) & (qv > 0))] = 0.0

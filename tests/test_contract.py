@@ -1,4 +1,4 @@
-"""The ``score`` command's contract on any forecast config.
+"""The ``score`` command's and the rule library's contract on any forecast config.
 
 Every run exits 0 with strict JSON on stdout, or exits 2 (a configuration
 error) or 3 (a domain error) with an empty stdout and one prefixed line on
@@ -7,7 +7,9 @@ drawn valid for its family, optionally with a cone, in a wrapper or none,
 and then, in half the draws, has one field anywhere in it replaced by a
 number at the float edges, a boolean, a string, null or a nested list or
 dict, or deleted. Each is run for every rule, with and without
-``--strict-cone``.
+``--strict-cone``. The same configs, built by ``density_from_config``, go
+to every rule's library calls, which return finite values or raise a
+``ConescoreError``, again without a warning.
 """
 
 import contextlib
@@ -16,11 +18,14 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conescore import cli
+from conescore import cli, rules
+from conescore.densities import density_from_config
+from conescore.errors import ConescoreError
 
 HUGE = 1.7976931348623157e308
 EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e-305, 1e-300, 1e-150, 1e150, 1e300, -1e300, HUGE, -HUGE,
@@ -155,5 +160,52 @@ def test_score_keeps_its_contract_on_any_forecast_config(workdir, family, rule, 
     @example(forecast={"family": "grid", "domain": [-0.8, 0.5], "values": [2.2, HUGE, 0.2], "scale": 2.5}, observations=OBSERVATIONS[1])
     def check(forecast, observations):
         check_contract(*run_score(workdir, rule, strict, forecast, observations))
+
+    check()
+
+
+LIBRARY_CALLS = {
+    "entropy": lambda rule, q: rules.entropy(rule, q),
+    "euler_residual": lambda rule, q: rules.euler_residual(rule, q),
+    "divergence": lambda rule, q: rules.divergence(rule, q, q),
+    "score_at": lambda rule, q: rules.score_at(rule, q, [0.0, 0.5, 40.0]),
+}
+
+
+def check_library_contract(forecast):
+    """Each rule's library calls on the forecast's density, with every warning an error: finite values or a ConescoreError."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            q = density_from_config(forecast["density"] if isinstance(forecast, dict) and "density" in forecast else forecast)
+        except ConescoreError:
+            return
+        for rule in rules.RULE_IDS:
+            for name, call in LIBRARY_CALLS.items():
+                try:
+                    value = call(rule, q)
+                except ConescoreError:
+                    continue
+                assert np.all(np.isfinite(value)), (rule, name, value)
+
+
+TWO_GAUSSIANS = [{"mean": 0.0, "var": 1.0}, {"mean": 1.0, "var": 0.5}]
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_library_calls_keep_their_contract_on_any_forecast_config(family):
+    @settings(derandomize=True, max_examples=40, deadline=None, database=None)
+    @given(forecast=forecasts(family))
+    # masses of inf: the sizer subtracted inf from inf with a RuntimeWarning, now the field gets the cap and is refused
+    @example(forecast={"family": "gaussian", "mean": 0.1, "var": 1.0, "scale": HUGE})
+    # a component too narrow for any node: its overflowing z-scores made the Hyvarinen entropy nan, now refused
+    @example(forecast={"family": "mixture", "components": [{"mean": 0.0, "var": 1e-310}, TWO_GAUSSIANS[1]], "weights": [1.0, 0.5]})
+    # q / m underflows to 0 where q is positive: the Shannon entropy was -inf, now it is finite
+    @example(forecast={"family": "mixture", "components": TWO_GAUSSIANS, "weights": [1.0, 1e150]})
+    # a grid of subnormal spacing (q / m overflowed) or of a width past the float range: now configuration errors
+    @example(forecast={"family": "grid", "domain": [-1e-310, 1e-310], "values": [1.0, 2.0, 1.0]})
+    @example(forecast={"family": "grid", "domain": [-HUGE, HUGE], "values": [1.0, 2.0, 1.0]})
+    def check(forecast):
+        check_library_contract(forecast)
 
     check()

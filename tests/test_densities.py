@@ -148,6 +148,19 @@ def test_breakpoints_are_the_one_dimensional_bump_edges():
     assert combo.breakpoints() == (-1.5, -0.5, 0.5, 1.5, 2.5)  # the union, ascending, each once
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_power_law_laplacian_is_zero_where_r_squared_overflows():
+    # past |x| ~ 1e154 r^2 and 1 + r^2 are both inf and q is 0: the Laplacian is 0 there, not nan
+    for q, far in (
+        (PowerLawDensity(2.0), [1e160, 1e300]),
+        (PowerLawDensity(3.0, dim=2), [[1e160, 0.0], [1e300, 1e300], [0.0, -1e200]]),
+    ):
+        for sample in (q.sample(far, 2), q.ratio_sample(far, 2)):
+            assert np.all(sample.value == 0.0) and np.all(sample.gradient == 0.0) and np.all(sample.laplacian == 0.0)
+        near = q.sample([1e150, 1e153] if q.dim == 1 else [[1e150, 0.0], [1e153, 1e153]], 2).laplacian
+        assert np.all(np.isfinite(near))
+
+
 def test_two_dimensional_power_law_config_builds():
     q = density_from_config({"family": "power_law", "beta": 4, "dim": 2})
     assert q.dim == 2 and q.total_mass() == pytest.approx(1.0, abs=1e-10)

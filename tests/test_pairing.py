@@ -660,7 +660,7 @@ def test_rule_calls_leave_the_kept_samples_unchanged_and_read_only(dim):
     kept = {}  # every array a set kept, with its bytes when first seen
     for name, call in _memo_calls(dim):
         call(p, q)
-        for _, arrays, _, derived in pairing._last[2]._samples.values():
+        for arrays, _, derived in pairing._last[2]._samples.values():
             scores = (derived["score"][1][0],) if "score" in derived else ()  # the latest rule's scores
             kept.update((id(a), (a, a.tobytes())) for a in arrays + scores if id(a) not in kept)
     assert len(kept) >= 9  # values, gradients and Laplacians of q and of p's leaves, and q's scores by three rules
@@ -713,14 +713,16 @@ def test_each_rule_kernel_runs_once_per_kept_sample_over_the_plane_calls(monkeyp
             monkeypatch.setitem(rules.RULES, name, replace(record, **counters))
     fields, calls, per_round = _plane_fields(dim), _plane_calls(dim), []
     for _ in range(3):
-        before = sum(runs.values())
+        before = Counter(runs)
         for call in calls:
             call(*fields)
-        per_round.append(sum(runs.values()) - before)
-    assert max(runs.values()) == 1
-    # a round reads an entropy 8 times and a score 5 times. G_hyv(p) and G_hyv(m) are read twice each, and
-    # S_hyv(q) once at the round's end and again at the next round's start, on q's sample carried between them
-    assert per_round == [11, 10, 10]
+        scores = [n for (kind, *_), n in (runs - before).items() if kind == "score"]
+        assert max(scores) == 1  # each score kernel at most once per kept sample within a round
+        per_round.append(sum(runs.values()) - sum(before.values()))
+    assert max(n for (kind, *_), n in runs.items() if kind == "entropy") == 1  # and each entropy over all rounds
+    # every sample lives as long as its leaf on the one geometry, so the first round runs each entropy of p and m
+    # and the scores of q and m once; later rounds run only m's three scores, which share one slot
+    assert per_round == [10, 3, 3]
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -734,13 +736,13 @@ def test_the_plane_calls_give_the_same_bits_warm_and_cold(dim):
 def test_a_kept_score_is_read_only_and_the_latest_rules_alone():
     q = GaussianDensity(0.2, 1.3)
     rules.euler_residual("hyvarinen", q)
-    derived = pairing.nodes_for(q)._samples[id(q)][3]
+    derived = pairing.nodes_for(q)._samples[q][2]
     name, (scores, finite) = derived["score"]
     assert name == "hyvarinen" and finite is True and not scores.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         scores[0] = 1.0
     assert rules.euler_residual("hyvarinen", q) == rules.euler_residual("hyvarinen", q)
-    assert pairing.nodes_for(q)._samples[id(q)][3] is derived and derived["score"][1][0] is scores  # read again, not run again
+    assert pairing.nodes_for(q)._samples[q][2] is derived and derived["score"][1][0] is scores  # read again, not run again
     rules.euler_residual("logarithmic", q)
     assert derived["score"][0] == "logarithmic"  # one slot a leaf: the latest rule's scores
     assert set(derived) == {"signs", "score", "hyvarinen", "logarithmic"}
@@ -754,14 +756,14 @@ def test_a_refused_call_keeps_no_result_and_a_signed_field_is_refused_on_every_c
             for call in (rules.entropy, rules.euler_residual):
                 with pytest.raises(ZeroDensityError, match="nonnegative cone"):
                     call(rule, signed)
-    derived = pairing.nodes_for(signed)._samples[id(signed)][3]
+    derived = pairing.nodes_for(signed)._samples[signed][2]
     assert derived == {"signs": (None, (True, True))}  # negative values, and zeros off the bump
     huge = GaussianDensity(0.0, 1.0, scale=1e200)
     for _ in range(2):
         for rule in ("hyvarinen", "quadratic"):
             with pytest.raises(DomainError, match=f"the {rule} entropy of q overflows"):
                 rules.entropy(rule, huge)
-    assert set(pairing.nodes_for(huge)._samples[id(huge)][3]) == {"signs"}
+    assert set(pairing.nodes_for(huge)._samples[huge][2]) == {"signs"}
 
 
 _ORDERED_LEAVES = {
@@ -868,15 +870,40 @@ def test_a_miss_on_the_kept_nodes_shares_the_weights_and_the_shared_leaves_sampl
     assert sampled == []
 
 
-def test_a_miss_on_the_kept_nodes_carries_no_sample_of_a_leaf_the_field_lacks():
+def test_a_miss_on_the_kept_nodes_keeps_a_live_leafs_sample_until_the_leaf_is_dropped(monkeypatch):
     p, q = GaussianDensity(0.1, 0.8), GaussianDensity(-0.3, 0.9)
     m = MixtureDensity((GaussianDensity(0.4, 0.7), GaussianDensity(-0.5, 1.1)), (0.4, 0.6))
     both = pairing.nodes_for(p + q)
-    both.sample(p, 2), both.sample(q, 2)
+    held = both.sample(p, 2), both.sample(q, 2)
     ns = pairing.nodes_for(m)
     assert ns.weights is both.weights
-    assert set(ns._samples) <= {id(m)}
-    assert set(both._samples) == {id(p), id(q)}  # the set handed out is left as it was
+    assert set(ns._samples) == {p, q, m}
+    assert set(both._samples) == {p, q}  # the set handed out is left as it was
+    sampled = _counting_sample_on(monkeypatch)
+    for leaf, kept in zip((p, q), held):  # the same arrays, not sampled again
+        assert all(a is b for a, b in zip(ns.sample(leaf, 2), kept))
+    assert sampled == []
+    alive = weakref.ref(p)
+    del p, held, leaf, kept
+    gc.collect()
+    assert alive() is None  # the set keeps a sample, never its leaf
+    assert set(ns._samples) == {q, m} and set(both._samples) == {q}
+
+
+def test_temporary_leaves_on_one_geometry_leave_only_the_live_leaves_samples():
+    scheme = pairing.QuadratureScheme(panels=2, nodes=4)
+    live = GaussianDensity([0.1, -0.2], [0.8, 0.6])
+    first = pairing.nodes_for(live, scheme)
+    value = first.sample(live, 2).value
+    for k in range(200):  # each a miss on the kept geometry, and each leaf dropped by the next
+        leaf = GaussianDensity([0.1 + 1e-3 * k, -0.2], [0.8, 0.6])
+        ns = pairing.nodes_for(leaf, scheme)
+        assert ns.weights is first.weights
+        ns.sample(leaf, 2)
+    del leaf, ns
+    last = pairing.nodes_for(live, scheme)  # the latest set no longer holds the last temporary leaf
+    gc.collect()
+    assert set(last._samples) == {live} and last.sample(live).value is value
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -909,7 +936,7 @@ def test_another_order_dimension_or_edge_list_builds_a_new_set():
         (order, dim), edges = ns._geometry
         assert ns.weights is not kept.weights
         assert (order, dim) != kept._geometry[0] or not np.array_equal(edges, kept._geometry[1])
-        assert all(entry[1][0] is not held for entry in ns._samples.values())
+        assert all(entry[0][0] is not held for entry in ns._samples.values())
 
 
 def test_an_entropy_line_keeps_its_samples_after_a_later_call_shares_its_nodes():
@@ -917,7 +944,7 @@ def test_an_entropy_line_keeps_its_samples_after_a_later_call_shares_its_nodes()
     line = convexity.entropy_line("hyvarinen", p, q)
     line(p), line(q)
     held = dict(line.nodes._samples)
-    assert set(held) == {id(p), id(q)}
+    assert set(held) == {p, q}
     for call in (lambda: rules.entropy("hyvarinen", p), lambda: rules.euler_residual("hyvarinen", q), lambda: pairing.nodes_for(GaussianDensity(0.0, 1.0))):
         call()
         assert pairing.nodes_for(p).weights is line.nodes.weights
@@ -939,7 +966,7 @@ def test_a_kept_mass_is_the_weighted_sum_of_its_values_and_survives_a_raise(monk
     for order in (0, 2):  # a raise keeps the value row it would recompute, and the mass summed from it
         s = ns.sample(p, order)
         assert s.value is first and (s.laplacian is None) == (order == 0)
-        assert ns._samples[id(p)][2] == float((ns.weights * first).sum())
+        assert ns._samples[p][1] == float((ns.weights * first).sum())
         assert ns.mass(p) == rules._sampled(None, p, ns, order, "p")[1] == float((ns.weights * first).sum())
     assert ns.mass(p) == float((ns.weights * original(p, ns).value).sum())
     # a combination's mass is summed from its own values, as Combination.sample adds them
