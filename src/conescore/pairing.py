@@ -10,19 +10,20 @@ samples each leaf field on its nodes once (``NodeSet.sample``) and keeps
 the sample, and the leaf's mass summed from it, while the leaf and the set
 live, so every caller reads the same arrays and the same mass instead of
 evaluating the field again; the rules keep what they derive from a
-sample beside it (``NodeSet.sampled``). ``nodes_for`` keeps the latest
-analytic set, keyed by the scheme (by value) and the field's terms
-(coefficients by value, leaves by identity): the next call on an equal key, such as the
-next rule's call on ``p + q``, gets that set back with its samples. A call
-on other fields drops the set but carries over its geometry (order,
-dimension and panel edges, with the weights and nodes built on them) and
-all its samples. Where sizing would build a set on that geometry, it gets
-a new set on the same arrays that starts with them, so fields that size to
-one node set, such as ``p + q`` and ``p`` often do, build it and sample
-each leaf on it once: K live leaves on one geometry of n nodes keep K
-samples of up to 4n floats each. A set is a function of its geometry alone, so
-results are bit-identical whether it is kept, shared or built anew, and a
-set already handed out is never changed.
+sample beside it (``NodeSet.sampled``). ``nodes_for`` keeps one analytic
+set per geometry (order, dimension and panel edges) and remembers the key
+of every field sized onto it: the scheme by value, the coefficients by
+value and the leaves by identity, held weakly, so a key never keeps a leaf
+alive and goes when one of its leaves dies. The next call on a remembered
+field, such as the next rule's call on ``p + q``, gets the set back
+without sizing; a field that sizes to the same geometry, such as ``p``
+after ``p + q`` often does, gets the same set object, samples and all, and
+a field that sizes elsewhere drops the set and its keys. Each leaf is
+sampled on a geometry once: K live leaves on one geometry of n nodes keep
+K samples of up to 4n floats each. A set is a function of its geometry
+alone, so results are bit-identical whether it is kept or built anew; a
+set handed out may gain other live leaves' samples, but never changes its
+nodes, its weights or a sample it holds.
 
 Analytic families integrate by composite Gauss-Legendre on one ascending
 list of panel edges: the core [-R, R] flanked by dyadic tail shells out to
@@ -43,9 +44,9 @@ information they carry.
 from __future__ import annotations
 
 import operator
+import weakref
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -130,19 +131,20 @@ class NodeSet:
     a lone leaf's mass is summed once; a raise in order adds the higher
     arrays and keeps the rest. The kept arrays are read-only, so a write
     into one raises, and the samples and what was derived from them live
-    while their leaf and the set, or one sharing its weights, do. A 2-D
-    set from ``_cover_nodes`` squares the 1-D nodes in ``axis`` (None on 1-D and grid
-    sets) and builds its points only when they are read. A set from
+    while their leaf and the set do. A set may gain other leaves' samples,
+    but its nodes, its weights and the samples it holds never change. A 2-D
+    set from ``_cover_nodes`` squares the 1-D nodes in ``axis`` (None on 1-D
+    and grid sets) and builds its points only when they are read. A set from
     ``_cover_nodes`` keeps the geometry it was built on (order, dimension and
-    panel edges) in ``_geometry``; ``_share`` gives a new set on the same
-    arrays and geometry that starts with its samples.
+    panel edges) in ``_geometry``, on which ``nodes_for`` hands out that one
+    set while it keeps it.
     """
 
     __slots__ = ("_points", "weights", "axis", "_samples", "_geometry")
 
     def __init__(self, points: np.ndarray | None, weights: np.ndarray):
         self._points, self.weights, self.axis, self._geometry = points, weights, None, None
-        self._samples: WeakKeyDictionary[Field, tuple[tuple, float, dict]] = WeakKeyDictionary()
+        self._samples: weakref.WeakKeyDictionary[Field, tuple[tuple, float, dict]] = weakref.WeakKeyDictionary()
 
     @property
     def points(self) -> np.ndarray:
@@ -199,12 +201,6 @@ class NodeSet:
     def mass(self, f: Field) -> float:
         """f's mass on the nodes: the weighted sum of its sampled values."""
         return self.sampled(f)[1]
-
-    def _share(self) -> NodeSet:
-        """A new set on this one's nodes, weights and geometry, starting with its samples."""
-        ns = NodeSet(self._points, self.weights)
-        ns.axis, ns._geometry, ns._samples = self.axis, self._geometry, self._samples.copy()
-        return ns
 
 
 def _weighted_sum(weights: np.ndarray, values: np.ndarray) -> float:
@@ -290,12 +286,11 @@ def _edges(radii: np.ndarray, breakpoints: tuple, scheme: QuadratureScheme) -> n
 def _cover_nodes(edges: np.ndarray, nodes: int, dim: int) -> NodeSet:
     """Gauss-Legendre nodes on the panels of ``edges``; in 2-D their tensor square, counted before it is built.
 
-    On the geometry of the set ``nodes_for`` carries over, it builds nothing:
-    the new set shares that set's arrays and starts with its carried samples.
+    On the geometry of the set ``nodes_for`` keeps, it builds nothing and returns that set.
     """
-    carried = _carried
-    if carried is not None and carried._geometry[0] == (nodes, dim) and np.array_equal(carried._geometry[1], edges):
-        return carried._share()
+    kept = _kept_set and _kept_set[0]
+    if kept is not None and kept._geometry[0] == (nodes, dim) and np.array_equal(kept._geometry[1], edges):
+        return kept
     if dim == 1:
         ns = _gauss_nodes(edges, nodes)
     else:
@@ -369,10 +364,8 @@ def _grid_nodes(field: Field) -> NodeSet:
     return NodeSet(pts, wts)
 
 
-# the latest set: (scheme, coefficients, leaf ids), the terms, whose leaves keep their ids unique, and the set
-_last: tuple | None = None
-# while a miss sizes: the latest set, whose geometry and samples a set sized on that geometry starts with
-_carried: NodeSet | None = None
+# the kept set, and the key of each field sized onto it (scheme, coefficients, leaf ids) with weak references to its leaves
+_kept_set: tuple[NodeSet, dict] | None = None
 
 
 def nodes_for(field: Field, scheme: QuadratureScheme | None = None) -> NodeSet:
@@ -385,27 +378,27 @@ def nodes_for(field: Field, scheme: QuadratureScheme | None = None) -> NodeSet:
     raises :class:`NodeBudgetError` before it is built.
     A combination's nodes cover every term, so pairing different fields on
     ``nodes_for(p + q, scheme)`` puts them on one shared discrete measure.
-    The latest analytic set is kept: a call with an equal scheme and the
-    same terms (equal coefficients, the same leaves) returns it, samples and
-    all. Any other call carries over its geometry and samples: a set sizing
-    would build on the same order, dimension and edges is a new set on the
-    kept arrays, starting with the samples of every live leaf. A grid
-    field's set is the trapezoid rule on its grid, built anew.
+    One analytic set is kept, with the key of every field sized onto it:
+    an equal scheme, equal coefficients and the same leaves, held weakly.
+    A call on a remembered field returns the set without sizing; a field
+    that sizes to the set's order, dimension and edges gets the set itself
+    and is remembered; one that sizes elsewhere drops the set and its keys.
+    A grid field's set is the trapezoid rule on its grid, built anew.
     """
-    global _last, _carried
+    global _kept_set
     scheme = scheme or DEFAULT_SCHEME
     if field.grid is not None:
         return _grid_nodes(field)
-    terms, kept = field.terms(), _last
+    terms, kept = field.terms(), _kept_set
     key = (scheme, tuple(c for c, _ in terms), tuple(id(leaf) for _, leaf in terms))
-    if kept is not None and kept[0] == key:
-        return kept[2]
-    _carried, _last, kept = kept and kept[2], None, None  # dropped before sizing: at most one geometry outlives the call
-    try:
-        ns = _sized_nodes(field, scheme)
-    finally:
-        _carried = None
-    _last = (key, terms, ns)
+    refs = kept and kept[1].get(key)
+    if refs and all(ref() is leaf for ref, (_, leaf) in zip(refs, terms)):
+        return kept[0]
+    ns = _sized_nodes(field, scheme)
+    if kept is None or ns is not kept[0]:
+        _kept_set = kept = (ns, {})  # another geometry: the kept set and its keys go, so at most one geometry outlives the call
+    # the key goes when one of its leaves dies, before a new leaf can take that leaf's id
+    kept[1][key] = tuple(weakref.ref(leaf, lambda _, key=key: _kept_set and _kept_set[1].pop(key, None)) for _, leaf in terms)
     return ns
 
 

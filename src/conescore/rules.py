@@ -7,8 +7,8 @@ the score is 0-homogeneous, and the divergence of the normalised pair is
 
 which is nonnegative exactly when the score is a subgradient of the
 entropy. Each call reads the rule's record in ``RULES``: it takes one node
-set from ``pairing.nodes_for`` (the previous call's, when that was on the
-same fields and scheme), samples each field there once to the record's
+set from ``pairing.nodes_for`` (the kept one, without sizing, when the
+field was sized onto it), samples each field there once to the record's
 orders, with each leaf's mass kept beside its sample, refuses it by the
 one policy ``_refusals`` reads from the record, and evaluates the record's
 kernels on those arrays, each formula written once. A lone leaf's sample
@@ -103,14 +103,17 @@ def _pair(name: str, w, pv, scores, support: float, finite: bool = False, kept: 
     dead = None if finite else ~np.isfinite(scores)
     if dead is not None and dead.any() and np.any(np.abs(pv[dead]) > support):
         raise ZeroDensityError(f"{name} score blows up where p has support")
-    with np.errstate(invalid="ignore"):  # 0 * inf at a dead node, zeroed next
+    with np.errstate(invalid="ignore", over="ignore"):  # 0 * inf at a dead node, zeroed next; a sum past the float range
         t = pv * scores
-    if dead is not None:
-        t[dead] = 0.0
-    if kept is None or _signs(kept, pv)[1]:
-        t[pv == 0] = 0.0
-    t *= w
-    return float(t.sum())
+        if dead is not None:
+            t[dead] = 0.0
+        if kept is None or _signs(kept, pv)[1]:
+            t[pv == 0] = 0.0
+        t *= w
+        total = float(t.sum())
+    if not np.isfinite(total):
+        raise DomainError(f"the {name} pairing of p with q's score overflows: it sums to {total!r}")
+    return total
 
 
 def _quiet(kernel: Callable) -> Callable:
@@ -132,7 +135,7 @@ def _log_ratio(qv, mass, floor: float = LOG_CLAMP) -> np.ndarray:
     return np.log(t, out=t)
 
 
-@_quiet
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")  # _quiet's, and a sum past the float range
 def _log_entropy(w, s: Sample, m):
     v = s.value
     t = _log_ratio(v, np.expand_dims(m, -1))
@@ -140,7 +143,11 @@ def _log_entropy(w, s: Sample, m):
     t *= v
     t[dead] = 0.0
     t *= w
-    return t.sum(axis=-1)
+    h = t.sum(axis=-1)
+    bad = ~np.isfinite(h) & np.isfinite(m) & (m > 0)  # a nonpositive or non-finite mass is refused as every rule refuses it
+    if np.any(bad):
+        raise DomainError(f"the logarithmic entropy of q overflows: q ln(q / q.1) sums to {float(np.asarray(h)[bad].flat[0])!r}")
+    return h
 
 
 @_quiet

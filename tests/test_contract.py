@@ -7,8 +7,11 @@ drawn valid for its family, optionally with a cone, in a wrapper or none,
 and then, in half the draws, has one field anywhere in it replaced by a
 number at the float edges, a boolean, a string, null or a nested list or
 dict, or deleted. Each is run for every rule, with and without
-``--strict-cone``. The same configs, built by ``density_from_config``, go
-to every rule's library calls, which return finite values or raise a
+``--strict-cone``. Observation files are drawn too: a byte-order mark,
+blank rows, a header, CRLF line ends, quoted cells, extra columns,
+non-finite and non-numeric cells, and cells at and past the CSV field
+limit. The same configs, built by ``density_from_config``, go to every
+rule's library calls, which return finite values or raise a
 ``ConescoreError``, again without a warning.
 """
 
@@ -24,7 +27,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conescore import cli, rules
-from conescore.densities import density_from_config
+from conescore.densities import GaussianDensity, density_from_config
 from conescore.errors import ConescoreError
 
 HUGE = 1.7976931348623157e308
@@ -128,7 +131,7 @@ def _no_constant(token):
 def run_score(workdir, rule, strict, forecast, observations):
     """``cli.main`` on the config and observations, with every warning an error: the exit code, stdout and stderr."""
     (workdir / "forecast.json").write_text(json.dumps(forecast))
-    (workdir / "obs.csv").write_text(observations)
+    (workdir / "obs.csv").write_text(observations, encoding="utf-8", newline="")  # as drawn: a BOM and CRLF stay
     argv = ["score", "--rule", rule, "--forecast", str(workdir / "forecast.json"), "--obs", str(workdir / "obs.csv")]
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -164,11 +167,57 @@ def test_score_keeps_its_contract_on_any_forecast_config(workdir, family, rule, 
     check()
 
 
+FIELD_LIMIT = 131_072  # csv's default field size limit
+
+CELLS = st.one_of(
+    st.floats(-50.0, 50.0).map(repr),
+    st.sampled_from(["nan", "-inf", "inf", "Infinity", "1e400", "-1e400", "1e308", "5e-324", " 0.5 ", "1_0", "0x1", "x", "--"]),
+    st.text(max_size=3),
+)
+
+
+def _long_cell(n: int) -> str:
+    """A number written in ``n`` characters: at the field limit it reads, one past it the file is refused."""
+    return "0" * (n - 3) + "0.5"
+
+
+@st.composite
+def observation_csvs(draw):
+    """A CSV file's text: perhaps a byte-order mark and a header, rows of quoted or bare cells with extra columns, blanks."""
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    rows = [draw(st.sampled_from(["", "x", "observation,weight", '"x"']))] if draw(st.booleans()) else []
+    cells = draw(st.lists(st.one_of(CELLS, st.just(None)), min_size=1, max_size=6))
+    length = draw(st.sampled_from([None, None, FIELD_LIMIT, FIELD_LIMIT + 1]))  # one long cell in half the files
+    if length is not None:
+        cells[draw(st.integers(0, len(cells) - 1))] = _long_cell(length)
+    for cell in cells:
+        if cell is None:  # a blank row
+            rows.append("")
+            continue
+        if draw(st.booleans()):
+            cell = '"' + cell.replace('"', '""') + '"'
+        rows.append(cell + draw(st.sampled_from(["", ",", ",1.0", ',"a,b"'])))
+    text = newline.join(rows) + draw(st.sampled_from(["", newline]))
+    return "\ufeff" * draw(st.booleans()) + text
+
+
+def test_score_keeps_its_contract_on_any_observation_file(workdir):
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(observations=observation_csvs(), rule=st.sampled_from(["log", "hyv", "quad"]))
+    @example(observations='\ufeff"x"\r\n\r\n"0.5",1\r\n' + _long_cell(FIELD_LIMIT) + "\r\n", rule="log")
+    @example(observations="x\n" + _long_cell(FIELD_LIMIT + 1) + "\n", rule="quad")
+    def check(observations, rule):
+        check_contract(*run_score(workdir, rule, False, {"family": "gaussian", "mean": 0.2, "var": 1.3}, observations))
+
+    check()
+
+
 LIBRARY_CALLS = {
     "entropy": lambda rule, q: rules.entropy(rule, q),
     "euler_residual": lambda rule, q: rules.euler_residual(rule, q),
     "divergence": lambda rule, q: rules.divergence(rule, q, q),
     "score_at": lambda rule, q: rules.score_at(rule, q, [0.0, 0.5, 40.0]),
+    "expected_score": lambda rule, q: rules.expected_score(rule, q, GaussianDensity(0.0, 1.0)),  # deriv's pairing, q as p
 }
 
 
@@ -205,6 +254,9 @@ def test_library_calls_keep_their_contract_on_any_forecast_config(family):
     # a grid of subnormal spacing (q / m overflowed) or of a width past the float range: now configuration errors
     @example(forecast={"family": "grid", "domain": [-1e-310, 1e-310], "values": [1.0, 2.0, 1.0]})
     @example(forecast={"family": "grid", "domain": [-HUGE, HUGE], "values": [1.0, 2.0, 1.0]})
+    # a mass near the float maximum: the Shannon entropy's sum and the pairing's overflowed with a RuntimeWarning,
+    # now domain errors
+    @example(forecast={"family": "mixture", "components": TWO_GAUSSIANS, "weights": [1.7e308, 1.0]})
     def check(forecast):
         check_library_contract(forecast)
 

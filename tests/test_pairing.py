@@ -642,12 +642,17 @@ def _hex(value) -> list[str]:
     return [float(v).hex() for v in np.atleast_1d(value)]
 
 
+def _counting_sized_nodes(monkeypatch) -> list:
+    """The fields ``_sized_nodes`` sizes from now on, in call order."""
+    sized, sized_nodes = [], pairing._sized_nodes
+    monkeypatch.setattr(pairing, "_sized_nodes", lambda field, scheme: sized.append(field) or sized_nodes(field, scheme))
+    return sized
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_every_rule_call_on_the_kept_set_matches_a_fresh_set_bit_for_bit(monkeypatch, dim):
     fresh = {name: _hex(call(*_memo_fields(dim))) for name, call in _memo_calls(dim)}
-    built = []
-    sized_nodes = pairing._sized_nodes
-    monkeypatch.setattr(pairing, "_sized_nodes", lambda field, scheme: built.append(field) or sized_nodes(field, scheme))
+    built = _counting_sized_nodes(monkeypatch)
     p, q = _memo_fields(dim)
     warm = {name: _hex(call(p, q)) for name, call in _memo_calls(dim)}
     assert warm == fresh
@@ -660,14 +665,14 @@ def test_rule_calls_leave_the_kept_samples_unchanged_and_read_only(dim):
     kept = {}  # every array a set kept, with its bytes when first seen
     for name, call in _memo_calls(dim):
         call(p, q)
-        for arrays, _, derived in pairing._last[2]._samples.values():
+        for arrays, _, derived in pairing._kept_set[0]._samples.values():
             scores = (derived["score"][1][0],) if "score" in derived else ()  # the latest rule's scores
             kept.update((id(a), (a, a.tobytes())) for a in arrays + scores if id(a) not in kept)
     assert len(kept) >= 9  # values, gradients and Laplacians of q and of p's leaves, and q's scores by three rules
     for a, before in kept.values():
         assert not a.flags.writeable
         assert a.tobytes() == before
-    value = pairing._last[2].sample(q, 2).value  # a lone leaf's sample is the kept arrays themselves
+    value = pairing._kept_set[0].sample(q, 2).value  # a lone leaf's sample is the kept arrays themselves
     assert value.tobytes() == kept[id(value)][1]
     for write in (lambda: value.__setitem__(0, 1.0), lambda: value.__imul__(2.0), lambda: np.log(value, out=value)):
         with pytest.raises(ValueError, match="read-only"):
@@ -791,12 +796,14 @@ def test_a_raise_in_order_recomputes_the_lower_rows_bit_for_bit(name):
     assert all(a.tobytes() == b.tobytes() for a, b in zip(raised, samples[-1]))
 
 
-def test_the_kept_set_is_returned_only_for_the_same_scheme_coefficients_and_leaves():
+def test_the_kept_set_is_returned_only_for_the_same_scheme_coefficients_and_leaves(monkeypatch):
     p, q = GaussianDensity(0.1, 0.8), GaussianDensity(-0.3, 1.4, scale=0.5)
     scheme = pairing.QuadratureScheme(panels=4)
     kept = pairing.nodes_for(p + q, scheme)
+    sized = _counting_sized_nodes(monkeypatch)
     assert pairing.nodes_for(p + q, replace(scheme)) is kept  # an equal scheme, a new combination
     assert pairing.nodes_for(1.0 * p + q, pairing.QuadratureScheme(panels=4)) is kept
+    assert sized == []  # remembered: returned without sizing
     for other in (
         lambda: pairing.nodes_for(p + q, pairing.QuadratureScheme(panels=8)),
         lambda: pairing.nodes_for(p + q),
@@ -806,21 +813,23 @@ def test_the_kept_set_is_returned_only_for_the_same_scheme_coefficients_and_leav
         lambda: pairing.nodes_for(q + p, scheme),
         lambda: pairing.nodes_for(p, scheme),
     ):
-        assert other() is not kept
+        before = len(sized)
+        ns = other()
+        assert len(sized) == before + 1  # another key is sized, and gets the kept set only on its geometry
+        assert (ns is kept) == (ns._geometry[0] == kept._geometry[0] and np.array_equal(ns._geometry[1], kept._geometry[1]))
         kept = pairing.nodes_for(p + q, scheme)
-        assert pairing.nodes_for(p + q, scheme) is kept
+        before = len(sized)
+        assert pairing.nodes_for(p + q, scheme) is kept and len(sized) == before
 
 
 def test_a_call_on_other_fields_releases_the_kept_leaves():
     leaf = GaussianDensity(0.3, 1.2)
-    pairing.nodes_for(leaf).sample(leaf, 2)
+    kept = pairing.nodes_for(leaf)
+    kept.sample(leaf, 2)
     alive = weakref.ref(leaf)
     del leaf
-    gc.collect()
-    assert alive() is not None  # the kept set holds it
-    pairing.nodes_for(GaussianDensity(0.0, 1.0))
-    gc.collect()
-    assert alive() is None
+    assert alive() is None  # released at once: the kept set holds its sample and its key weakly
+    assert pairing._kept_set[0] is kept and pairing._kept_set[1] == {} and len(kept._samples) == 0  # the geometry stands
     # a leaf the next field lacks is released even when that field's set shares the kept geometry
     leaf, other = GaussianDensity(0.3, 1.2), GaussianDensity(0.0, 1.0)
     kept = pairing.nodes_for(leaf + other)
@@ -830,19 +839,20 @@ def test_a_call_on_other_fields_releases_the_kept_leaves():
     shared = pairing.nodes_for(other)
     gc.collect()
     assert shared.weights is weights and alive() is None
-    # a set refused over the node budget drops the kept one first
+    # a set refused over the node budget leaves the kept one as it was, holding no leaf
     leaf = GaussianDensity(0.3, 1.2)
-    pairing.nodes_for(leaf)
+    kept = pairing.nodes_for(leaf)
     alive = weakref.ref(leaf)
-    del leaf
     with pytest.raises(NodeBudgetError):
         pairing.nodes_for(GaussianDensity(0.0, 1.0), pairing.QuadratureScheme(nodes=10_000))
+    assert pairing.nodes_for(leaf) is kept
+    del leaf
     gc.collect()
-    assert alive() is None
+    assert alive() is None and pairing._kept_set[0] is kept
 
 
 # ---------------------------------------------------------------------------
-# a miss on the kept geometry: a new set on the kept arrays, with the shared leaves' samples
+# a miss on the kept geometry: the kept set itself, with every live leaf's samples
 # ---------------------------------------------------------------------------
 
 def _counting_sample_on(monkeypatch) -> list:
@@ -863,8 +873,7 @@ def test_a_miss_on_the_kept_nodes_shares_the_weights_and_the_shared_leaves_sampl
     held = both.sample(p, 1)
     sampled = _counting_sample_on(monkeypatch)
     alone = pairing.nodes_for(p)
-    assert alone is not both and alone.weights is both.weights
-    assert np.array_equal(alone.points, both.points)
+    assert alone is both  # one set per kept geometry: its nodes and weights
     served = alone.sample(p, 1)
     assert served.value is held.value and served.gradient is held.gradient
     assert sampled == []
@@ -876,9 +885,7 @@ def test_a_miss_on_the_kept_nodes_keeps_a_live_leafs_sample_until_the_leaf_is_dr
     both = pairing.nodes_for(p + q)
     held = both.sample(p, 2), both.sample(q, 2)
     ns = pairing.nodes_for(m)
-    assert ns.weights is both.weights
-    assert set(ns._samples) == {p, q, m}
-    assert set(both._samples) == {p, q}  # the set handed out is left as it was
+    assert ns is both and set(ns._samples) == {p, q, m}  # the set handed out gains m's sample and keeps p's and q's
     sampled = _counting_sample_on(monkeypatch)
     for leaf, kept in zip((p, q), held):  # the same arrays, not sampled again
         assert all(a is b for a, b in zip(ns.sample(leaf, 2), kept))
@@ -887,7 +894,7 @@ def test_a_miss_on_the_kept_nodes_keeps_a_live_leafs_sample_until_the_leaf_is_dr
     del p, held, leaf, kept
     gc.collect()
     assert alive() is None  # the set keeps a sample, never its leaf
-    assert set(ns._samples) == {q, m} and set(both._samples) == {q}
+    assert set(ns._samples) == {q, m}
 
 
 def test_temporary_leaves_on_one_geometry_leave_only_the_live_leaves_samples():
@@ -907,17 +914,63 @@ def test_temporary_leaves_on_one_geometry_leave_only_the_live_leaves_samples():
 
 
 @pytest.mark.parametrize("dim", [1, 2])
+def test_a_steady_round_of_the_plane_calls_sizes_nothing(monkeypatch, dim):
+    fields, calls = _plane_fields(dim), _plane_calls(dim)
+    for call in calls:  # the first round sizes p + q, p, m and m + q onto one geometry
+        call(*fields)
+    sized = _counting_sized_nodes(monkeypatch)
+    for _ in range(2):
+        for call in calls:
+            call(*fields)
+    assert sized == []
+    p, q, m = fields
+    scheme = None if dim == 1 else pairing.QuadratureScheme(panels=2, nodes=8)
+    sets = [pairing.nodes_for(f, scheme) for f in (p + q, p, m, m + q)]
+    assert all(ns is sets[0] for ns in sets) and sized == []
+
+
+def test_temporary_fields_on_one_geometry_leave_only_the_live_leaves_keys():
+    scheme = pairing.QuadratureScheme(panels=2, nodes=4)
+    live = GaussianDensity(0.1, 0.8)
+    kept = pairing.nodes_for(live, scheme)
+    for _ in range(10_000):  # each sized onto the kept set; its leaf dies when the next replaces it
+        assert pairing.nodes_for(live + GaussianDensity(0.1, 0.8), scheme) is kept
+    gc.collect()
+    ns, keys = pairing._kept_set
+    assert ns is kept and list(keys) == [(scheme, (1.0,), (id(live),))]
+    assert [ref() for ref in keys[scheme, (1.0,), (id(live),)]] == [live]
+
+
+def test_a_new_leaf_on_a_dead_leafs_id_is_sized_afresh(monkeypatch):
+    scheme = pairing.QuadratureScheme(panels=2, nodes=4)
+    leaf = GaussianDensity(0.1, 0.8)
+    kept = pairing.nodes_for(leaf, scheme)
+    dead, alive = id(leaf), weakref.ref(leaf)
+    del leaf
+    assert alive() is None  # released at once, though its geometry stands
+    sized = _counting_sized_nodes(monkeypatch)
+    wide = GaussianDensity(0.1, 6.0)  # more shells: another geometry
+    if id(wide) != dead:
+        pytest.skip("the interpreter gave the new leaf another id")
+    ns = pairing.nodes_for(wide, scheme)
+    assert sized == [wide] and ns is not kept
+    got = rules.entropy("logarithmic", wide, scheme)
+    monkeypatch.setattr(pairing, "_kept_set", None)
+    assert got == rules.entropy("logarithmic", GaussianDensity(0.1, 6.0), scheme)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
 def test_every_rule_call_on_a_shared_set_matches_a_fresh_set_bit_for_bit(monkeypatch, dim):
     for name, call in _memo_calls(dim):
-        monkeypatch.setattr(pairing, "_last", None)
+        monkeypatch.setattr(pairing, "_kept_set", None)
         p, q = _memo_fields(dim)
         fresh = _hex(call(p, q))  # nothing kept: the call builds its set
-        _, terms, built = pairing._last
+        built = pairing._kept_set[0]
         # new leaves share the geometry alone; the same leaves share it with every sample they have
         for fields in (_memo_fields(dim), (p, q)):
-            monkeypatch.setattr(pairing, "_last", ((), terms, built))  # a key no call has: the next call misses
+            monkeypatch.setattr(pairing, "_kept_set", (built, {}))  # no key remembered: the next call sizes onto the set
             assert _hex(call(*fields)) == fresh, name
-            assert pairing._last[2] is not built and pairing._last[2].weights is built.weights, name
+            assert pairing._kept_set[0] is built, name
 
 
 def test_another_order_dimension_or_edge_list_builds_a_new_set():
@@ -947,8 +1000,12 @@ def test_an_entropy_line_keeps_its_samples_after_a_later_call_shares_its_nodes()
     assert set(held) == {p, q}
     for call in (lambda: rules.entropy("hyvarinen", p), lambda: rules.euler_residual("hyvarinen", q), lambda: pairing.nodes_for(GaussianDensity(0.0, 1.0))):
         call()
-        assert pairing.nodes_for(p).weights is line.nodes.weights
-    assert line.nodes._samples == held and all(line.nodes._samples[k] is held[k] for k in held)
+        assert pairing.nodes_for(p) is line.nodes
+    gc.collect()
+    assert set(line.nodes._samples) == {p, q}  # the temporary leaf's sample went with it
+    for leaf, (arrays, mass, _) in held.items():  # q's raise to order 2 adds its Laplacian and keeps the rest
+        now = line.nodes._samples[leaf]
+        assert now[1] == mass and all(a is b for a, b in zip(now[0], arrays)) and len(now[0]) >= len(arrays)
     assert line(p) == rules.entropy("hyvarinen", p)
 
 
